@@ -157,10 +157,7 @@ def cmd_synthmap(args):
 
 
 def _read_spectrum(path):
-    cols, meta = dataio.read_table(path)
-    if "wavelength_nm" not in cols or "counts" not in cols:
-        raise dataio.DataFormatError(
-            f"{path}: expected wavelength_nm and counts columns")
+    cols, meta = dataio.read_columns(path, ("wavelength_nm", "counts"))
     def opt(key):
         return float(meta[key]) if key in meta else None
     return sf.Spectrum(wavelength_nm=cols["wavelength_nm"], counts=cols["counts"],
@@ -188,11 +185,7 @@ def cmd_fit(args):
             entries[f"discarded{i}_center_nm"] = dataio.format_float(p.center_nm)
             entries[f"discarded{i}_snr"] = dataio.format_float(p.snr)
         converged = all(p.converged for p in accepted + discarded)
-        model = np.full(spec.wavelength_nm.shape,
-                        (accepted + discarded)[0].background if (accepted or discarded) else 0.0)
-        for p in accepted + discarded:
-            model += sf.lorentzian_profile(spec.wavelength_nm, p.center_nm,
-                                           p.fwhm_nm, p.amplitude)
+        model = sf.peaks_model(spec.wavelength_nm, accepted + discarded)
         dataio.write_table(out / "fit_residuals.csv",
                            [spec.wavelength_nm, spec.counts, model, spec.counts - model],
                            ["wavelength_nm", "counts", "model", "residual"])
@@ -213,7 +206,7 @@ def cmd_fit(args):
                            [angles, result.energies_ueV],
                            ["polarizer_angle_deg", "peak_energy_ueV"])
     elif args.what == "power":
-        cols, _ = dataio.read_table(args.data[0])
+        cols, _ = dataio.read_columns(args.data[0], ("power_uW", "intensity"))
         fit = sf.fit_power_law(cols["power_uW"], cols["intensity"],
                                saturation_cutoff=args.saturation_cutoff)
         entries = {"slope": dataio.format_float(fit.slope),
@@ -227,7 +220,7 @@ def cmd_fit(args):
                             cols["intensity"] - model],
                            ["power_uW", "intensity", "model", "residual"])
     elif args.what == "g2":
-        cols, meta = dataio.read_table(args.data[0])
+        cols, meta = dataio.read_columns(args.data[0], ("delay_ns", "coincidences"))
         trace = sf.G2Trace(delay_ns=cols["delay_ns"], coincidences=cols["coincidences"],
                            bin_width_ns=float(meta.get("bin_width_ns", 0.0)),
                            irf_sigma_ns=float(meta.get("irf_sigma_ns", 0.0)))
@@ -248,7 +241,7 @@ def cmd_fit(args):
                             trace.coincidences - model],
                            ["delay_ns", "coincidences", "model", "residual"])
     elif args.what == "lifetime":
-        cols, meta = dataio.read_table(args.data[0])
+        cols, meta = dataio.read_columns(args.data[0], ("time_ns", "counts"))
         trace = sf.DecayTrace(time_ns=cols["time_ns"], counts=cols["counts"],
                               irf_sigma_ns=float(meta.get("irf_sigma_ns", 0.0)))
         fit = sf.fit_lifetime(trace)

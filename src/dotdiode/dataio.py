@@ -70,6 +70,21 @@ def read_table(path):
     return {name: data[:, k] for k, name in enumerate(names)}, meta
 
 
+def read_columns(path, required):
+    """read_table, then check that every name in `required` is a column.
+
+    A missing column raises DataFormatError naming it, so callers can index
+    the returned columns by those names without a KeyError.
+    """
+    cols, meta = read_table(path)
+    missing = [name for name in required if name not in cols]
+    if missing:
+        raise DataFormatError(
+            f"{path}: missing column(s) {', '.join(missing)}; "
+            f"found {', '.join(cols) or 'none'}")
+    return cols, meta
+
+
 def write_report(path, title, sections):
     """Write a fit/run report: a title plus (section, {key: value}) pairs.
 

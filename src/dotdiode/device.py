@@ -39,7 +39,7 @@ from importlib import resources
 
 import numpy as np
 
-from .materials import lookup_material, UnknownMaterialError
+from .materials import T_MAX, lookup_material, UnknownMaterialError
 
 DOPED_CONTACT_THRESHOLD = 1.0e17  # cm^-3; layers at or above count as contacts
 
@@ -80,6 +80,9 @@ class LayerStack:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("layer stack must contain at least one layer")
+        if not 0.0 < self.temperature <= T_MAX:
+            raise ValueError(
+                f"device temperature {self.temperature} K outside (0, {T_MAX}] K")
 
     @property
     def total_thickness_nm(self):
@@ -140,6 +143,8 @@ def parse_stack(source):
     if not doc["layers"]:
         raise SchemaError("'layers' list must not be empty")
     temperature = doc.get("temperature_K", 300.0)
+    if isinstance(temperature, bool) or not isinstance(temperature, (int, float)):
+        raise SchemaError(f"temperature_K must be a number, got {temperature!r}")
 
     layers = []
     for idx, entry in enumerate(doc["layers"]):

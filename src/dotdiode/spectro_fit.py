@@ -190,6 +190,15 @@ def _multi_peak_model(x, params, shape):
     return out
 
 
+def peaks_model(x, peaks):
+    """Model of one fit_peaks result (accepted plus discarded peaks, which
+    share one background), built with the line shape the fit used."""
+    params = [peaks[0].background]
+    for p in peaks:
+        params += [p.amplitude, p.center_nm, p.fwhm_nm]
+    return _multi_peak_model(np.asarray(x, dtype=float), params, peaks[0].shape)
+
+
 def _multi_lorentz_jacobian(x, params):
     """Analytic Jacobian of the Lorentzian multi-peak model."""
     n = (len(params) - 1) // 3

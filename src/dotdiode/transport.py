@@ -60,7 +60,7 @@ from . import constants, dataio
 from .device import DOPED_CONTACT_THRESHOLD
 from .electrostatics import (
     SolverOptions, NonConvergenceError, build_device_arrays, neutral_potential,
-    carrier_densities, fermi_half, fermi_half_deriv, _solve_poisson,
+    carrier_densities, fermi_half, _fermi_half_pair, _solve_poisson,
     _make_diagram, _inverse_stat, solve_bias, quasi_fermi_split,
 )
 
@@ -78,7 +78,8 @@ def bernoulli(x):
     xs = np.where(small, 1.0, x)
     with np.errstate(over="ignore"):
         main = xs / np.expm1(xs)
-    series = 1.0 - x / 2.0 + x * x / 12.0 - x ** 4 / 720.0
+    x2 = x * x
+    series = 1.0 - x / 2.0 + x2 / 12.0 - x2 * x2 / 720.0
     out = np.where(small, series, main)
     return out if out.ndim else float(out)
 
@@ -145,13 +146,20 @@ def _ln_gamma(eta, statistics):
     return np.where(eta < -30.0, 0.0, np.log(fermi_half(safe)) - safe)
 
 
-def _gamma_damping(eta, statistics):
-    """Per-node damping F'(eta)/F(eta) for the degeneracy fixed point."""
+def _degeneracy(eta, statistics):
+    """(ln gamma, damping) at eta for the Gummel loop, from one F/F' pair.
+
+    ln gamma is _ln_gamma's value; the per-node damping F'(eta)/F(eta),
+    clipped to [0.02, 1] (1 below eta = -30), keeps the lagged degeneracy
+    fixed point contractive.
+    """
+    eta = np.asarray(eta, dtype=float)
     if statistics == "boltzmann":
-        return np.ones_like(np.asarray(eta, dtype=float))
-    eta = np.maximum(np.asarray(eta, dtype=float), -30.0)  # ratio -> 1 below
-    alpha = fermi_half_deriv(eta) / fermi_half(eta)
-    return np.clip(alpha, 0.02, 1.0)
+        return np.zeros_like(eta), np.ones_like(eta)
+    safe = np.maximum(eta, -30.0)
+    f, df = _fermi_half_pair(safe)
+    ln_gamma = np.where(eta < -30.0, 0.0, np.log(f) - safe)
+    return ln_gamma, np.clip(df / f, 0.02, 1.0)
 
 
 def _driving_potentials(arr, phi, ln_gamma_n, ln_gamma_p):
@@ -392,11 +400,11 @@ class _GummelWorkspace:
             efp_t = np.clip((arr.Ev0 - phi) - arr.Vt * eta_raw_p, ef_lo, ef_hi)
             eta_n = (efn_t - arr.Ec0 + phi) / arr.Vt
             eta_p = (arr.Ev0 - phi - efp_t) / arr.Vt
-            alpha_n = _gamma_damping(eta_n, stats) * self.free_nodes
-            alpha_p = _gamma_damping(eta_p, stats) * self.free_nodes
-            lng_n = np.clip(lng_n + alpha_n * (_ln_gamma(eta_n, stats) - lng_n),
+            lng_n_t, alpha_n = _degeneracy(eta_n, stats)
+            lng_p_t, alpha_p = _degeneracy(eta_p, stats)
+            lng_n = np.clip(lng_n + alpha_n * self.free_nodes * (lng_n_t - lng_n),
                             -60.0, 0.0)
-            lng_p = np.clip(lng_p + alpha_p * (_ln_gamma(eta_p, stats) - lng_p),
+            lng_p = np.clip(lng_p + alpha_p * self.free_nodes * (lng_p_t - lng_p),
                             -60.0, 0.0)
             efn_new = efn + beta * (efn_t - efn)
             efp_new = efp + beta * (efp_t - efp)

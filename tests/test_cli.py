@@ -139,6 +139,49 @@ def test_fit_power_command(tmp_path):
     assert float(report["slope"]) == pytest.approx(0.88, abs=1e-6)
 
 
+def test_fit_peaks_residual_uses_the_fitted_shape(tmp_path):
+    wl = np.linspace(1529.5, 1531.1, 801)
+    counts = 10.0 + sf.gaussian_profile(wl, 1530.3, 0.05, 1000.0)
+    data = tmp_path / "spec.csv"
+    dataio.write_table(data, [wl, counts], ["wavelength_nm", "counts"])
+    rc = main(["fit", "peaks", "--shape", "gaussian", "--data", str(data),
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_OK
+    cols, _ = dataio.read_table(tmp_path / "o" / "fit_residuals.csv")
+    assert np.max(np.abs(cols["residual"])) < 1e-6
+
+
+@pytest.mark.parametrize("what, names, missing", [
+    ("power", ["power_uW", "counts"], "intensity"),
+    ("g2", ["delay_ns", "counts"], "coincidences"),
+    ("lifetime", ["t_ns", "counts"], "time_ns"),
+])
+def test_fit_missing_column_is_input_error(tmp_path, capsys, what, names, missing):
+    data = tmp_path / "data.csv"
+    x = np.linspace(1.0, 10.0, 40)
+    dataio.write_table(data, [x, x], names)
+    rc = main(["fit", what, "--data", str(data), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert missing in err
+
+
+@pytest.mark.parametrize("temperature", [0, "300"])
+def test_bad_device_temperature_is_input_error(tmp_path, capsys, temperature):
+    doc = json.loads(resources.files("dotdiode.data")
+                     .joinpath("device_fig1a.json").read_text())
+    doc["temperature_K"] = temperature
+    device = tmp_path / "cold.json"
+    device.write_text(json.dumps(doc))
+    rc = main(["bandedges", "--device", str(device), "--bias", "0",
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "temperature" in err
+
+
 def test_malformed_csv_reports_line_number(tmp_path):
     data = tmp_path / "broken.csv"
     data.write_text("wavelength_nm,counts\n1.0,2.0\n3.0\n")

@@ -5,9 +5,10 @@ from hypothesis import given, strategies as st
 from dotdiode.constants import Q_E
 from dotdiode.device import Layer, LayerStack, build_mesh
 from dotdiode.materials import lookup_material, mobility_at
+from dotdiode.electrostatics import fermi_half, fermi_half_deriv
 from dotdiode.transport import (
     bernoulli, TransportOptions, solve_drift_diffusion, iv_sweep,
-    detailed_balance_floor,
+    detailed_balance_floor, _degeneracy, _ln_gamma,
 )
 
 
@@ -33,6 +34,24 @@ def test_bernoulli_against_extended_precision():
     for x in np.concatenate([np.linspace(-50, 50, 101),
                              [-1e-3, -1e-5, -1e-8, 1e-8, 1e-5, 1e-3]]):
         assert bernoulli(float(x)) == pytest.approx(oracle(float(x)), rel=1e-12)
+
+
+def test_bernoulli_series_is_bit_identical_to_the_power_form():
+    x = np.concatenate([np.linspace(-9.99e-5, 9.99e-5, 20_001),
+                        [-1e-300, 1e-300, -5e-9, 5e-9]])
+    reference = 1.0 - x / 2.0 + x * x / 12.0 - x ** 4 / 720.0
+    assert np.array_equal(bernoulli(x), reference)
+
+
+def test_degeneracy_terms_match_public_kernels():
+    eta = np.linspace(-40.0, 60.0, 10_001)
+    ln_gamma, alpha = _degeneracy(eta, "fermi")
+    np.testing.assert_allclose(ln_gamma, _ln_gamma(eta, "fermi"), rtol=1e-13, atol=1e-14)
+    safe = np.maximum(eta, -30.0)
+    np.testing.assert_allclose(
+        alpha, np.clip(fermi_half_deriv(safe) / fermi_half(safe), 0.02, 1.0), rtol=1e-14)
+    ln_gamma_b, alpha_b = _degeneracy(eta, "boltzmann")
+    assert not ln_gamma_b.any() and np.all(alpha_b == 1.0)
 
 
 @pytest.fixture(scope="module")
