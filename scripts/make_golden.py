@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the golden files under tests/golden/.
 
-Band diagrams of the reference diode at the four standard biases, and a
+Band diagrams of the reference diode at the four standard biases, its
+default 13-point dark IV sweep (the biases of ``dotdiode iv``), and a
 small seeded emission map. Regenerate only when an intentional physics or
 format change invalidates the stored files.
 """
@@ -15,8 +16,11 @@ import numpy as np  # noqa: E402
 
 from dotdiode.device import load_reference_stack, build_mesh  # noqa: E402
 from dotdiode.electrostatics import solve_bias  # noqa: E402
+from dotdiode.transport import iv_sweep  # noqa: E402
+
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden"
 BIASES = [-0.5, 0.0, 0.5, 1.0]
+IV_BIASES = [-1.0 + k * 0.25 for k in range(13)]   # dotdiode iv defaults
 
 
 def main():
@@ -28,6 +32,9 @@ def main():
         name = f"band_{bias:+.3f}V.csv".replace("+", "p").replace("-", "m")
         diagram.to_csv(GOLDEN / name)
         print("wrote", GOLDEN / name)
+
+    iv_sweep(stack, mesh, IV_BIASES).to_csv(GOLDEN / "iv_dark.csv")
+    print("wrote", GOLDEN / "iv_dark.csv")
 
     import tempfile
     from dotdiode.cli import main as cli_main

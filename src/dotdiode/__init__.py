@@ -5,9 +5,9 @@ __version__ = "0.1.0"
 from .materials import lookup_material, band_offsets, mobility
 from .device import (Layer, LayerStack, parse_stack, serialize_stack,
                      build_mesh, doping_profile, load_reference_stack)
-from .electrostatics import (SolverOptions, BandDiagram, fermi_half,
+from .electrostatics import (BandDiagram, fermi_half,
                              solve_equilibrium, solve_bias, field_lever_arm)
-from .transport import (TransportOptions, IVPoint, IVCurve,
+from .transport import (IVPoint, IVCurve,
                         solve_drift_diffusion, iv_sweep)
 from .qd_model import (ExcitonLine, FssModel, ChargeLadder, stark_energy,
                        stark_wavelength, tuning_range, fss_at, occupancy_at,
@@ -22,9 +22,9 @@ __all__ = [
     "lookup_material", "band_offsets", "mobility",
     "Layer", "LayerStack", "parse_stack", "serialize_stack", "build_mesh",
     "doping_profile", "load_reference_stack",
-    "SolverOptions", "BandDiagram", "fermi_half", "solve_equilibrium",
+    "BandDiagram", "fermi_half", "solve_equilibrium",
     "solve_bias", "field_lever_arm",
-    "TransportOptions", "IVPoint", "IVCurve", "solve_drift_diffusion",
+    "IVPoint", "IVCurve", "solve_drift_diffusion",
     "iv_sweep",
     "ExcitonLine", "FssModel", "ChargeLadder", "stark_energy",
     "stark_wavelength", "tuning_range", "fss_at", "occupancy_at",

@@ -2,9 +2,10 @@
 synthetic emission maps and the fitting suite, all emitting plot-ready CSV
 plus plain-text reports with a machine-readable key = value section.
 
-Every command is deterministic for a fixed configuration and seed; seeds
-are always echoed into the outputs. Exit codes: 0 success, 1 input or
-configuration error, 2 numerical non-convergence (never success on
+Every command is deterministic for a fixed configuration. Only
+``synthmap`` draws random numbers: with ``--seed`` it Poisson-samples the
+counts, and it echoes the seed into its output. Exit codes: 0 success, 1
+input or configuration error, 2 numerical non-convergence (never success on
 unconverged physics).
 """
 
@@ -20,9 +21,8 @@ import numpy as np
 from . import __version__, constants, dataio
 from .device import (SchemaError, MeshOptionError, parse_stack, build_mesh,
                      load_reference_stack)
-from .electrostatics import (SolverOptions, NonConvergenceError, solve_bias,
-                             field_lever_arm)
-from .transport import TransportOptions, iv_sweep, MESA_AREA_CM2
+from .electrostatics import NonConvergenceError, solve_bias, field_lever_arm
+from .transport import iv_sweep, MESA_AREA_CM2
 from .qd_model import (load_reference_lines, load_charge_ladder, tuning_range,
                        stark_wavelength, synth_emission_map, BackgroundModel,
                        ZERO_BACKGROUND, LadderRangeError)
@@ -60,14 +60,13 @@ def cmd_bandedges(args):
         return EXIT_INPUT
     stack = _load_stack(args)
     mesh = build_mesh(stack, args.max_spacing, args.fine_spacing, args.refine_width)
-    opts = SolverOptions(statistics=args.statistics)
     out = _outdir(args)
 
     all_ok = True
     rows = []
     for bias in args.bias:
         try:
-            diagram = solve_bias(stack, mesh, bias, opts)
+            diagram = solve_bias(stack, mesh, bias, args.statistics)
         except NonConvergenceError as exc:
             print(f"bandedges: {exc}", file=sys.stderr)
             all_ok = False
@@ -98,9 +97,7 @@ def cmd_iv(args):
     else:
         n = int(round((args.vmax - args.vmin) / args.step)) + 1
         biases = [args.vmin + k * args.step for k in range(n)]
-    opts = TransportOptions(generation=args.generation,
-                            solver=SolverOptions(statistics=args.statistics))
-    curve = iv_sweep(stack, mesh, biases, opts)
+    curve = iv_sweep(stack, mesh, biases, args.generation, args.statistics)
     curve = dataclasses.replace(curve, device_area_cm2=args.area)
     out = _outdir(args)
     meta = _report_header(args, "iv")
@@ -147,7 +144,7 @@ def cmd_synthmap(args):
         emission = synth_emission_map(lines, ladder, gate, lam,
                                       linewidth_ueV=args.linewidth,
                                       background=background, seed=args.seed,
-                                      d_i_nm=args.di, threads=args.threads)
+                                      d_i_nm=args.di)
     except LadderRangeError as exc:
         print(f"synthmap: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -276,8 +273,6 @@ def build_parser():
     common.add_argument("--device", default=None,
                         help="device config JSON (default: bundled reference diode)")
     common.add_argument("--out", default="dotdiode_out", help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="random seed")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
 
     mesh = argparse.ArgumentParser(add_help=False)
     mesh.add_argument("--max-spacing", type=float, default=2.0, dest="max_spacing")
@@ -326,6 +321,8 @@ def build_parser():
     p.add_argument("--di", type=float, default=240.0)
     p.add_argument("--background", action="store_true",
                    help="add the phenomenological gate-dependent background")
+    p.add_argument("--seed", type=int, default=None,
+                   help="Poisson-sample the counts with this seed")
     p.set_defaults(func=cmd_synthmap)
 
     p = sub.add_parser("fit", parents=[common], help="run a fitter on CSV data")

@@ -21,18 +21,17 @@ def format_float(x):
 
 
 def write_table(path, columns, names, meta=None):
-    """Write named columns to CSV with '# key = value' metadata lines."""
-    columns = [np.asarray(c) for c in columns]
-    lines = []
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key} = {value}")
-    lines.append(",".join(names))
-    for row in zip(*columns):
-        lines.append(",".join(format_float(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    """Write equal-length named columns to CSV with '# key = value' metadata
+    lines, one row at a time through a single row template (the same text
+    as format_float per value)."""
+    data = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row_fmt = ",".join(["%.12e"] * data.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write(text)
-    return text
+        for key, value in (meta or {}).items():
+            fh.write(f"# {key} = {value}\n")
+        fh.write(",".join(names) + "\n")
+        for row in data:
+            fh.write(row_fmt % tuple(row.tolist()))
 
 
 def read_table(path):

@@ -65,6 +65,10 @@ class Layer:
     label: str = ""
 
     def __post_init__(self):
+        for name in ("thickness_nm", "donor_cm3", "acceptor_cm3"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"layer {name} must be finite, got {value}")
         if self.thickness_nm <= 0:
             raise ValueError("layer thickness must be positive")
         if self.donor_cm3 < 0 or self.acceptor_cm3 < 0:

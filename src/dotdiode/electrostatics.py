@@ -11,13 +11,16 @@ Under bias the contacts are treated as frozen quasi-equilibrium reservoirs:
 carrier statistics reference the nearer contact's quasi-Fermi level, with
 the split at mid-device, and the top reference sits at -V. The bias solve
 continues from the equilibrium solution in steps of at most
-``continuation_step``.
+``CONTINUATION_STEP`` volts. Each Poisson solve is a damped Newton
+iteration that stops once the largest update falls below
+``NEWTON_TOLERANCE`` thermal voltages, or fails after
+``NEWTON_MAX_ITERATIONS`` steps.
 
 The F_half implementation is the Bednarczyk analytic approximation of the
 complete Fermi-Dirac integral of order 1/2, normalized so F_half(eta) ->
 exp(eta) for eta -> -inf; its global relative error against quadrature is
-below 0.5%. A Boltzmann statistics branch is selectable through
-SolverOptions for non-degenerate reference problems.
+below 0.5%. A Boltzmann statistics branch is selectable through the
+``statistics`` argument for non-degenerate reference problems.
 
 The drift-diffusion hot path evaluates the same approximation through the
 private ``_fermi_half_pair``, which returns F and F' together: the shared
@@ -35,7 +38,7 @@ diagrams (compared with the goldens to 1e-9 absolute) would show.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -47,14 +50,20 @@ from .materials import lookup_material
 _SQRT_PI = math.sqrt(math.pi)
 _FD_COEF = 3.0 * _SQRT_PI / 4.0
 
+NEWTON_TOLERANCE = 1e-10       # max scaled Newton update, dimensionless
+NEWTON_MAX_ITERATIONS = 200
+CONTINUATION_STEP = 0.25       # V, bias continuation increment
+
 
 class NonConvergenceError(RuntimeError):
     """Newton iteration failed; carries the residual history."""
 
-    def __init__(self, message, residual_history=None, last_bias=None):
+    def __init__(self, message, residual_history=None, last_bias=None,
+                 gummel_cycles=0):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
         self.last_bias = last_bias
+        self.gummel_cycles = gummel_cycles   # drift-diffusion cycles run before the failure
 
 
 def fermi_half(eta):
@@ -175,23 +184,6 @@ def _inverse_stat(u, statistics):
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    tolerance: float = 1e-10        # max scaled Newton update, dimensionless
-    max_iterations: int = 200
-    damping: float = 1.0            # initial Newton damping in (0, 1]
-    statistics: str = "fermi"       # "fermi" or "boltzmann"
-    continuation_step: float = 0.25  # V, bias continuation increment
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must be in (0, 1]")
-
-
-@dataclass(frozen=True)
 class BandDiagram:
     mesh: object
     phi: np.ndarray          # V
@@ -215,7 +207,7 @@ class BandDiagram:
             "residual_norm": dataio.format_float(self.residual_norm),
         }
         meta.update(extra_meta or {})
-        return dataio.write_table(
+        dataio.write_table(
             path,
             [self.mesh.nodes, self.Ec, self.Ev, self.phi, self.n, self.p, self.field],
             ["position_nm", "Ec_eV", "Ev_eV", "phi_V", "n_cm3", "p_cm3", "F_Vcm"],
@@ -322,56 +314,59 @@ def _poisson_residual(arr, phi, efn, efp, statistics, phi_bc):
     return r, n, p
 
 
-def _solve_poisson(arr, efn, efp, phi_bc, phi0, opts):
+def _tridiag_solve(lower, diag, upper, rhs):
+    """Solve A x = rhs for tridiagonal A: sub-diagonal `lower` (A[i+1, i]),
+    `diag` and super-diagonal `upper` (A[i, i+1])."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = upper
+    ab[1, :] = diag
+    ab[2, :-1] = lower
+    return solve_banded((1, 1), ab, rhs)
+
+
+def _solve_poisson(arr, efn, efp, phi_bc, phi0, statistics):
     """Damped Newton iteration for the nonlinear Poisson problem."""
-    f, df = _stat_functions(opts.statistics)
+    f, df = _stat_functions(statistics)
     phi = phi0.copy()
     phi[0], phi[-1] = phi_bc
     history = []
     converged = False
     scaled_update = np.inf
 
-    r, n, p = _poisson_residual(arr, phi, efn, efp, opts.statistics, phi_bc)
+    # Dirichlet rows at both ends: unit diagonal, no coupling to the interior
+    cond = constants.EPS_0 * arr.eps_el / arr.h
+    upper = cond.copy()
+    upper[0] = 0.0
+    lower = cond.copy()
+    lower[-1] = 0.0
+    diag = np.ones_like(phi)
+
+    r, n, p = _poisson_residual(arr, phi, efn, efp, statistics, phi_bc)
     rnorm = np.linalg.norm(r)
-    for _ in range(opts.max_iterations):
+    for _ in range(NEWTON_MAX_ITERATIONS):
         dn = arr.Nc * df((efn - (arr.Ec0 - phi)) / arr.Vt) / arr.Vt
         dp = arr.Nv * df(((arr.Ev0 - phi) - efp) / arr.Vt) / arr.Vt
-
-        cond = constants.EPS_0 * arr.eps_el / arr.h
-        lower = np.zeros_like(phi)
-        upper = np.zeros_like(phi)
-        diag = np.empty_like(phi)
-        lower[:-1] = cond
-        upper[1:] = cond
         diag[1:-1] = -(cond[1:] + cond[:-1]) - constants.Q_E * arr.w[1:-1] * (
             dp[1:-1] + dn[1:-1])
-        diag[0] = diag[-1] = 1.0
-        upper[1] = 0.0
-        lower[-2] = 0.0
-
-        ab = np.zeros((3, phi.size))
-        ab[0, 1:] = upper[1:]
-        ab[1, :] = diag
-        ab[2, :-1] = lower[:-1]
-        delta = solve_banded((1, 1), ab, -r)
+        delta = _tridiag_solve(lower, diag, upper, -r)
 
         scaled_update = np.max(np.abs(delta)) / arr.Vt
-        t = opts.damping
+        t = 1.0
         for _ in range(30):
             trial = phi + t * delta
-            r_new, n, p = _poisson_residual(arr, trial, efn, efp, opts.statistics, phi_bc)
+            r_new, n, p = _poisson_residual(arr, trial, efn, efp, statistics, phi_bc)
             rnorm_new = np.linalg.norm(r_new)
-            if rnorm_new <= rnorm or scaled_update < opts.tolerance:
+            if rnorm_new <= rnorm or scaled_update < NEWTON_TOLERANCE:
                 break
             t *= 0.5
         phi = phi + t * delta
         r, rnorm = r_new, rnorm_new
         history.append(float(scaled_update))
-        if scaled_update < opts.tolerance:
+        if scaled_update < NEWTON_TOLERANCE:
             converged = True
             break
 
-    n, p = carrier_densities(arr, phi, efn, efp, opts.statistics)
+    n, p = carrier_densities(arr, phi, efn, efp, statistics)
     return phi, n, p, history, converged, float(scaled_update)
 
 
@@ -399,34 +394,35 @@ def quasi_fermi_split(stack, mesh, bias):
     return ef
 
 
-def solve_equilibrium(stack, mesh, opts=None):
-    """Zero-bias band diagram (constant Fermi level at 0 eV)."""
-    opts = opts or SolverOptions()
+def solve_equilibrium(stack, mesh, statistics="fermi"):
+    """Zero-bias band diagram (constant Fermi level at 0 eV).
+
+    `statistics` is "fermi" or "boltzmann".
+    """
     arr = build_device_arrays(stack, mesh)
     efn = np.zeros(mesh.n_nodes)
-    phi_n = neutral_potential(arr, opts.statistics)
+    phi_n = neutral_potential(arr, statistics)
     phi_bc = (phi_n[0], phi_n[-1])
-    phi, n, p, hist, ok, resnorm = _solve_poisson(arr, efn, efn, phi_bc, phi_n, opts)
+    phi, n, p, hist, ok, resnorm = _solve_poisson(arr, efn, efn, phi_bc, phi_n, statistics)
     if not ok:
         raise NonConvergenceError(
-            f"equilibrium Poisson solve did not converge in {opts.max_iterations} "
+            f"equilibrium Poisson solve did not converge in {NEWTON_MAX_ITERATIONS} "
             f"iterations (last scaled update {resnorm:.3e})", hist)
     return _make_diagram(stack, mesh, arr, phi, n, p, efn, efn, 0.0, ok, resnorm)
 
 
-def solve_bias(stack, mesh, bias, opts=None):
+def solve_bias(stack, mesh, bias, statistics="fermi"):
     """Band diagram at gate voltage `bias`, by continuation from equilibrium."""
-    opts = opts or SolverOptions()
     if abs(bias) > 5.0:
         raise ValueError("gate voltage outside the +/-5 V sanity bound")
     arr = build_device_arrays(stack, mesh)
-    phi_n = neutral_potential(arr, opts.statistics)
+    phi_n = neutral_potential(arr, statistics)
 
-    eq = solve_equilibrium(stack, mesh, opts)
+    eq = solve_equilibrium(stack, mesh, statistics)
     if bias == 0.0:
         return eq
 
-    n_steps = max(1, int(math.ceil(abs(bias) / opts.continuation_step)))
+    n_steps = max(1, int(math.ceil(abs(bias) / CONTINUATION_STEP)))
     phi = eq.phi.copy()
     v_done = 0.0
     for k in range(1, n_steps + 1):
@@ -435,7 +431,8 @@ def solve_bias(stack, mesh, bias, opts=None):
         phi_bc = (phi_n[0], phi_n[-1] + v)
         phi_guess = phi.copy()
         phi_guess[-1] = phi_bc[1]
-        phi, n, p, hist, ok, resnorm = _solve_poisson(arr, efn, efn, phi_bc, phi_guess, opts)
+        phi, n, p, hist, ok, resnorm = _solve_poisson(arr, efn, efn, phi_bc, phi_guess,
+                                                      statistics)
         if not ok:
             raise NonConvergenceError(
                 f"bias continuation stalled at V = {v:.4f} V "

@@ -26,13 +26,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.optimize import brentq
 
-from . import constants
+from . import constants, dataio
 from .electrostatics import field_lever_arm
+from .spectro_fit import lorentzian_profile
 
 SPECIES = ("X0", "Xminus", "XX", "X2minus")
 CHARGED_SPECIES = ("Xminus", "X2minus")
@@ -215,25 +215,9 @@ class EmissionMap:
     intensity: np.ndarray          # shape (n_wavelength, n_gate)
 
     def to_csv(self, path, meta=None):
-        from . import dataio
-        lines = []
-        for key, value in (meta or {}).items():
-            lines.append(f"# {key} = {value}")
-        header = ["wavelength_nm\\gate_V"] + [dataio.format_float(v) for v in self.gate_V]
-        lines.append(",".join(header))
-        for i, lam in enumerate(self.wavelength_nm):
-            row = [dataio.format_float(lam)] + [
-                dataio.format_float(x) for x in self.intensity[i]]
-            lines.append(",".join(row))
-        text = "\n".join(lines) + "\n"
-        with open(path, "w") as fh:
-            fh.write(text)
-        return text
-
-
-def lorentzian(x, center, fwhm, amplitude):
-    hw = 0.5 * fwhm
-    return amplitude * hw * hw / ((x - center) ** 2 + hw * hw)
+        """One row per wavelength; the header row carries the gate voltages."""
+        names = ["wavelength_nm\\gate_V"] + [dataio.format_float(v) for v in self.gate_V]
+        dataio.write_table(path, [self.wavelength_nm, *self.intensity.T], names, meta=meta)
 
 
 def _render_column(lines, ladder, V, wl_grid, linewidth_ueV, background, d_i_nm):
@@ -245,17 +229,17 @@ def _render_column(lines, ladder, V, wl_grid, linewidth_ueV, background, d_i_nm)
             continue
         lam_c = stark_wavelength(line, F)
         fwhm_nm = lam_c * lam_c * linewidth_ueV * _UEV / constants.HC_EV_NM
-        column += lorentzian(wl_grid, lam_c, fwhm_nm, line.relative_brightness)
+        column += lorentzian_profile(wl_grid, lam_c, fwhm_nm, line.relative_brightness)
     return column
 
 
 def synth_emission_map(lines, ladder, gate_V, wavelength_nm, linewidth_ueV=30.0,
-                       background=None, seed=None, d_i_nm=240.0, threads=1):
+                       background=None, seed=None, d_i_nm=240.0):
     """Render active emission lines as Lorentzians over a (V, lambda) grid.
 
     Counts are Poisson-sampled when `seed` is given, with one child
     generator per gate-voltage column (seed XOR column index) so the map
-    is reproducible independently of evaluation order or thread count.
+    is reproducible independently of evaluation order.
     """
     gate_V = np.asarray(gate_V, dtype=float)
     wavelength_nm = np.asarray(wavelength_nm, dtype=float)
@@ -273,11 +257,7 @@ def synth_emission_map(lines, ladder, gate_V, wavelength_nm, linewidth_ueV=30.0,
         rng = np.random.default_rng(int(seed) ^ k)
         return rng.poisson(clean).astype(float)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cols = list(pool.map(column, range(gate_V.size)))
-    else:
-        cols = [column(k) for k in range(gate_V.size)]
+    cols = [column(k) for k in range(gate_V.size)]
     return EmissionMap(gate_V=gate_V, wavelength_nm=wavelength_nm,
                        intensity=np.column_stack(cols))
 

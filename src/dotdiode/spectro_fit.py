@@ -67,6 +67,10 @@ class Spectrum:
         c = np.asarray(self.counts, dtype=float)
         if wl.ndim != 1 or wl.size != c.size:
             raise ValueError("wavelength and counts must be 1D arrays of equal length")
+        if not np.all(np.isfinite(wl)):
+            raise ValueError("wavelength_nm must be finite")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("counts must be finite")
         if np.any(np.diff(wl) <= 0):
             raise ValueError("wavelength grid must be strictly increasing")
         if np.any(c < 0):

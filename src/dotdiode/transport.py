@@ -38,6 +38,14 @@ bounded without touching the V = 0 detailed balance. An optional uniform
 generation rate in the undoped layers models above-band illumination
 phenomenologically.
 
+Each bias point is reached by continuation in steps of at most
+``BIAS_STEP``. ``solve_drift_diffusion`` returns the Gummel state it
+ended in (a dict of the potential, densities, quasi-Fermi levels, lagged
+degeneracy and recombination terms at its bias) next to the band diagram
+and the IV point; passing that state back as ``init`` starts the next
+bias from it instead of from the 0 V Poisson solution, which is how
+``iv_sweep`` warm-starts each point from the previous one.
+
 Sign convention: reported currents are positive when a positive gate
 voltage drives conventional current through the device (resistor-like IV
 in the ohmic limit).
@@ -52,19 +60,29 @@ stack).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import constants, dataio
 from .device import DOPED_CONTACT_THRESHOLD
 from .electrostatics import (
-    SolverOptions, NonConvergenceError, build_device_arrays, neutral_potential,
+    NonConvergenceError, build_device_arrays, neutral_potential,
     carrier_densities, fermi_half, _fermi_half_pair, _solve_poisson,
-    _make_diagram, _inverse_stat, solve_bias, quasi_fermi_split,
+    _tridiag_solve, _make_diagram, _inverse_stat, solve_bias, quasi_fermi_split,
 )
 
 MESA_AREA_CM2 = 0.14e-2  # 0.14 mm^2 reference mesa
+
+QF_TOLERANCE = 1e-8                 # V, max quasi-Fermi update per cycle
+MAX_GUMMEL = 500
+QF_TOLERANCE_CONTINUATION = 1e-5    # V, at intermediate biases
+MAX_GUMMEL_CONTINUATION = 150
+QF_DAMPING = 0.7                    # under-relaxation of quasi-Fermi updates
+QF_DENSITY_FLOOR = 1e6              # cm^-3, QFL updates below this density
+                                    # do not count towards convergence
+BIAS_STEP = 0.125                   # V, internal continuation increment
+B_RADIATIVE = 1e-10                 # cm^3/s
 
 
 def bernoulli(x):
@@ -82,21 +100,6 @@ def bernoulli(x):
     series = 1.0 - x / 2.0 + x2 / 12.0 - x2 * x2 / 720.0
     out = np.where(small, series, main)
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class TransportOptions:
-    qf_tolerance: float = 1e-8        # V, max quasi-Fermi update per cycle
-    max_gummel: int = 500
-    qf_damping: float = 0.7           # under-relaxation of quasi-Fermi updates
-    qf_density_floor: float = 1e6     # cm^-3, QFL updates below this density
-                                      # do not count towards convergence
-    bias_step: float = 0.125          # V, internal continuation increment
-    qf_tolerance_continuation: float = 1e-5   # V, at intermediate biases
-    max_gummel_continuation: int = 150
-    generation: float = 0.0           # cm^-3 s^-1, uniform in undoped layers
-    b_radiative: float = 1e-10        # cm^3/s
-    solver: SolverOptions = SolverOptions()
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,7 @@ class IVCurve:
             "all_converged": all(pt.converged for pt in self.points),
         }
         base.update(meta or {})
-        return dataio.write_table(
+        dataio.write_table(
             path, [self.biases(), j, i, np.abs(i)],
             ["bias_V", "J_Acm2", "I_A", "abs_I_A"], meta=base)
 
@@ -223,32 +226,23 @@ def _hole_tridiagonal_solve(arr, v, loss_coef, gen_term, p_bc):
     devices but must stay bounded under strong generation, which this
     local solve guarantees.
     """
-    from scipy.linalg import solve_banded
-
     y = np.diff(v) / arr.Vt
     bp = bernoulli(y)
     bm = bernoulli(-y)
     c = constants.Q_E * arr.mu_h_el * arr.Vt / arr.h
 
-    npts = v.size
-    lower = np.zeros(npts)
-    diag = np.ones(npts)
-    upper = np.zeros(npts)
-    rhs = np.zeros(npts)
-    lower[:-1] = -c * bm                    # A[i+1, i]
-    upper[1:] = -c * bp                     # A[i-1, i]
+    # Dirichlet rows at both ends hold the contact densities
+    lower = -c * bm
+    lower[-1] = 0.0
+    upper = -c * bp
+    upper[0] = 0.0
+    diag = np.ones(v.size)
     diag[1:-1] = (c[1:] * bm[1:] + c[:-1] * bp[:-1]
                   + constants.Q_E * arr.w[1:-1] * loss_coef[1:-1])
+    rhs = np.empty(v.size)
     rhs[1:-1] = gen_term[1:-1]
     rhs[0], rhs[-1] = p_bc
-    upper[1] = 0.0
-    lower[-2] = 0.0
-
-    ab = np.zeros((3, npts))
-    ab[0, 1:] = upper[1:]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[:-1]
-    return solve_banded((1, 1), ab, rhs)
+    return _tridiag_solve(lower, diag, upper, rhs)
 
 
 def electron_flux(arr, w, n):
@@ -284,12 +278,10 @@ def _generation_profile(stack, mesh, rate):
 class _GummelWorkspace:
     """Mesh-resolved arrays and iteration state shared across bias steps."""
 
-    def __init__(self, stack, mesh, opts):
+    def __init__(self, stack, mesh, generation, statistics):
         self.stack = stack
         self.mesh = mesh
-        self.opts = opts
-        self.sopts = opts.solver
-        self.stats = self.sopts.statistics
+        self.stats = statistics
         self.arr = build_device_arrays(stack, mesh)
         arr, stats = self.arr, self.stats
 
@@ -298,7 +290,7 @@ class _GummelWorkspace:
         n_neutral, p_neutral = carrier_densities(arr, self.phi_neutral, zero, zero, stats)
         self.n_bc = (n_neutral[0], n_neutral[-1])
         self.p_bc = (p_neutral[0], p_neutral[-1])
-        self.gen = _generation_profile(stack, mesh, opts.generation)
+        self.gen = _generation_profile(stack, mesh, generation)
         self.nisq = arr.Nc * arr.Nv * np.exp(-(arr.Ec0 - arr.Ev0) / arr.Vt)
 
         # In strongly doped regions the density is pinned to the doping, so
@@ -310,14 +302,6 @@ class _GummelWorkspace:
             _inverse_stat(np.maximum(n_neutral, 1e-30) / arr.Nc, stats), stats)
         self.lng_p_neutral = _ln_gamma(
             _inverse_stat(np.maximum(p_neutral, 1e-30) / arr.Nv, stats), stats)
-
-        # The Gummel loop iterates in Boltzmann-equivalent quasi-Fermi
-        # levels (the Poisson stage runs Boltzmann statistics); in those
-        # variables the continuity <-> Poisson transfer has zero gain in
-        # quasi-neutral regions regardless of degeneracy. The physical
-        # Fermi-Dirac behaviour enters through the lagged degeneracy terms
-        # lng_n/lng_p of the driving potentials.
-        self.sopts_inner = replace(self.sopts, statistics="boltzmann")
 
     def seed(self, bias, phi_start):
         """Fresh iteration state at `bias` from a potential profile."""
@@ -357,9 +341,20 @@ class _GummelWorkspace:
             out["efp"] = split.copy()
         return out
 
+    def _hole_solve(self, v, n, p, efn, efp):
+        """Hole continuity at fixed electrons: B n p implicit, the
+        mass-action back-generation explicit and capped at the thermal rate."""
+        arr = self.arr
+        loss = B_RADIATIVE * n
+        g_rad = np.minimum(
+            loss * p * np.exp(np.clip((efp - efn) / arr.Vt, -500.0, 40.0)),
+            B_RADIATIVE * self.nisq)
+        gen_term = constants.Q_E * arr.w * (self.gen + g_rad)
+        return np.maximum(_hole_tridiagonal_solve(arr, v, loss, gen_term, self.p_bc), 1e-30)
+
     def iterate(self, state, max_cycles, tolerance):
         """Run Gummel cycles at the state's bias; mutates and returns state."""
-        arr, stats, opts = self.arr, self.stats, self.opts
+        arr, stats = self.arr, self.stats
         bias = state["bias"]
         phi, n, p = state["phi"], state["n"], state["p"]
         efn, efp = state["efn"], state["efp"]
@@ -370,7 +365,6 @@ class _GummelWorkspace:
         # maximum principle: quasi-Fermi levels stay between contact values
         ef_lo = min(0.0, -bias) - 0.1
         ef_hi = max(0.0, -bias) + 0.1
-        beta = opts.qf_damping
 
         converged = False
         qf_update = np.inf
@@ -379,20 +373,12 @@ class _GummelWorkspace:
             rec_factor = 1.0 - np.exp(np.clip((efp - efn) / arr.Vt, -500.0, 500.0))
             # relax the lagged recombination: a fully explicit loss term
             # flip-flops at generation-recombination balance points
-            recomb = recomb + 0.3 * (opts.b_radiative * n * p * rec_factor - recomb)
+            recomb = recomb + 0.3 * (B_RADIATIVE * n * p * rec_factor - recomb)
             w, v = _driving_potentials(arr, phi, lng_n, lng_p)
             src = constants.Q_E * arr.w * (recomb - self.gen)
             n, _ = _electron_integral_solve(arr, w, src, self.n_bc)
             n = np.maximum(n, 1e-30)
-            # hole recombination split: B n p implicit, the mass-action
-            # back-generation explicit and capped at the thermal rate
-            loss = opts.b_radiative * n
-            g_rad = np.minimum(
-                loss * p * np.exp(np.clip((efp - efn) / arr.Vt, -500.0, 40.0)),
-                opts.b_radiative * self.nisq)
-            gen_term = constants.Q_E * arr.w * (self.gen + g_rad)
-            p = _hole_tridiagonal_solve(arr, v, loss, gen_term, self.p_bc)
-            p = np.maximum(p, 1e-30)
+            p = self._hole_solve(v, n, p, efn, efp)
 
             eta_raw_n = _inverse_stat(n / arr.Nc, stats)
             eta_raw_p = _inverse_stat(p / arr.Nv, stats)
@@ -406,8 +392,8 @@ class _GummelWorkspace:
                             -60.0, 0.0)
             lng_p = np.clip(lng_p + alpha_p * self.free_nodes * (lng_p_t - lng_p),
                             -60.0, 0.0)
-            efn_new = efn + beta * (efn_t - efn)
-            efp_new = efp + beta * (efp_t - efp)
+            efn_new = efn + QF_DAMPING * (efn_t - efn)
+            efp_new = efp + QF_DAMPING * (efp_t - efp)
 
             # Boltzmann-equivalent levels reproduce the continuity densities.
             # Electron degeneracy shifts them below the physical levels by
@@ -417,17 +403,24 @@ class _GummelWorkspace:
                             ef_lo - 0.3, ef_hi + 0.05)
             efp_b = np.clip((arr.Ev0 - phi) - arr.Vt * np.log(p / arr.Nv),
                             ef_lo - 0.05, ef_hi + 0.3)
+            # The Gummel loop iterates in Boltzmann-equivalent quasi-Fermi
+            # levels (the Poisson stage runs Boltzmann statistics); in those
+            # variables the continuity <-> Poisson transfer has zero gain in
+            # quasi-neutral regions regardless of degeneracy. The physical
+            # Fermi-Dirac behaviour enters through the lagged degeneracy terms
+            # lng_n/lng_p of the driving potentials.
             phi, n, p, _, ok, _ = _solve_poisson(arr, efn_b, efp_b, phi_bc, phi,
-                                                 self.sopts_inner)
+                                                 "boltzmann")
             if not ok:
                 raise NonConvergenceError(
-                    f"Poisson stage failed inside Gummel cycle {cycles} at V = {bias} V")
+                    f"Poisson stage failed inside Gummel cycle {cycles} at V = {bias} V",
+                    gummel_cycles=cycles)
             n = np.maximum(n, 1e-30)
             p = np.maximum(p, 1e-30)
 
             # a quasi-Fermi level only matters where its carrier is present
-            mask_n = n > opts.qf_density_floor
-            mask_p = p > opts.qf_density_floor
+            mask_n = n > QF_DENSITY_FLOOR
+            mask_p = p > QF_DENSITY_FLOOR
             du_n = np.max(np.abs(efn_new - efn)[mask_n]) if np.any(mask_n) else 0.0
             du_p = np.max(np.abs(efp_new - efp)[mask_p]) if np.any(mask_p) else 0.0
             qf_update = max(du_n, du_p)
@@ -442,19 +435,13 @@ class _GummelWorkspace:
 
     def finalize(self, state):
         """Final continuity pass; fluxes and densities for reporting."""
-        arr, stats, opts = self.arr, self.stats, self.opts
-        phi, recomb = state["phi"], state["recomb"]
-        efn0, efp0 = state["efn"], state["efp"]
-        src = constants.Q_E * arr.w * (recomb - self.gen)
+        arr, stats = self.arr, self.stats
+        phi = state["phi"]
+        src = constants.Q_E * arr.w * (state["recomb"] - self.gen)
         w, v = _driving_potentials(arr, phi, state["lng_n"], state["lng_p"])
         n, jn_el = _electron_integral_solve(arr, w, src, self.n_bc)
         n = np.maximum(n, 1e-30)
-        loss = opts.b_radiative * n
-        g_rad = np.minimum(
-            loss * state["p"] * np.exp(np.clip((efp0 - efn0) / arr.Vt, -500.0, 40.0)),
-            opts.b_radiative * self.nisq)
-        gen_term = constants.Q_E * arr.w * (self.gen + g_rad)
-        p = np.maximum(_hole_tridiagonal_solve(arr, v, loss, gen_term, self.p_bc), 1e-30)
+        p = self._hole_solve(v, n, state["p"], state["efn"], state["efp"])
         jp_el = hole_flux(arr, v, p)
         efn = (arr.Ec0 - phi) + arr.Vt * _inverse_stat(n / arr.Nc, stats)
         efp = (arr.Ev0 - phi) - arr.Vt * _inverse_stat(p / arr.Nv, stats)
@@ -470,35 +457,40 @@ def _bias_ladder(start, target, step):
     return [start + span * k / n_steps for k in range(1, n_steps + 1)]
 
 
-def solve_drift_diffusion(stack, mesh, bias, opts=None, init=None):
+def solve_drift_diffusion(stack, mesh, bias, generation=0.0, statistics="fermi",
+                          init=None):
     """Self-consistent drift-diffusion solve at one bias point.
 
-    Returns (BandDiagram, IVPoint). The solver continues in bias steps of
-    at most `opts.bias_step` carrying the full Gummel state; `init` may be
-    the BandDiagram of a previous solve to warm-start from its bias,
-    otherwise continuation starts from the gated Poisson solution at 0 V.
+    `generation` [cm^-3 s^-1] is uniform in the undoped layers; `statistics`
+    is "fermi" or "boltzmann". Returns (BandDiagram, IVPoint, state). The
+    solver continues in bias steps of at most BIAS_STEP carrying the full
+    Gummel state; `init` may be the state of a previous solve on the same
+    stack, mesh and generation to warm-start from its bias, otherwise
+    continuation starts from the gated Poisson solution at 0 V. A
+    NonConvergenceError carries the Gummel cycles run before it.
     """
-    opts = opts or TransportOptions()
-    ws = _GummelWorkspace(stack, mesh, opts)
+    ws = _GummelWorkspace(stack, mesh, generation, statistics)
 
-    if init is not None and getattr(init, "_transport_state", None) is not None:
-        state = init._transport_state
-        start_bias = state["bias"]
+    if init is not None:
+        state = init
     else:
-        eq = solve_bias(stack, mesh, 0.0, opts.solver)
+        eq = solve_bias(stack, mesh, 0.0, statistics)
         state = ws.seed(0.0, eq.phi)
-        start_bias = 0.0
 
-    ladder = _bias_ladder(start_bias, bias, opts.bias_step)
+    ladder = _bias_ladder(state["bias"], bias, BIAS_STEP)
     converged = False
     qf_update = np.inf
     total_cycles = 0
     for k, v_step in enumerate(ladder):
         last = (k == len(ladder) - 1)
         state = ws.restep(state, v_step) if state["bias"] != v_step else state
-        max_cycles = opts.max_gummel if last else opts.max_gummel_continuation
-        tol = opts.qf_tolerance if last else opts.qf_tolerance_continuation
-        state, converged, cycles, qf_update = ws.iterate(state, max_cycles, tol)
+        max_cycles = MAX_GUMMEL if last else MAX_GUMMEL_CONTINUATION
+        tol = QF_TOLERANCE if last else QF_TOLERANCE_CONTINUATION
+        try:
+            state, converged, cycles, qf_update = ws.iterate(state, max_cycles, tol)
+        except NonConvergenceError as exc:
+            exc.gummel_cycles += total_cycles
+            raise
         total_cycles += cycles
 
     n, p, efn, efp, j_el = ws.finalize(state)
@@ -511,11 +503,10 @@ def solve_drift_diffusion(stack, mesh, bias, opts=None, init=None):
 
     diagram = _make_diagram(stack, mesh, ws.arr, state["phi"], n, p, efn, efp,
                             bias, converged, qf_update)
-    object.__setattr__(diagram, "_transport_state", state)
     point = IVPoint(bias=bias, current_density=j_mean,
                     gummel_iterations=total_cycles, converged=converged,
                     continuity_error=continuity)
-    return diagram, point
+    return diagram, point, state
 
 
 def _current_scale(arr):
@@ -531,22 +522,22 @@ def detailed_balance_floor(stack, mesh, factor=1e-15):
     return factor * _current_scale(arr)
 
 
-def iv_sweep(stack, mesh, biases, opts=None):
+def iv_sweep(stack, mesh, biases, generation=0.0, statistics="fermi"):
     """IV curve over `biases` in the given order with warm-start continuation.
 
     Per-point convergence failures are recorded on the corresponding
-    IVPoint (current NaN) without aborting the sweep.
+    IVPoint (current NaN, the Gummel cycles actually run) without aborting
+    the sweep.
     """
-    opts = opts or TransportOptions()
     points = []
     warm = None
     for bias in biases:
         try:
-            diagram, point = solve_drift_diffusion(stack, mesh, bias, opts, init=warm)
-            warm = diagram
-        except NonConvergenceError:
+            _, point, warm = solve_drift_diffusion(stack, mesh, bias, generation,
+                                                   statistics, init=warm)
+        except NonConvergenceError as exc:
             point = IVPoint(bias=bias, current_density=math.nan,
-                            gummel_iterations=opts.max_gummel, converged=False,
+                            gummel_iterations=exc.gummel_cycles, converged=False,
                             continuity_error=math.nan)
             warm = None
         points.append(point)

@@ -14,13 +14,13 @@ from scipy.integrate import quad
 from dotdiode import dataio
 from dotdiode.constants import Q_E, thermal_voltage
 from dotdiode.device import Layer, LayerStack, build_mesh
-from dotdiode.electrostatics import (SolverOptions, solve_equilibrium, solve_bias,
+from dotdiode.electrostatics import (solve_equilibrium, solve_bias,
                                      fermi_half, field_lever_arm)
 from dotdiode.materials import lookup_material, mobility_at
 from dotdiode.qd_model import (load_reference_lines, load_charge_ladder,
                                tuning_range, stark_wavelength, fss_at,
                                occupancy_at, synth_emission_map, ZERO_BACKGROUND)
-from dotdiode.transport import (TransportOptions, solve_drift_diffusion, iv_sweep,
+from dotdiode.transport import (solve_drift_diffusion, iv_sweep,
                                 detailed_balance_floor)
 from dotdiode import spectro_fit as sf
 from dotdiode.cli import main as cli_main
@@ -44,7 +44,7 @@ def test_criterion_01_electrostatics_oracles():
     junction = LayerStack(layers=(Layer("InP", 500.0, donor_cm3=1e18),
                                   Layer("InP", 500.0, donor_cm3=1e16)))
     jmesh = build_mesh(junction, 5.0, 0.5, 20.0)
-    bd = solve_equilibrium(junction, jmesh, SolverOptions(statistics="boltzmann"))
+    bd = solve_equilibrium(junction, jmesh, "boltzmann")
     x = jmesh.nodes
     vbi = float(np.mean(bd.phi[x < 50.0]) - np.mean(bd.phi[x > 950.0]))
     analytic = thermal_voltage(300.0) * np.log(1e18 / 1e16)
@@ -133,14 +133,14 @@ def test_criterion_04_fermi_integral_grid():
 def test_criterion_05_transport_properties(reference_stack, reference_mesh):
     slab = LayerStack(layers=(Layer("InP", 400.0, donor_cm3=1e16),))
     smesh = build_mesh(slab, 2.0, 0.5, 5.0)
-    _, ohmic = solve_drift_diffusion(slab, smesh, 0.005)
+    _, ohmic, _ = solve_drift_diffusion(slab, smesh, 0.005)
     m = lookup_material("InP", 300.0)
     mu = mobility_at(m.mobility_e, 1e16, 300.0, m.mobility_T_exponent)
     analytic = Q_E * 1e16 * mu * 0.005 / 400e-7
     assert ohmic.converged
     assert abs(ohmic.current_density / analytic - 1.0) < 0.01
 
-    _, dark = solve_drift_diffusion(reference_stack, reference_mesh, 0.0)
+    _, dark, _ = solve_drift_diffusion(reference_stack, reference_mesh, 0.0)
     floor = detailed_balance_floor(reference_stack, reference_mesh)
     assert dark.converged
     assert abs(dark.current_density) < floor

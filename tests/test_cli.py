@@ -182,6 +182,46 @@ def test_bad_device_temperature_is_input_error(tmp_path, capsys, temperature):
     assert "temperature" in err
 
 
+@pytest.mark.parametrize("field", ["thickness_nm", "donor_cm3"])
+def test_nonfinite_layer_value_is_input_error(tmp_path, capsys, field):
+    doc = json.loads(resources.files("dotdiode.data")
+                     .joinpath("device_fig1a.json").read_text())
+    doc["layers"][0][field] = float("nan")
+    device = tmp_path / "device.json"
+    device.write_text(json.dumps(doc))
+    rc = main(["bandedges", "--device", str(device), "--bias", "0",
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert field in err
+
+
+@pytest.mark.parametrize("column", ["wavelength_nm", "counts"])
+def test_nonfinite_spectrum_is_input_error(tmp_path, capsys, column):
+    spec = sf.synth_spectrum(np.linspace(1530.0, 1540.0, 400),
+                             [(1535.0, 0.2, 500.0)], background=20.0, seed=3)
+    cols = {"wavelength_nm": spec.wavelength_nm, "counts": spec.counts}
+    cols[column] = cols[column].copy()
+    cols[column][-1] = np.nan
+    data = tmp_path / "spectrum.csv"
+    dataio.write_table(data, list(cols.values()), list(cols))
+    rc = main(["fit", "peaks", "--data", str(data), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert column in err
+
+
+def test_write_table_matches_per_value_format_float(tmp_path):
+    values = np.array([0.0, -0.0, 1e-300, -2.5e17, np.nan, np.inf, -np.inf, 1.0 / 3.0])
+    columns = [values, np.arange(values.size), values > 0]
+    path = tmp_path / "t.csv"
+    dataio.write_table(path, columns, ["x", "k", "flag"], meta={"a": 1})
+    rows = [",".join(dataio.format_float(v) for v in row) for row in zip(*columns)]
+    assert path.read_text() == "\n".join(["# a = 1", "x,k,flag", *rows]) + "\n"
+
+
 def test_malformed_csv_reports_line_number(tmp_path):
     data = tmp_path / "broken.csv"
     data.write_text("wavelength_nm,counts\n1.0,2.0\n3.0\n")

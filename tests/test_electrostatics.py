@@ -3,8 +3,9 @@ import pytest
 
 from dotdiode.constants import thermal_voltage
 from dotdiode.device import Layer, LayerStack, build_mesh
+from dotdiode import electrostatics
 from dotdiode.electrostatics import (
-    SolverOptions, NonConvergenceError, solve_equilibrium, solve_bias,
+    NonConvergenceError, solve_equilibrium, solve_bias,
     field_lever_arm, build_device_arrays,
 )
 from dotdiode.materials import lookup_material
@@ -28,7 +29,7 @@ def test_junction_builtin_potential_nondegenerate_branch():
     stack = LayerStack(layers=(Layer("InP", 500.0, donor_cm3=1e18),
                                Layer("InP", 500.0, donor_cm3=1e16)))
     mesh = build_mesh(stack, 5.0, 0.5, 20.0)
-    bd = solve_equilibrium(stack, mesh, SolverOptions(statistics="boltzmann"))
+    bd = solve_equilibrium(stack, mesh, "boltzmann")
     x = mesh.nodes
     vbi_solver = float(np.mean(bd.phi[x < 50.0]) - np.mean(bd.phi[x > 950.0]))
     vbi_analytic = thermal_voltage(300.0) * np.log(1e18 / 1e16)
@@ -110,10 +111,12 @@ def test_field_lever_arm_values():
         field_lever_arm(1.0, 0.0)
 
 
-def test_nonconvergence_reports_residual_history(reference_stack, reference_mesh):
-    opts = SolverOptions(max_iterations=1, tolerance=1e-14)
+def test_nonconvergence_reports_residual_history(reference_stack, reference_mesh,
+                                                 monkeypatch):
+    monkeypatch.setattr(electrostatics, "NEWTON_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(electrostatics, "NEWTON_TOLERANCE", 1e-14)
     with pytest.raises(NonConvergenceError) as err:
-        solve_equilibrium(reference_stack, reference_mesh, opts)
+        solve_equilibrium(reference_stack, reference_mesh)
     assert len(err.value.residual_history) >= 1
 
 

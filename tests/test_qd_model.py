@@ -194,15 +194,6 @@ def test_map_deterministic_for_fixed_seed(lines, ladder):
     assert not np.array_equal(a.intensity, c.intensity)
 
 
-def test_map_threading_matches_serial(lines, ladder):
-    gate = np.linspace(0.85, 1.35, 9)
-    lam = np.linspace(1529.0, 1539.0, 300)
-    serial = synth_emission_map(list(lines.values()), ladder, gate, lam, seed=7)
-    threaded = synth_emission_map(list(lines.values()), ladder, gate, lam, seed=7,
-                                  threads=4)
-    assert np.array_equal(serial.intensity, threaded.intensity)
-
-
 def test_column_totals_follow_poisson_expectation(lines, ladder):
     gate = np.linspace(0.85, 1.35, 25)
     lam = np.linspace(1528.0, 1540.0, 600)

@@ -1,15 +1,21 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dotdiode import dataio, electrostatics, transport
 from dotdiode.constants import Q_E
 from dotdiode.device import Layer, LayerStack, build_mesh
 from dotdiode.materials import lookup_material, mobility_at
-from dotdiode.electrostatics import fermi_half, fermi_half_deriv
+from dotdiode.electrostatics import NonConvergenceError, fermi_half, fermi_half_deriv
 from dotdiode.transport import (
-    bernoulli, TransportOptions, solve_drift_diffusion, iv_sweep,
+    bernoulli, solve_drift_diffusion, iv_sweep,
     detailed_balance_floor, _degeneracy, _ln_gamma,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_bernoulli_at_zero():
@@ -64,7 +70,7 @@ def slab():
 def test_ohmic_slab_matches_resistor_formula(slab):
     stack, mesh = slab
     bias = 0.005
-    _, pt = solve_drift_diffusion(stack, mesh, bias)
+    _, pt, _ = solve_drift_diffusion(stack, mesh, bias)
     m = lookup_material("InP", 300.0)
     mu = mobility_at(m.mobility_e, 1e16, 300.0, m.mobility_T_exponent)
     analytic = Q_E * 1e16 * mu * bias / 400e-7
@@ -73,7 +79,7 @@ def test_ohmic_slab_matches_resistor_formula(slab):
 
 
 def test_zero_bias_current_below_floor(reference_stack, reference_mesh):
-    _, pt = solve_drift_diffusion(reference_stack, reference_mesh, 0.0)
+    _, pt, _ = solve_drift_diffusion(reference_stack, reference_mesh, 0.0)
     floor = detailed_balance_floor(reference_stack, reference_mesh)
     assert pt.converged
     assert abs(pt.current_density) < floor
@@ -103,19 +109,56 @@ def test_sweep_is_deterministic(reference_stack, reference_mesh, tmp_path):
     biases = [0.0, 0.3]
     a = iv_sweep(reference_stack, reference_mesh, biases)
     b = iv_sweep(reference_stack, reference_mesh, biases)
-    text_a = a.to_csv(tmp_path / "a.csv")
-    text_b = b.to_csv(tmp_path / "b.csv")
-    assert text_a == text_b
+    a.to_csv(tmp_path / "a.csv")
+    b.to_csv(tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_generation_increases_current_where_collection_works(reference_stack,
                                                              reference_mesh):
-    dark = iv_sweep(reference_stack, reference_mesh, [0.6],
-                    TransportOptions())
-    lit = iv_sweep(reference_stack, reference_mesh, [0.6],
-                   TransportOptions(generation=1e22))
+    dark = iv_sweep(reference_stack, reference_mesh, [0.6])
+    lit = iv_sweep(reference_stack, reference_mesh, [0.6], generation=1e22)
     assert lit.points[0].converged
     assert abs(lit.points[0].current_density) >= abs(dark.points[0].current_density)
+
+
+def test_failed_point_records_the_cycles_it_ran(reference_stack, reference_mesh,
+                                                monkeypatch):
+    # one Newton step cannot reach the cold-start equilibrium, so the point
+    # fails before any Gummel cycle
+    monkeypatch.setattr(electrostatics, "NEWTON_MAX_ITERATIONS", 1)
+    (pt,) = iv_sweep(reference_stack, reference_mesh, [0.25]).points
+    assert not pt.converged
+    assert math.isnan(pt.current_density)
+    assert pt.gummel_iterations == 0
+
+
+def test_gummel_failure_carries_the_running_cycle_count(reference_stack, reference_mesh,
+                                                        monkeypatch):
+    real = transport._solve_poisson
+    inner = []
+
+    def fail_on_call_200(arr, efn, efp, phi_bc, phi0, statistics):
+        out = real(arr, efn, efp, phi_bc, phi0, statistics)
+        if statistics == "boltzmann":        # the Poisson stage of a Gummel cycle
+            inner.append(None)
+            if len(inner) == 200:
+                return out[:4] + (False,) + out[5:]
+        return out
+
+    monkeypatch.setattr(transport, "_solve_poisson", fail_on_call_200)
+    with pytest.raises(NonConvergenceError) as err:
+        solve_drift_diffusion(reference_stack, reference_mesh, 0.5)
+    assert err.value.gummel_cycles == 200
+
+
+def test_default_dark_sweep_matches_golden_iv(reference_stack, reference_mesh):
+    stored, _ = dataio.read_table(GOLDEN / "iv_dark.csv")
+    curve = iv_sweep(reference_stack, reference_mesh, list(stored["bias_V"]))
+    floor = detailed_balance_floor(reference_stack, reference_mesh)
+    assert all(pt.converged for pt in curve.points)
+    np.testing.assert_allclose(curve.current_densities(), stored["J_Acm2"],
+                               rtol=1e-4, atol=floor)
 
 
 def test_current_and_area_scaling():
