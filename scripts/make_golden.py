@@ -2,8 +2,9 @@
 """Regenerate the golden files under tests/golden/.
 
 Band diagrams of the reference diode at the four standard biases, its
-default 13-point dark IV sweep (the biases of ``dotdiode iv``), and a
-small seeded emission map. Regenerate only when an intentional physics or
+default 13-point dark IV sweep (the biases of ``dotdiode iv``), a lit
+sweep under 1e22 cm^-3 s^-1 generation from 0 to 2 V in 0.5 V steps, and
+a small seeded emission map. Regenerate only when an intentional physics or
 format change invalidates the stored files.
 """
 
@@ -21,6 +22,8 @@ from dotdiode.transport import iv_sweep  # noqa: E402
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden"
 BIASES = [-0.5, 0.0, 0.5, 1.0]
 IV_BIASES = [-1.0 + k * 0.25 for k in range(13)]   # dotdiode iv defaults
+LIT_BIASES = [0.0, 0.5, 1.0, 1.5, 2.0]
+LIT_GENERATION = 1e22                               # cm^-3 s^-1
 
 
 def main():
@@ -35,6 +38,8 @@ def main():
 
     iv_sweep(stack, mesh, IV_BIASES).to_csv(GOLDEN / "iv_dark.csv")
     print("wrote", GOLDEN / "iv_dark.csv")
+    iv_sweep(stack, mesh, LIT_BIASES, LIT_GENERATION).to_csv(GOLDEN / "iv_lit.csv")
+    print("wrote", GOLDEN / "iv_lit.csv")
 
     import tempfile
     from dotdiode.cli import main as cli_main

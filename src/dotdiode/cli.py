@@ -46,12 +46,10 @@ def _load_stack(args):
 
 
 def _report_header(args, command):
-    return {
-        "tool": "dotdiode",
-        "version": __version__,
-        "command": command,
-        "seed": getattr(args, "seed", None),
-    }
+    header = {"tool": "dotdiode", "version": __version__, "command": command}
+    if hasattr(args, "seed"):           # synthmap, the only command with --seed
+        header["seed"] = args.seed
+    return header
 
 
 def cmd_bandedges(args):

@@ -371,7 +371,10 @@ def fit_power_law(powers_uW, intensities, saturation_cutoff=None):
     """Log-log slope of intensity vs excitation power below saturation.
 
     With `saturation_cutoff=None` the cutoff is the highest power up to
-    which every local log-log slope stays above half the low-power slope.
+    which every log-log slope taken over two intervals stays above half the
+    low-power slope (the mean of the first three single-interval slopes).
+    Two intervals halve the noise of each slope, so one noisy point does not
+    end the range early.
     """
     p = np.asarray(powers_uW, dtype=float)
     y = np.asarray(intensities, dtype=float)
@@ -386,8 +389,9 @@ def fit_power_law(powers_uW, intensities, saturation_cutoff=None):
         logp, logy = np.log(p), np.log(y)
         local = np.diff(logy) / np.diff(logp)
         low = np.mean(local[:min(3, local.size)])
+        wide = (logy[2:] - logy[:-2]) / (logp[2:] - logp[:-2])
         n_keep = p.size
-        for k, s in enumerate(local):
+        for k, s in enumerate(wide):
             if s < 0.5 * low:
                 n_keep = k + 1
                 break

@@ -16,6 +16,19 @@ iterated with a per-node damping factor F'(eta)/F(eta), which keeps the
 fixed-point iteration contractive even at the strongly degenerate
 quantum-well layer.
 
+One Gummel cycle is a fixed-point map of the potential, the quasi-Fermi
+levels, the degeneracy terms, the densities and the recombination rate.
+Plain iteration of that map converges only linearly, so each new cycle
+output is combined with those of up to ``ANDERSON_DEPTH`` previous
+cycles by type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49,
+1715 (2011)). The mixing weights minimise the combined residual of the
+potential, the quasi-Fermi levels (both in units of kT) and the
+degeneracy terms; they come from the small normal equations of that
+least-squares problem. The mixing changes the path, not the fixed point:
+the clip windows on the quasi-Fermi levels stay inside the map,
+convergence is still judged on the quasi-Fermi update of a single cycle,
+and the state a solve returns is always an unmixed cycle output.
+
 In one dimension the steady-state electron continuity equation integrates
 exactly: the element fluxes are one unknown plus the cumulative
 recombination / generation sources, and the Slotboom density
@@ -78,11 +91,11 @@ QF_TOLERANCE = 1e-8                 # V, max quasi-Fermi update per cycle
 MAX_GUMMEL = 500
 QF_TOLERANCE_CONTINUATION = 1e-5    # V, at intermediate biases
 MAX_GUMMEL_CONTINUATION = 150
-QF_DAMPING = 0.7                    # under-relaxation of quasi-Fermi updates
 QF_DENSITY_FLOOR = 1e6              # cm^-3, QFL updates below this density
                                     # do not count towards convergence
 BIAS_STEP = 0.125                   # V, internal continuation increment
 B_RADIATIVE = 1e-10                 # cm^3/s
+ANDERSON_DEPTH = 5                  # previous Gummel cycles mixed into each new one
 
 
 def bernoulli(x):
@@ -136,8 +149,11 @@ class IVCurve:
         }
         base.update(meta or {})
         dataio.write_table(
-            path, [self.biases(), j, i, np.abs(i)],
-            ["bias_V", "J_Acm2", "I_A", "abs_I_A"], meta=base)
+            path, [self.biases(), j, i, np.abs(i),
+                   [pt.gummel_iterations for pt in self.points],
+                   [pt.converged for pt in self.points]],
+            ["bias_V", "J_Acm2", "I_A", "abs_I_A", "gummel_iterations", "converged"],
+            meta=base)
 
 
 def _ln_gamma(eta, statistics):
@@ -353,32 +369,47 @@ class _GummelWorkspace:
         return np.maximum(_hole_tridiagonal_solve(arr, v, loss, gen_term, self.p_bc), 1e-30)
 
     def iterate(self, state, max_cycles, tolerance):
-        """Run Gummel cycles at the state's bias; mutates and returns state."""
+        """Run Anderson-mixed Gummel cycles at the state's bias.
+
+        Mutates and returns state, which always ends as the unmixed output
+        of the last cycle run.
+        """
         arr, stats = self.arr, self.stats
         bias = state["bias"]
-        phi, n, p = state["phi"], state["n"], state["p"]
-        efn, efp = state["efn"], state["efp"]
-        lng_n, lng_p = state["lng_n"], state["lng_p"]
-        recomb = state["recomb"]
         phi_bc = (self.phi_neutral[0], self.phi_neutral[-1] + bias)
 
         # maximum principle: quasi-Fermi levels stay between contact values
         ef_lo = min(0.0, -bias) - 0.1
         ef_hi = max(0.0, -bias) + 0.1
 
+        # Cycle inputs x and outputs g, one row each: phi, efn, efp, lng_n,
+        # lng_p, ln n, ln p, recomb. The first five rows, with phi, efn and
+        # efp over Vt, form the fixed-point residual g - x. Type-II Anderson
+        # mixing combines the last ANDERSON_DEPTH differences of residuals
+        # and of outputs into the next input; it also damps the flip-flop of
+        # the explicit recombination term at generation-recombination
+        # balance, so recomb needs no relaxation of its own.
+        x = np.stack([state["phi"], state["efn"], state["efp"], state["lng_n"],
+                      state["lng_p"], np.log(state["n"]), np.log(state["p"]),
+                      state["recomb"]])
+        g = np.empty_like(x)
+        g_prev = np.empty_like(x)
+        scale = np.array([1.0 / arr.Vt] * 3 + [1.0] * 2)[:, None]
+        d_f = np.empty((ANDERSON_DEPTH, 5 * x.shape[1]))
+        d_g = np.empty((ANDERSON_DEPTH, x.size))
+        f_prev = None
+        depth = slot = 0
+
         converged = False
         qf_update = np.inf
         cycles = 0
         for cycles in range(1, max_cycles + 1):
-            rec_factor = 1.0 - np.exp(np.clip((efp - efn) / arr.Vt, -500.0, 500.0))
-            # relax the lagged recombination: a fully explicit loss term
-            # flip-flops at generation-recombination balance points
-            recomb = recomb + 0.3 * (B_RADIATIVE * n * p * rec_factor - recomb)
+            phi, efn, efp, lng_n, lng_p = x[:5]
             w, v = _driving_potentials(arr, phi, lng_n, lng_p)
-            src = constants.Q_E * arr.w * (recomb - self.gen)
+            src = constants.Q_E * arr.w * (x[7] - self.gen)
             n, _ = _electron_integral_solve(arr, w, src, self.n_bc)
             n = np.maximum(n, 1e-30)
-            p = self._hole_solve(v, n, p, efn, efp)
+            p = self._hole_solve(v, n, np.exp(x[6]), efn, efp)
 
             eta_raw_n = _inverse_stat(n / arr.Nc, stats)
             eta_raw_p = _inverse_stat(p / arr.Nv, stats)
@@ -388,12 +419,10 @@ class _GummelWorkspace:
             eta_p = (arr.Ev0 - phi - efp_t) / arr.Vt
             lng_n_t, alpha_n = _degeneracy(eta_n, stats)
             lng_p_t, alpha_p = _degeneracy(eta_p, stats)
-            lng_n = np.clip(lng_n + alpha_n * self.free_nodes * (lng_n_t - lng_n),
-                            -60.0, 0.0)
-            lng_p = np.clip(lng_p + alpha_p * self.free_nodes * (lng_p_t - lng_p),
-                            -60.0, 0.0)
-            efn_new = efn + QF_DAMPING * (efn_t - efn)
-            efp_new = efp + QF_DAMPING * (efp_t - efp)
+            g[3] = np.clip(lng_n + alpha_n * self.free_nodes * (lng_n_t - lng_n),
+                           -60.0, 0.0)
+            g[4] = np.clip(lng_p + alpha_p * self.free_nodes * (lng_p_t - lng_p),
+                           -60.0, 0.0)
 
             # Boltzmann-equivalent levels reproduce the continuity densities.
             # Electron degeneracy shifts them below the physical levels by
@@ -409,28 +438,49 @@ class _GummelWorkspace:
             # quasi-neutral regions regardless of degeneracy. The physical
             # Fermi-Dirac behaviour enters through the lagged degeneracy terms
             # lng_n/lng_p of the driving potentials.
-            phi, n, p, _, ok, _ = _solve_poisson(arr, efn_b, efp_b, phi_bc, phi,
-                                                 "boltzmann")
+            phi_new, n, p, _, ok, _ = _solve_poisson(arr, efn_b, efp_b, phi_bc, phi,
+                                                     "boltzmann")
             if not ok:
                 raise NonConvergenceError(
                     f"Poisson stage failed inside Gummel cycle {cycles} at V = {bias} V",
                     gummel_cycles=cycles)
             n = np.maximum(n, 1e-30)
             p = np.maximum(p, 1e-30)
+            g[0], g[1], g[2] = phi_new, efn_t, efp_t
+            g[5], g[6] = np.log(n), np.log(p)
+            g[7] = B_RADIATIVE * n * p * (
+                1.0 - np.exp(np.clip((efp_t - efn_t) / arr.Vt, -500.0, 500.0)))
 
             # a quasi-Fermi level only matters where its carrier is present
             mask_n = n > QF_DENSITY_FLOOR
             mask_p = p > QF_DENSITY_FLOOR
-            du_n = np.max(np.abs(efn_new - efn)[mask_n]) if np.any(mask_n) else 0.0
-            du_p = np.max(np.abs(efp_new - efp)[mask_p]) if np.any(mask_p) else 0.0
+            du_n = np.max(np.abs(efn_t - efn)[mask_n]) if np.any(mask_n) else 0.0
+            du_p = np.max(np.abs(efp_t - efp)[mask_p]) if np.any(mask_p) else 0.0
             qf_update = max(du_n, du_p)
-            efn, efp = efn_new, efp_new
             if qf_update < tolerance:
                 converged = True
                 break
 
-        state.update(phi=phi, n=n, p=p, efn=efn, efp=efp,
-                     lng_n=lng_n, lng_p=lng_p, recomb=recomb)
+            f = ((g[:5] - x[:5]) * scale).ravel()
+            if f_prev is not None:
+                d_f[slot] = f - f_prev
+                d_g[slot] = (g - g_prev).ravel()
+                slot = (slot + 1) % ANDERSON_DEPTH
+                depth = min(depth + 1, ANDERSON_DEPTH)
+            f_prev = f
+            g_prev[:] = g
+            x = g.copy()
+            if depth:
+                # least-squares coefficients from the depth x depth normal equations
+                gamma = np.linalg.lstsq(d_f[:depth] @ d_f[:depth].T,
+                                        d_f[:depth] @ f, rcond=None)[0]
+                x -= (gamma @ d_g[:depth]).reshape(x.shape)
+                if not np.all(np.isfinite(x)):
+                    depth = slot = 0
+                    x[:] = g
+
+        state.update(phi=g[0], n=n, p=p, efn=g[1], efp=g[2],
+                     lng_n=g[3], lng_p=g[4], recomb=g[7])
         return state, converged, cycles, float(qf_update)
 
     def finalize(self, state):

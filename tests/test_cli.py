@@ -66,8 +66,24 @@ def test_iv_zero_width_range_single_point(tmp_path):
     assert rc == EXIT_OK
     cols, meta = dataio.read_table(tmp_path / "iv.csv")
     assert cols["bias_V"].size == 1
-    assert list(cols) == ["bias_V", "J_Acm2", "I_A", "abs_I_A"]
+    assert list(cols) == ["bias_V", "J_Acm2", "I_A", "abs_I_A",
+                          "gummel_iterations", "converged"]
     assert cols["abs_I_A"][0] == abs(cols["I_A"][0])
+
+
+def test_iv_csv_records_cycles_and_convergence_but_no_seed(tmp_path):
+    rc = main(["iv", "--vmin", "0.25", "--vmax", "0.5", "--out", str(tmp_path / "iv")])
+    assert rc == EXIT_OK
+    cols, meta = dataio.read_table(tmp_path / "iv" / "iv.csv")
+    assert list(cols["converged"]) == [1.0, 1.0]
+    assert np.all(cols["gummel_iterations"] >= 1)
+    assert np.all(cols["gummel_iterations"] == np.round(cols["gummel_iterations"]))
+    assert "seed" not in meta
+    rc = main(["synthmap", "--seed", "7", "--nv", "9", "--nl", "101",
+               "--out", str(tmp_path / "map")])
+    assert rc == EXIT_OK
+    _, meta = dataio.read_table(tmp_path / "map" / "emission_map.csv")
+    assert meta["seed"] == "7"
 
 
 def test_iv_generation_does_not_reduce_current(tmp_path):

@@ -198,6 +198,19 @@ def test_saturation_cutoff_excludes_the_flat_region():
     assert full.slope == pytest.approx(0.88, abs=1e-9)
 
 
+def test_automatic_cutoff_finds_the_saturation_power_in_noisy_series():
+    # hard saturation at 10 uW; a single noisy interval must not end the
+    # fit range early
+    rng = np.random.default_rng(20240)
+    cutoffs = []
+    for _ in range(200):
+        p, i = sf.synth_power_series(rng.uniform(0.8, 1.6), np.geomspace(0.01, 100.0, 60),
+                                     noise_frac=0.02, p_sat_uW=10.0,
+                                     seed=int(rng.integers(2**31)))
+        cutoffs.append(sf.fit_power_law(p, i).cutoff_uW)
+    assert 5.0 <= min(cutoffs) and max(cutoffs) <= 20.0
+
+
 def test_insufficient_points_below_cutoff():
     p, i = sf.synth_power_series(1.0, np.geomspace(5, 360, 12))
     with pytest.raises(sf.InsufficientDataError):
