@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the golden files under tests/golden/.
 
-Band diagrams of the reference diode at the four standard biases, its
-default 13-point dark IV sweep (the biases of ``dotdiode iv``), a lit
-sweep under 1e22 cm^-3 s^-1 generation from 0 to 2 V in 0.5 V steps, and
-a small seeded emission map. Regenerate only when an intentional physics or
-format change invalidates the stored files.
+Band diagrams of the reference diode at the four standard biases, at the
++/-2 V ends of the benchmark's band scan and, with Boltzmann statistics,
+at 0.7 V; its default 13-point dark IV sweep (the biases of
+``dotdiode iv``), a lit sweep under 1e22 cm^-3 s^-1 generation from 0 to
+2 V in 0.5 V steps, and a small seeded emission map. Regenerate only when
+an intentional physics or format change invalidates the stored files.
 """
 
 import pathlib
@@ -20,7 +21,8 @@ from dotdiode.electrostatics import solve_bias  # noqa: E402
 from dotdiode.transport import iv_sweep  # noqa: E402
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden"
-BIASES = [-0.5, 0.0, 0.5, 1.0]
+BIASES = [-0.5, 0.0, 0.5, 1.0, -2.0, 2.0]
+BOLTZMANN_BIASES = [0.7]
 IV_BIASES = [-1.0 + k * 0.25 for k in range(13)]   # dotdiode iv defaults
 LIT_BIASES = [0.0, 0.5, 1.0, 1.5, 2.0]
 LIT_GENERATION = 1e22                               # cm^-3 s^-1
@@ -30,11 +32,12 @@ def main():
     GOLDEN.mkdir(exist_ok=True)
     stack = load_reference_stack()
     mesh = build_mesh(stack)
-    for bias in BIASES:
-        diagram = solve_bias(stack, mesh, bias)
-        name = f"band_{bias:+.3f}V.csv".replace("+", "p").replace("-", "m")
-        diagram.to_csv(GOLDEN / name)
-        print("wrote", GOLDEN / name)
+    for statistics, biases, prefix in (("fermi", BIASES, "band_"),
+                                       ("boltzmann", BOLTZMANN_BIASES, "band_boltzmann_")):
+        for bias in biases:
+            name = prefix + f"{bias:+.3f}V.csv".replace("+", "p").replace("-", "m")
+            solve_bias(stack, mesh, bias, statistics).to_csv(GOLDEN / name)
+            print("wrote", GOLDEN / name)
 
     iv_sweep(stack, mesh, IV_BIASES).to_csv(GOLDEN / "iv_dark.csv")
     print("wrote", GOLDEN / "iv_dark.csv")

@@ -29,10 +29,21 @@ powers are products and nu^-11/8 is nu^-3/8 / nu, so one call costs one
 libm ``pow`` instead of the six that separate F and F' calls pay.
 ``inverse_fermi_half`` starts its Newton iteration from Nilsson's closed-form
 inverse of F_1/2 (Phys. Stat. Sol. (a) 19, K75, 1973) and calls the pair
-once per step. The public ``fermi_half`` and ``fermi_half_deriv`` keep their
-``**`` arithmetic: the Poisson and band-diagram path uses them, and the
-product form rounds differently in the last bit, which the printed band
-diagrams (compared with the goldens to 1e-9 absolute) would show.
+once per step.
+
+The Poisson and band-diagram path keeps the ``**`` arithmetic of the public
+``fermi_half`` and ``fermi_half_deriv``: the product form rounds differently
+in the last bit, and the band diagrams are compared with the goldens byte
+for byte. It reaches that arithmetic through ``_fermi_half_pair_pow``,
+which the public kernels also use: one evaluation gives F and F', sharing
+the clip, Gaussian, nu, xi and exp(-eta), and below eta = -50 the result
+is exp(eta) without evaluating the form at all. Each Newton trial
+potential gets one such evaluation per carrier (one ``exp`` for Boltzmann
+statistics). The accepted trial's F' builds the next Jacobian and its
+densities are the ones returned, so nothing is evaluated twice at the
+same potential. The tridiagonal Newton step calls LAPACK ``dgtsv``
+directly, the routine ``scipy.linalg.solve_banded`` uses for this band
+structure, without its band matrix and argument wrapper.
 """
 
 from __future__ import annotations
@@ -41,7 +52,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from . import constants, dataio
 from .device import doping_profile, element_profile
@@ -66,35 +78,55 @@ class NonConvergenceError(RuntimeError):
         self.gummel_cycles = gummel_cycles   # drift-diffusion cycles run before the failure
 
 
+def _fermi_half_pair_pow(eta, deriv=True):
+    """(F, F') of the Bednarczyk form at eta, in the ``**`` arithmetic of the
+    public kernels, from one evaluation (F' is None unless `deriv`).
+
+    Clip, Gaussian, nu, xi and exp(-eta) are computed once for both. The
+    form is evaluated only where eta >= -50; below, F = F' = exp(eta) is
+    taken directly. Returns arrays of eta's shape.
+    """
+    eta = np.asarray(eta, dtype=float)
+    flat = eta.reshape(-1)
+    tail = flat < -50.0
+    has_tail = tail.any()
+    body = ~tail if has_tail else slice(None)
+    boltz = np.exp(np.maximum(flat[tail], -745.0)) if has_tail else None
+
+    def assemble(form):
+        out = np.empty_like(flat)
+        out[body] = form
+        if has_tail:
+            out[tail] = boltz
+        return out.reshape(eta.shape)
+
+    safe = np.minimum(flat[body], 1.0e60)
+    t = safe + 1.0
+    g = np.exp(-0.17 * t * t)
+    nu = safe ** 4 + 50.0 + 33.6 * safe * (1.0 - 0.68 * g)
+    xi = _FD_COEF * nu ** -0.375
+    e = np.exp(-safe)
+    denom = e + xi
+    f = assemble(1.0 / denom)
+    if not deriv:
+        return f, None
+    dnu = 4.0 * safe ** 3 + 33.6 * (1.0 - 0.68 * g) + 33.6 * 0.34 * 0.68 * safe * t * g
+    dxi = -0.375 * _FD_COEF * nu ** -1.375 * dnu
+    return f, assemble((e - dxi) / (denom * denom))
+
+
 def fermi_half(eta):
     """Complete Fermi-Dirac integral of order 1/2, F(eta) -> e^eta as eta -> -inf.
 
     Bednarczyk-form analytic approximation, relative error < 0.5% globally.
     """
-    eta = np.asarray(eta, dtype=float)
-    safe = np.clip(eta, -50.0, 1.0e60)
-    t = safe + 1.0
-    g = np.exp(-0.17 * t * t)
-    nu = safe ** 4 + 50.0 + 33.6 * safe * (1.0 - 0.68 * g)
-    xi = _FD_COEF * nu ** -0.375
-    out = np.where(eta < -50.0, np.exp(np.clip(eta, -745.0, 0.0)),
-                   1.0 / (np.exp(-safe) + xi))
+    out, _ = _fermi_half_pair_pow(eta, deriv=False)
     return out if out.ndim else float(out)
 
 
 def fermi_half_deriv(eta):
     """Analytic derivative of fermi_half (consistent with the approximation)."""
-    eta = np.asarray(eta, dtype=float)
-    safe = np.clip(eta, -50.0, 1.0e60)
-    t = safe + 1.0
-    g = np.exp(-0.17 * t * t)
-    nu = safe ** 4 + 50.0 + 33.6 * safe * (1.0 - 0.68 * g)
-    dnu = 4.0 * safe ** 3 + 33.6 * (1.0 - 0.68 * g) + 33.6 * 0.34 * 0.68 * safe * t * g
-    xi = _FD_COEF * nu ** -0.375
-    dxi = -0.375 * _FD_COEF * nu ** -1.375 * dnu
-    denom = np.exp(-safe) + xi
-    out = np.where(eta < -50.0, np.exp(np.clip(eta, -745.0, 0.0)),
-                   (np.exp(-safe) - dxi) / (denom * denom))
+    _, out = _fermi_half_pair_pow(eta)
     return out if out.ndim else float(out)
 
 
@@ -169,11 +201,25 @@ def _exp_clipped(eta):
     return np.exp(np.minimum(eta, 700.0))
 
 
+def _exp_pair(eta):
+    e = _exp_clipped(eta)
+    return e, e
+
+
 def _stat_functions(statistics):
     if statistics == "fermi":
         return fermi_half, fermi_half_deriv
     if statistics == "boltzmann":
         return _exp_clipped, _exp_clipped
+    raise ValueError(f"unknown statistics {statistics!r}")
+
+
+def _stat_pair(statistics):
+    """eta -> (F, F') from one evaluation, for the Poisson Newton iteration."""
+    if statistics == "fermi":
+        return _fermi_half_pair_pow
+    if statistics == "boltzmann":
+        return _exp_pair
     raise ValueError(f"unknown statistics {statistics!r}")
 
 
@@ -303,30 +349,47 @@ def neutral_potential(arr, statistics="fermi"):
     return phi
 
 
-def _poisson_residual(arr, phi, efn, efp, statistics, phi_bc):
-    n, p = carrier_densities(arr, phi, efn, efp, statistics)
+def _poisson_residual(arr, phi, efn, efp, pair, phi_bc):
+    """Residual at `phi` with the densities and the F' values behind it:
+    (r, n, p, F'_n, F'_p)."""
+    f_n, df_n = pair((efn - (arr.Ec0 - phi)) / arr.Vt)
+    f_p, df_p = pair(((arr.Ev0 - phi) - efp) / arr.Vt)
+    n = arr.Nc * f_n
+    p = arr.Nv * f_p
     flux = constants.EPS_0 * arr.eps_el * np.diff(phi) / arr.h
     r = np.empty_like(phi)
     r[1:-1] = (flux[1:] - flux[:-1]) + constants.Q_E * arr.w[1:-1] * (
         p[1:-1] - n[1:-1] + arr.Nd[1:-1] - arr.Na[1:-1])
     r[0] = phi[0] - phi_bc[0]
     r[-1] = phi[-1] - phi_bc[1]
-    return r, n, p
+    return r, n, p, df_n, df_p
 
 
 def _tridiag_solve(lower, diag, upper, rhs):
     """Solve A x = rhs for tridiagonal A: sub-diagonal `lower` (A[i+1, i]),
-    `diag` and super-diagonal `upper` (A[i, i+1])."""
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    return solve_banded((1, 1), ab, rhs)
+    `diag` and super-diagonal `upper` (A[i, i+1]).
+
+    Calls LAPACK dgtsv, the routine ``scipy.linalg.solve_banded`` uses for
+    one sub- and one super-diagonal, without building its band matrix.
+    Like it, raises ValueError on non-finite input and LinAlgError on a
+    singular matrix; the inputs are not modified.
+    """
+    for a in (lower, diag, upper, rhs):
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = dgtsv(lower, diag, upper, rhs)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
 
 
 def _solve_poisson(arr, efn, efp, phi_bc, phi0, statistics):
-    """Damped Newton iteration for the nonlinear Poisson problem."""
-    f, df = _stat_functions(statistics)
+    """Damped Newton iteration for the nonlinear Poisson problem.
+
+    Each trial potential gets one F/F' evaluation per carrier: the accepted
+    trial's F' builds the next Jacobian and its densities are returned.
+    """
+    pair = _stat_pair(statistics)
     phi = phi0.copy()
     phi[0], phi[-1] = phi_bc
     history = []
@@ -341,11 +404,11 @@ def _solve_poisson(arr, efn, efp, phi_bc, phi0, statistics):
     lower[-1] = 0.0
     diag = np.ones_like(phi)
 
-    r, n, p = _poisson_residual(arr, phi, efn, efp, statistics, phi_bc)
+    r, n, p, df_n, df_p = _poisson_residual(arr, phi, efn, efp, pair, phi_bc)
     rnorm = np.linalg.norm(r)
     for _ in range(NEWTON_MAX_ITERATIONS):
-        dn = arr.Nc * df((efn - (arr.Ec0 - phi)) / arr.Vt) / arr.Vt
-        dp = arr.Nv * df(((arr.Ev0 - phi) - efp) / arr.Vt) / arr.Vt
+        dn = arr.Nc * df_n / arr.Vt
+        dp = arr.Nv * df_p / arr.Vt
         diag[1:-1] = -(cond[1:] + cond[:-1]) - constants.Q_E * arr.w[1:-1] * (
             dp[1:-1] + dn[1:-1])
         delta = _tridiag_solve(lower, diag, upper, -r)
@@ -354,19 +417,24 @@ def _solve_poisson(arr, efn, efp, phi_bc, phi0, statistics):
         t = 1.0
         for _ in range(30):
             trial = phi + t * delta
-            r_new, n, p = _poisson_residual(arr, trial, efn, efp, statistics, phi_bc)
-            rnorm_new = np.linalg.norm(r_new)
+            r_new, n, p, df_n, df_p = _poisson_residual(arr, trial, efn, efp, pair, phi_bc)
+            # an overflowing trial residual gives inf, which is rejected
+            with np.errstate(over="ignore"):
+                rnorm_new = np.linalg.norm(r_new)
             if rnorm_new <= rnorm or scaled_update < NEWTON_TOLERANCE:
                 break
             t *= 0.5
-        phi = phi + t * delta
+        else:
+            # every halving rejected: the step taken is half the last trial's
+            trial = phi + t * delta
+            _, n, p, df_n, df_p = _poisson_residual(arr, trial, efn, efp, pair, phi_bc)
+        phi = trial
         r, rnorm = r_new, rnorm_new
         history.append(float(scaled_update))
         if scaled_update < NEWTON_TOLERANCE:
             converged = True
             break
 
-    n, p = carrier_densities(arr, phi, efn, efp, statistics)
     return phi, n, p, history, converged, float(scaled_update)
 
 

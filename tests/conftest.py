@@ -1,9 +1,6 @@
-import numpy as np
 import pytest
 
 from dotdiode.device import load_reference_stack, build_mesh
-
-np.seterr(all="ignore")
 
 
 @pytest.fixture(scope="session")

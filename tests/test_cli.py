@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dotdiode
 from dotdiode import dataio
 from dotdiode.cli import main, EXIT_OK, EXIT_INPUT
 from dotdiode import spectro_fit as sf
@@ -246,13 +250,38 @@ def test_malformed_csv_reports_line_number(tmp_path):
 
 
 def test_bandedges_matches_golden_payload(tmp_path):
-    rc = main(["bandedges", "--bias", "0", "--bias", "1.0", "--out", str(tmp_path)])
+    """Every band golden, byte for byte: the four standard biases, the
+    +/-2 V ends of the scanned span, and Boltzmann statistics at 0.7 V."""
+    biases = ["-0.5", "0", "0.5", "1.0", "-2", "2"]
+    rc = main(["bandedges", *(a for b in biases for a in ("--bias", b)),
+               "--out", str(tmp_path / "fermi")])
     assert rc == EXIT_OK
-    for name in ("band_p0.000V.csv", "band_p1.000V.csv"):
-        produced, _ = dataio.read_table(tmp_path / name)
-        stored, _ = dataio.read_table(GOLDEN / name)
-        for col in produced:
-            assert np.max(np.abs(produced[col] - stored[col])) < 1e-9
+    rc = main(["bandedges", "--statistics", "boltzmann", "--bias", "0.7",
+               "--out", str(tmp_path / "boltzmann")])
+    assert rc == EXIT_OK
+    pairs = [(tmp_path / "fermi" / name, name) for name in (
+        "band_m0.500V.csv", "band_p0.000V.csv", "band_p0.500V.csv", "band_p1.000V.csv",
+        "band_m2.000V.csv", "band_p2.000V.csv")]
+    pairs.append((tmp_path / "boltzmann" / "band_p0.700V.csv", "band_boltzmann_p0.700V.csv"))
+    for produced, golden in pairs:
+        assert produced.read_bytes() == (GOLDEN / golden).read_bytes(), golden
+
+
+def test_boltzmann_bandedges_writes_nothing_to_stderr(tmp_path):
+    """A line-search trial whose residual overflows is rejected silently.
+
+    Runs the CLI in a fresh interpreter, where numpy's default error
+    handling prints floating-point warnings to stderr.
+    """
+    src = str(Path(dotdiode.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dotdiode.cli", "bandedges", "--statistics", "boltzmann",
+         "--bias", "0.7", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
 
 
 def test_synthmap_matches_golden(tmp_path):

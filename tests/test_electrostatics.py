@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
+from scipy.linalg import solve_banded
 
 from dotdiode.constants import thermal_voltage
 from dotdiode.device import Layer, LayerStack, build_mesh
 from dotdiode import electrostatics
 from dotdiode.electrostatics import (
     NonConvergenceError, solve_equilibrium, solve_bias,
-    field_lever_arm, build_device_arrays,
+    field_lever_arm, build_device_arrays, carrier_densities, neutral_potential,
+    _solve_poisson, _tridiag_solve,
 )
 from dotdiode.materials import lookup_material
 
@@ -134,3 +137,72 @@ def test_csv_export_columns(tmp_path, reference_stack, reference_mesh, equilibri
                           "p_cm3", "F_Vcm"]
     assert meta["converged"] == "True"
     assert float(meta["bias_V"]) == 0.0
+
+
+@pytest.mark.parametrize("statistics", ["fermi", "boltzmann"])
+def test_solve_returns_the_densities_of_its_potential(reference_stack, reference_mesh,
+                                                      statistics):
+    bd = solve_bias(reference_stack, reference_mesh, 0.5, statistics)
+    arr = build_device_arrays(reference_stack, reference_mesh)
+    n, p = carrier_densities(arr, bd.phi, bd.efn, bd.efp, statistics)
+    assert np.array_equal(bd.n, n) and np.array_equal(bd.p, p)
+
+
+def test_exhausted_line_search_returns_densities_at_the_final_potential(
+        reference_stack, reference_mesh, monkeypatch):
+    """When all 30 halvings are rejected the potential is not the last
+    trial, so its densities must be evaluated afresh."""
+    arr = build_device_arrays(reference_stack, reference_mesh)
+    phi_n = neutral_potential(arr)
+    ef = np.zeros(reference_mesh.n_nodes)
+    real = electrostatics._poisson_residual
+    calls = []
+
+    def reject_every_trial(*args):
+        r, *rest = real(*args)
+        calls.append(1)
+        return (r if len(calls) == 1 else r + 1e300, *rest)
+
+    monkeypatch.setattr(electrostatics, "_poisson_residual", reject_every_trial)
+    monkeypatch.setattr(electrostatics, "NEWTON_MAX_ITERATIONS", 1)
+    phi, n, p, history, ok, _ = _solve_poisson(arr, ef, ef, (phi_n[0], phi_n[-1]),
+                                               phi_n, "fermi")
+    assert len(calls) == 1 + 30 + 1 and not ok and len(history) == 1
+    assert not np.array_equal(phi, phi_n)
+    n_ref, p_ref = carrier_densities(arr, phi, ef, ef)
+    assert np.array_equal(n, n_ref) and np.array_equal(p, p_ref)
+
+
+def _random_tridiagonal(rng, size):
+    lower = rng.uniform(-1.0, 1.0, size - 1)
+    upper = rng.uniform(-1.0, 1.0, size - 1)
+    margin = rng.uniform(0.1, 1.0, size)
+    diag = np.abs(np.r_[0.0, lower]) + np.abs(np.r_[upper, 0.0]) + margin
+    diag *= rng.choice([-1.0, 1.0], size)
+    rhs = rng.normal(size=size) * 10.0 ** rng.uniform(-5.0, 5.0, size)
+    return lower, diag, upper, rhs
+
+
+def test_tridiag_solve_matches_solve_banded_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for size in (2, 3, 17, 1628):
+        lower, diag, upper, rhs = _random_tridiagonal(rng, size)
+        inputs = [a.copy() for a in (lower, diag, upper, rhs)]
+        ab = np.zeros((3, size))
+        ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+        x = _tridiag_solve(lower, diag, upper, rhs)
+        assert np.array_equal(x, solve_banded((1, 1), ab, rhs))
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, (lower, diag, upper, rhs)))
+
+
+def test_tridiag_solve_rejects_nonfinite_input_and_singular_matrix():
+    rng = np.random.default_rng(6)
+    for which in range(4):
+        args = list(_random_tridiagonal(rng, 8))
+        args[which][1] = np.nan
+        with pytest.raises(ValueError):
+            _tridiag_solve(*args)
+    lower, diag, upper, rhs = _random_tridiagonal(rng, 8)
+    lower[0] = diag[0] = 0.0                 # first column all zero
+    with pytest.raises(LinAlgError):
+        _tridiag_solve(lower, diag, upper, rhs)

@@ -4,14 +4,16 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from dotdiode.electrostatics import (
-    fermi_half, fermi_half_deriv, inverse_fermi_half, _fermi_half_pair,
+    _FD_COEF, fermi_half, fermi_half_deriv, inverse_fermi_half, _fermi_half_pair,
+    _fermi_half_pair_pow,
 )
 
 
 def fermi_half_quadrature(eta):
     """Adaptive-quadrature oracle for the complete FD integral of order 1/2."""
     def integrand(e):
-        return np.sqrt(e) / (1.0 + np.exp(e - eta))
+        with np.errstate(over="ignore"):     # exp overflow: the tail is 0
+            return np.sqrt(e) / (1.0 + np.exp(e - eta))
 
     if eta > 0:
         value = quad(integrand, 0.0, eta)[0] + quad(integrand, eta, np.inf)[0]
@@ -98,3 +100,63 @@ def test_pair_scalar_and_boltzmann_tail():
     assert f == pytest.approx(fermi_half(0.25), rel=1e-14)
     assert df == pytest.approx(fermi_half_deriv(0.25), rel=1e-14)
     assert _fermi_half_pair(-60.0) == (np.exp(-60.0), np.exp(-60.0))
+
+
+# The public kernels in their plain `**` form over the whole array: the
+# bit-level oracle of the band path, whose diagrams are printed from these
+# values.
+def _reference_fermi_half(eta):
+    eta = np.asarray(eta, dtype=float)
+    safe = np.clip(eta, -50.0, 1.0e60)
+    t = safe + 1.0
+    g = np.exp(-0.17 * t * t)
+    nu = safe ** 4 + 50.0 + 33.6 * safe * (1.0 - 0.68 * g)
+    xi = _FD_COEF * nu ** -0.375
+    out = np.where(eta < -50.0, np.exp(np.clip(eta, -745.0, 0.0)),
+                   1.0 / (np.exp(-safe) + xi))
+    return out if out.ndim else float(out)
+
+
+def _reference_fermi_half_deriv(eta):
+    eta = np.asarray(eta, dtype=float)
+    safe = np.clip(eta, -50.0, 1.0e60)
+    t = safe + 1.0
+    g = np.exp(-0.17 * t * t)
+    nu = safe ** 4 + 50.0 + 33.6 * safe * (1.0 - 0.68 * g)
+    dnu = 4.0 * safe ** 3 + 33.6 * (1.0 - 0.68 * g) + 33.6 * 0.34 * 0.68 * safe * t * g
+    xi = _FD_COEF * nu ** -0.375
+    dxi = -0.375 * _FD_COEF * nu ** -1.375 * dnu
+    denom = np.exp(-safe) + xi
+    out = np.where(eta < -50.0, np.exp(np.clip(eta, -745.0, 0.0)),
+                   (np.exp(-safe) - dxi) / (denom * denom))
+    return out if out.ndim else float(out)
+
+
+EDGES = [-50.0, np.nextafter(-50.0, -np.inf), np.nextafter(-50.0, 0.0), np.nan, 1.0e61]
+
+
+def test_pow_form_kernels_are_bit_identical_to_the_reference():
+    eta = np.concatenate([np.linspace(-800.0, 1.0e3, 180_001), EDGES])
+    f_ref, df_ref = _reference_fermi_half(eta), _reference_fermi_half_deriv(eta)
+    f, df = _fermi_half_pair_pow(eta)
+    assert np.array_equal(f, f_ref, equal_nan=True)
+    assert np.array_equal(df, df_ref, equal_nan=True)
+    assert _fermi_half_pair_pow(eta, deriv=False)[1] is None
+    assert np.array_equal(fermi_half(eta), f_ref, equal_nan=True)
+    assert np.array_equal(fermi_half_deriv(eta), df_ref, equal_nan=True)
+
+
+def test_pow_form_kernels_keep_shape_and_scalar_type():
+    grid = np.linspace(-70.0, 30.0, 60).reshape(6, 10)     # tail and body mixed
+    f, df = _fermi_half_pair_pow(grid)
+    assert f.shape == df.shape == grid.shape
+    assert np.array_equal(f, _reference_fermi_half(grid))
+    assert np.array_equal(df, _reference_fermi_half_deriv(grid))
+    assert np.array_equal(fermi_half(grid), _reference_fermi_half(grid))
+    assert np.array_equal(fermi_half_deriv(grid), _reference_fermi_half_deriv(grid))
+    for eta in (-60.0, *EDGES, 0.25):
+        for kernel, ref in ((fermi_half, _reference_fermi_half),
+                            (fermi_half_deriv, _reference_fermi_half_deriv)):
+            value = kernel(eta)
+            assert type(value) is float
+            assert np.array_equal(value, ref(eta), equal_nan=True)
