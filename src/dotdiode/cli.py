@@ -72,14 +72,14 @@ def cmd_bandedges(args):
             continue
         name = f"band_{bias:+.3f}V.csv".replace("+", "p").replace("-", "m")
         diagram.to_csv(out / name)
-        rows.append((bias, diagram.residual_norm, diagram.converged))
+        rows.append((bias, diagram.newton_update, diagram.converged))
         all_ok = all_ok and diagram.converged
     dataio.write_table(
         out / "bandedges_summary.csv",
         [np.array([r[0] for r in rows]),
          np.array([r[1] for r in rows]),
          np.array([float(r[2]) for r in rows])],
-        ["bias_V", "residual_norm", "converged"],
+        ["bias_V", "newton_update", "converged"],
         meta=_report_header(args, "bandedges"))
     return EXIT_OK if all_ok else EXIT_NONCONVERGED
 
@@ -236,9 +236,8 @@ def cmd_fit(args):
                             trace.coincidences - model],
                            ["delay_ns", "coincidences", "model", "residual"])
     elif args.what == "lifetime":
-        cols, meta = dataio.read_columns(args.data[0], ("time_ns", "counts"))
-        trace = sf.DecayTrace(time_ns=cols["time_ns"], counts=cols["counts"],
-                              irf_sigma_ns=float(meta.get("irf_sigma_ns", 0.0)))
+        cols, _ = dataio.read_columns(args.data[0], ("time_ns", "counts"))
+        trace = sf.DecayTrace(time_ns=cols["time_ns"], counts=cols["counts"])
         fit = sf.fit_lifetime(trace)
         entries = {k: dataio.format_float(v) for k, v in fit.parameters.items()}
         entries.update({f"{k}_err": dataio.format_float(v)

@@ -22,28 +22,22 @@ exp(eta) for eta -> -inf; its global relative error against quadrature is
 below 0.5%. A Boltzmann statistics branch is selectable through the
 ``statistics`` argument for non-degenerate reference problems.
 
-The drift-diffusion hot path evaluates the same approximation through the
-private ``_fermi_half_pair``, which returns F and F' together: the shared
-terms (clip, Gaussian, nu, exp(-eta), nu^-3/8) are computed once, integer
-powers are products and nu^-11/8 is nu^-3/8 / nu, so one call costs one
-libm ``pow`` instead of the six that separate F and F' calls pay.
+One kernel, the private ``_fermi_half_pair``, evaluates the approximation
+and returns F and F' together: the shared terms (clip, Gaussian, nu,
+exp(-eta), nu^-3/8) are computed once, integer powers are products and
+nu^-11/8 is nu^-3/8 / nu, so one call costs one libm ``pow``. The public
+``fermi_half`` and ``fermi_half_deriv`` return its two halves.
 ``inverse_fermi_half`` starts its Newton iteration from Nilsson's closed-form
 inverse of F_1/2 (Phys. Stat. Sol. (a) 19, K75, 1973) and calls the pair
 once per step.
 
-The Poisson and band-diagram path keeps the ``**`` arithmetic of the public
-``fermi_half`` and ``fermi_half_deriv``: the product form rounds differently
-in the last bit, and the band diagrams are compared with the goldens byte
-for byte. It reaches that arithmetic through ``_fermi_half_pair_pow``,
-which the public kernels also use: one evaluation gives F and F', sharing
-the clip, Gaussian, nu, xi and exp(-eta), and below eta = -50 the result
-is exp(eta) without evaluating the form at all. Each Newton trial
-potential gets one such evaluation per carrier (one ``exp`` for Boltzmann
-statistics). The accepted trial's F' builds the next Jacobian and its
-densities are the ones returned, so nothing is evaluated twice at the
-same potential. The tridiagonal Newton step calls LAPACK ``dgtsv``
-directly, the routine ``scipy.linalg.solve_banded`` uses for this band
-structure, without its band matrix and argument wrapper.
+Each Newton trial potential of the Poisson solve gets one pair evaluation
+per carrier (one ``exp`` for Boltzmann statistics). The accepted trial's
+F' builds the next Jacobian and its densities are the ones returned, so
+nothing is evaluated twice at the same potential. The tridiagonal Newton
+step calls LAPACK ``dgtsv`` directly, the routine
+``scipy.linalg.solve_banded`` uses for this band structure, without its
+band matrix and argument wrapper.
 """
 
 from __future__ import annotations
@@ -78,64 +72,12 @@ class NonConvergenceError(RuntimeError):
         self.gummel_cycles = gummel_cycles   # drift-diffusion cycles run before the failure
 
 
-def _fermi_half_pair_pow(eta, deriv=True):
-    """(F, F') of the Bednarczyk form at eta, in the ``**`` arithmetic of the
-    public kernels, from one evaluation (F' is None unless `deriv`).
-
-    Clip, Gaussian, nu, xi and exp(-eta) are computed once for both. The
-    form is evaluated only where eta >= -50; below, F = F' = exp(eta) is
-    taken directly. Returns arrays of eta's shape.
-    """
-    eta = np.asarray(eta, dtype=float)
-    flat = eta.reshape(-1)
-    tail = flat < -50.0
-    has_tail = tail.any()
-    body = ~tail if has_tail else slice(None)
-    boltz = np.exp(np.maximum(flat[tail], -745.0)) if has_tail else None
-
-    def assemble(form):
-        out = np.empty_like(flat)
-        out[body] = form
-        if has_tail:
-            out[tail] = boltz
-        return out.reshape(eta.shape)
-
-    safe = np.minimum(flat[body], 1.0e60)
-    t = safe + 1.0
-    g = np.exp(-0.17 * t * t)
-    nu = safe ** 4 + 50.0 + 33.6 * safe * (1.0 - 0.68 * g)
-    xi = _FD_COEF * nu ** -0.375
-    e = np.exp(-safe)
-    denom = e + xi
-    f = assemble(1.0 / denom)
-    if not deriv:
-        return f, None
-    dnu = 4.0 * safe ** 3 + 33.6 * (1.0 - 0.68 * g) + 33.6 * 0.34 * 0.68 * safe * t * g
-    dxi = -0.375 * _FD_COEF * nu ** -1.375 * dnu
-    return f, assemble((e - dxi) / (denom * denom))
-
-
-def fermi_half(eta):
-    """Complete Fermi-Dirac integral of order 1/2, F(eta) -> e^eta as eta -> -inf.
-
-    Bednarczyk-form analytic approximation, relative error < 0.5% globally.
-    """
-    out, _ = _fermi_half_pair_pow(eta, deriv=False)
-    return out if out.ndim else float(out)
-
-
-def fermi_half_deriv(eta):
-    """Analytic derivative of fermi_half (consistent with the approximation)."""
-    _, out = _fermi_half_pair_pow(eta)
-    return out if out.ndim else float(out)
-
-
 def _fermi_half_pair(eta):
-    """(fermi_half(eta), fermi_half_deriv(eta)) from one shared evaluation.
+    """(F, F') of the Bednarczyk form at eta from one shared evaluation.
 
-    Same approximation as the public pair, with products for the integer
-    powers and nu^-11/8 taken as nu^-3/8 / nu; agrees with them to a few
-    ulp.
+    Integer powers are products and nu^-11/8 is nu^-3/8 / nu. Below
+    eta = -50, F = F' = exp(eta). Returns arrays of eta's shape, or two
+    floats for a scalar.
     """
     eta = np.asarray(eta, dtype=float)
     safe = np.minimum(np.maximum(eta, -50.0), 1.0e60)
@@ -157,6 +99,19 @@ def _fermi_half_pair(eta):
     if f.ndim:
         return f, df
     return float(f), float(df)
+
+
+def fermi_half(eta):
+    """Complete Fermi-Dirac integral of order 1/2, F(eta) -> e^eta as eta -> -inf.
+
+    Bednarczyk-form analytic approximation, relative error < 0.5% globally.
+    """
+    return _fermi_half_pair(eta)[0]
+
+
+def fermi_half_deriv(eta):
+    """Analytic derivative of fermi_half (consistent with the approximation)."""
+    return _fermi_half_pair(eta)[1]
 
 
 def _nilsson_inverse(u):
@@ -206,27 +161,19 @@ def _exp_pair(eta):
     return e, e
 
 
-def _stat_functions(statistics):
-    if statistics == "fermi":
-        return fermi_half, fermi_half_deriv
-    if statistics == "boltzmann":
-        return _exp_clipped, _exp_clipped
-    raise ValueError(f"unknown statistics {statistics!r}")
+def _statistics(name):
+    """(F, F', pair, inverse) of the carrier statistics `name`, "fermi" or
+    "boltzmann"; pair(eta) gives (F, F') from one evaluation and
+    inverse(u) solves F(eta) = u.
 
-
-def _stat_pair(statistics):
-    """eta -> (F, F') from one evaluation, for the Poisson Newton iteration."""
-    if statistics == "fermi":
-        return _fermi_half_pair_pow
-    if statistics == "boltzmann":
-        return _exp_pair
-    raise ValueError(f"unknown statistics {statistics!r}")
-
-
-def _inverse_stat(u, statistics):
-    if statistics == "boltzmann":
-        return np.log(u)
-    return inverse_fermi_half(u)
+    The public kernels are looked up at each call, not kept in a table, so
+    that a rebinding of them (the benchmark's tracer) reaches every caller.
+    """
+    if name == "fermi":
+        return fermi_half, fermi_half_deriv, _fermi_half_pair, inverse_fermi_half
+    if name == "boltzmann":
+        return _exp_clipped, _exp_clipped, _exp_pair, np.log
+    raise ValueError(f"unknown statistics {name!r}")
 
 
 @dataclass(frozen=True)
@@ -243,14 +190,15 @@ class BandDiagram:
     bias: float              # V
     temperature: float       # K
     converged: bool
-    residual_norm: float
+    newton_update: float     # largest |dphi|/Vt of the last Newton step
+                             # (drift-diffusion: last quasi-Fermi update, V)
 
     def to_csv(self, path, extra_meta=None):
         meta = {
             "bias_V": dataio.format_float(self.bias),
             "temperature_K": dataio.format_float(self.temperature),
             "converged": self.converged,
-            "residual_norm": dataio.format_float(self.residual_norm),
+            "newton_update": dataio.format_float(self.newton_update),
         }
         meta.update(extra_meta or {})
         dataio.write_table(
@@ -321,7 +269,7 @@ def build_device_arrays(stack, mesh):
 
 def carrier_densities(arr, phi, efn, efp, statistics="fermi"):
     """(n, p) for a potential and quasi-Fermi-level profiles."""
-    f, _ = _stat_functions(statistics)
+    f = _statistics(statistics)[0]
     n = arr.Nc * f((efn - (arr.Ec0 - phi)) / arr.Vt)
     p = arr.Nv * f(((arr.Ev0 - phi) - efp) / arr.Vt)
     return n, p
@@ -329,13 +277,13 @@ def carrier_densities(arr, phi, efn, efp, statistics="fermi"):
 
 def neutral_potential(arr, statistics="fermi"):
     """Per-node potential solving local charge neutrality at E_F = 0."""
-    f, df = _stat_functions(statistics)
+    f, df, _, inverse = _statistics(statistics)
     net = arr.Nd - arr.Na
     # dominant-carrier starting point
     phi = np.where(
         net >= 0,
-        arr.Ec0 + arr.Vt * _inverse_stat(np.maximum(net, 1.0) / arr.Nc, statistics),
-        arr.Ev0 - arr.Vt * _inverse_stat(np.maximum(-net, 1.0) / arr.Nv, statistics),
+        arr.Ec0 + arr.Vt * inverse(np.maximum(net, 1.0) / arr.Nc),
+        arr.Ev0 - arr.Vt * inverse(np.maximum(-net, 1.0) / arr.Nv),
     )
     for _ in range(100):
         eta_n = (phi - arr.Ec0) / arr.Vt
@@ -389,7 +337,7 @@ def _solve_poisson(arr, efn, efp, phi_bc, phi0, statistics):
     Each trial potential gets one F/F' evaluation per carrier: the accepted
     trial's F' builds the next Jacobian and its densities are returned.
     """
-    pair = _stat_pair(statistics)
+    pair = _statistics(statistics)[2]
     phi = phi0.copy()
     phi[0], phi[-1] = phi_bc
     history = []
@@ -447,11 +395,11 @@ def _electric_field(x_cm, phi):
     return field
 
 
-def _make_diagram(stack, mesh, arr, phi, n, p, efn, efp, bias, converged, resnorm):
+def _make_diagram(stack, mesh, arr, phi, n, p, efn, efp, bias, converged, update):
     return BandDiagram(
         mesh=mesh, phi=phi, Ec=arr.Ec0 - phi, Ev=arr.Ev0 - phi, n=n, p=p,
         field=_electric_field(arr.x, phi), efn=efn, efp=efp, bias=bias,
-        temperature=stack.temperature, converged=converged, residual_norm=resnorm)
+        temperature=stack.temperature, converged=converged, newton_update=update)
 
 
 def quasi_fermi_split(stack, mesh, bias):
@@ -471,12 +419,12 @@ def solve_equilibrium(stack, mesh, statistics="fermi"):
     efn = np.zeros(mesh.n_nodes)
     phi_n = neutral_potential(arr, statistics)
     phi_bc = (phi_n[0], phi_n[-1])
-    phi, n, p, hist, ok, resnorm = _solve_poisson(arr, efn, efn, phi_bc, phi_n, statistics)
+    phi, n, p, hist, ok, update = _solve_poisson(arr, efn, efn, phi_bc, phi_n, statistics)
     if not ok:
         raise NonConvergenceError(
             f"equilibrium Poisson solve did not converge in {NEWTON_MAX_ITERATIONS} "
-            f"iterations (last scaled update {resnorm:.3e})", hist)
-    return _make_diagram(stack, mesh, arr, phi, n, p, efn, efn, 0.0, ok, resnorm)
+            f"iterations (last scaled update {update:.3e})", hist)
+    return _make_diagram(stack, mesh, arr, phi, n, p, efn, efn, 0.0, ok, update)
 
 
 def solve_bias(stack, mesh, bias, statistics="fermi"):
@@ -499,14 +447,14 @@ def solve_bias(stack, mesh, bias, statistics="fermi"):
         phi_bc = (phi_n[0], phi_n[-1] + v)
         phi_guess = phi.copy()
         phi_guess[-1] = phi_bc[1]
-        phi, n, p, hist, ok, resnorm = _solve_poisson(arr, efn, efn, phi_bc, phi_guess,
-                                                      statistics)
+        phi, n, p, hist, ok, update = _solve_poisson(arr, efn, efn, phi_bc, phi_guess,
+                                                     statistics)
         if not ok:
             raise NonConvergenceError(
                 f"bias continuation stalled at V = {v:.4f} V "
                 f"(last converged V = {v_done:.4f} V)", hist, last_bias=v_done)
         v_done = v
-    return _make_diagram(stack, mesh, arr, phi, n, p, efn, efn, bias, True, resnorm)
+    return _make_diagram(stack, mesh, arr, phi, n, p, efn, efn, bias, True, update)
 
 
 def field_lever_arm(bias, d_i_nm):

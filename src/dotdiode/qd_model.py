@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import constants, dataio
 from .electrostatics import field_lever_arm
@@ -122,6 +121,8 @@ def calibrate_stark_line(species, anchor_wavelength_nm, anchor_V, range_nm,
     follows from a 1D root solve of the window's wavelength span and the
     dipole from the vertex condition p = -2 beta F_lo.
     """
+    from scipy.optimize import brentq   # imported here to keep it out of the CLI's start-up
+
     f_lo = field_lever_arm(V_lo, d_i_nm)
     f_hi = field_lever_arm(V_hi, d_i_nm)
     f_anchor = field_lever_arm(anchor_V, d_i_nm)

@@ -26,10 +26,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, brentq
 from scipy.special import erfcx
 
 from . import constants
+
+# scipy.optimize is imported inside the fitters that use it: it is about a
+# third of the import time of the CLI, whose solver commands never need it.
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
@@ -116,7 +118,6 @@ class G2Trace:
 class DecayTrace:
     time_ns: np.ndarray
     counts: np.ndarray
-    irf_sigma_ns: float = 0.0
 
     def __post_init__(self):
         t = np.asarray(self.time_ns, dtype=float)
@@ -250,6 +251,8 @@ def fit_peaks(spectrum, n_peaks=1, snr_gate=5.0, shape="lorentzian"):
     Returns (accepted, discarded): peaks whose fitted signal-to-background
     ratio falls below `snr_gate` land in the discard list.
     """
+    from scipy.optimize import least_squares
+
     if n_peaks < 1:
         raise ValueError("n_peaks must be at least 1")
     if shape not in _SHAPES:
@@ -454,6 +457,8 @@ def fit_g2(trace):
     minimum of the normalized binned data and `g0_deconvolved` the fitted
     dip depth after undoing the instrument response and bin averaging.
     """
+    from scipy.optimize import least_squares
+
     tau = trace.delay_ns
     y_raw = trace.coincidences
     tau_max = float(np.max(np.abs(tau)))
@@ -507,6 +512,8 @@ def calibrate_g2_instrument(g0, tau_c_ns, bin_width_ns, raw_minimum_target,
     1D root search in irf_sigma; the forward-simulated binned minimum is
     the oracle. Used to pin the instrument model to a measured raw dip.
     """
+    from scipy.optimize import brentq
+
     def raw_min(sig):
         return g2_model(0.0, g0, tau_c_ns, sig, bin_width_ns)
 
@@ -530,6 +537,8 @@ def fit_lifetime(trace):
     the two constants agree within their joint uncertainty the fit
     collapses to the single-exponential result (degenerate flag).
     """
+    from scipy.optimize import least_squares
+
     t = trace.time_ns - trace.time_ns[0]
     y = trace.counts
     peak = float(np.max(y))

@@ -82,7 +82,7 @@ from .device import DOPED_CONTACT_THRESHOLD
 from .electrostatics import (
     NonConvergenceError, build_device_arrays, neutral_potential,
     carrier_densities, fermi_half, _fermi_half_pair, _solve_poisson,
-    _tridiag_solve, _make_diagram, _inverse_stat, solve_bias, quasi_fermi_split,
+    _tridiag_solve, _make_diagram, _statistics, solve_bias, quasi_fermi_split,
 )
 
 MESA_AREA_CM2 = 0.14e-2  # 0.14 mm^2 reference mesa
@@ -261,20 +261,6 @@ def _hole_tridiagonal_solve(arr, v, loss_coef, gen_term, p_bc):
     return _tridiag_solve(lower, diag, upper, rhs)
 
 
-def electron_flux(arr, w, n):
-    """SG electron current density on elements, evaluated in Slotboom form.
-
-    Algebraically identical to C [n_{i+1} B(x) - n_i B(-x)] but free of
-    the catastrophic cancellation of that expression in quasi-equilibrium
-    regions.
-    """
-    x = np.diff(w) / arr.Vt
-    c = constants.Q_E * arr.mu_e_el * arr.Vt / arr.h
-    wref = float(np.max(w))
-    s = n * np.exp(-(w - wref) / arr.Vt)
-    return c * bernoulli(-x) * np.exp((w[:-1] - wref) / arr.Vt) * (s[1:] - s[:-1])
-
-
 def hole_flux(arr, v, p):
     """SG hole current density on elements (stable Slotboom form)."""
     y = np.diff(v) / arr.Vt
@@ -299,6 +285,7 @@ class _GummelWorkspace:
         self.mesh = mesh
         self.stats = statistics
         self.arr = build_device_arrays(stack, mesh)
+        self.inverse = _statistics(statistics)[3]
         arr, stats = self.arr, self.stats
 
         self.phi_neutral = neutral_potential(arr, stats)
@@ -315,9 +302,9 @@ class _GummelWorkspace:
         # degenerate contacts. Elsewhere it relaxes with per-node damping.
         self.free_nodes = (arr.Nd + arr.Na) < DOPED_CONTACT_THRESHOLD
         self.lng_n_neutral = _ln_gamma(
-            _inverse_stat(np.maximum(n_neutral, 1e-30) / arr.Nc, stats), stats)
+            self.inverse(np.maximum(n_neutral, 1e-30) / arr.Nc), stats)
         self.lng_p_neutral = _ln_gamma(
-            _inverse_stat(np.maximum(p_neutral, 1e-30) / arr.Nv, stats), stats)
+            self.inverse(np.maximum(p_neutral, 1e-30) / arr.Nv), stats)
 
     def seed(self, bias, phi_start):
         """Fresh iteration state at `bias` from a potential profile."""
@@ -330,10 +317,10 @@ class _GummelWorkspace:
         n = np.maximum(n, 1e-30)
         p = np.maximum(p, 1e-30)
         lng_n = np.where(self.free_nodes,
-                         _ln_gamma(_inverse_stat(n / arr.Nc, stats), stats),
+                         _ln_gamma(self.inverse(n / arr.Nc), stats),
                          self.lng_n_neutral)
         lng_p = np.where(self.free_nodes,
-                         _ln_gamma(_inverse_stat(p / arr.Nv, stats), stats),
+                         _ln_gamma(self.inverse(p / arr.Nv), stats),
                          self.lng_p_neutral)
         return {"bias": bias, "phi": phi, "n": n, "p": p, "efn": efn,
                 "efp": efn.copy(), "lng_n": lng_n, "lng_p": lng_p,
@@ -411,8 +398,8 @@ class _GummelWorkspace:
             n = np.maximum(n, 1e-30)
             p = self._hole_solve(v, n, np.exp(x[6]), efn, efp)
 
-            eta_raw_n = _inverse_stat(n / arr.Nc, stats)
-            eta_raw_p = _inverse_stat(p / arr.Nv, stats)
+            eta_raw_n = self.inverse(n / arr.Nc)
+            eta_raw_p = self.inverse(p / arr.Nv)
             efn_t = np.clip((arr.Ec0 - phi) + arr.Vt * eta_raw_n, ef_lo, ef_hi)
             efp_t = np.clip((arr.Ev0 - phi) - arr.Vt * eta_raw_p, ef_lo, ef_hi)
             eta_n = (efn_t - arr.Ec0 + phi) / arr.Vt
@@ -485,7 +472,7 @@ class _GummelWorkspace:
 
     def finalize(self, state):
         """Final continuity pass; fluxes and densities for reporting."""
-        arr, stats = self.arr, self.stats
+        arr = self.arr
         phi = state["phi"]
         src = constants.Q_E * arr.w * (state["recomb"] - self.gen)
         w, v = _driving_potentials(arr, phi, state["lng_n"], state["lng_p"])
@@ -493,8 +480,8 @@ class _GummelWorkspace:
         n = np.maximum(n, 1e-30)
         p = self._hole_solve(v, n, state["p"], state["efn"], state["efp"])
         jp_el = hole_flux(arr, v, p)
-        efn = (arr.Ec0 - phi) + arr.Vt * _inverse_stat(n / arr.Nc, stats)
-        efp = (arr.Ev0 - phi) - arr.Vt * _inverse_stat(p / arr.Nv, stats)
+        efn = (arr.Ec0 - phi) + arr.Vt * self.inverse(n / arr.Nc)
+        efp = (arr.Ev0 - phi) - arr.Vt * self.inverse(p / arr.Nv)
         return n, p, efn, efp, jn_el + jp_el
 
 

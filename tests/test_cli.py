@@ -20,6 +20,13 @@ def _g2_reference_path():
     return str(resources.files("dotdiode.data").joinpath("g2_reference.csv"))
 
 
+def _fresh_interpreter_env():
+    """Environment for a subprocess that imports this checkout's dotdiode."""
+    src = str(Path(dotdiode.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def _read_report(path):
     entries = {}
     for line in Path(path).read_text().splitlines():
@@ -50,7 +57,7 @@ def test_bandedges_writes_per_bias_files(tmp_path):
     assert names == ["band_p0.000V.csv", "band_p0.500V.csv", "bandedges_summary.csv"]
     cols, meta = dataio.read_table(tmp_path / "band_p0.500V.csv")
     assert "Ec_eV" in cols
-    assert "residual_norm" in meta and "bias_V" in meta
+    assert "newton_update" in meta and "bias_V" in meta
 
 
 def test_bandedges_without_bias_is_usage_error(tmp_path):
@@ -273,15 +280,23 @@ def test_boltzmann_bandedges_writes_nothing_to_stderr(tmp_path):
     Runs the CLI in a fresh interpreter, where numpy's default error
     handling prints floating-point warnings to stderr.
     """
-    src = str(Path(dotdiode.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run(
         [sys.executable, "-m", "dotdiode.cli", "bandedges", "--statistics", "boltzmann",
          "--bias", "0.7", "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_fresh_interpreter_env())
     assert proc.returncode == EXIT_OK
     assert proc.stderr == ""
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    """Only the fitters and the Stark calibration need scipy.optimize, so
+    importing the CLI for bandedges or iv does not pay for it."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dotdiode.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=_fresh_interpreter_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_synthmap_matches_golden(tmp_path):

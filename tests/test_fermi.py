@@ -5,7 +5,6 @@ from scipy.integrate import quad
 
 from dotdiode.electrostatics import (
     _FD_COEF, fermi_half, fermi_half_deriv, inverse_fermi_half, _fermi_half_pair,
-    _fermi_half_pair_pow,
 )
 
 
@@ -90,8 +89,8 @@ def test_pair_matches_public_kernels():
     eta = np.concatenate([np.linspace(-800.0, 1.0e3, 180_001),
                           [-50.0, np.nextafter(-50.0, -np.inf), np.nextafter(-50.0, 0.0)]])
     f, df = _fermi_half_pair(eta)
-    np.testing.assert_allclose(f, fermi_half(eta), rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(df, fermi_half_deriv(eta), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(f, _reference_fermi_half(eta), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(df, _reference_fermi_half_deriv(eta), rtol=1e-14, atol=0.0)
 
 
 def test_pair_scalar_and_boltzmann_tail():
@@ -102,9 +101,9 @@ def test_pair_scalar_and_boltzmann_tail():
     assert _fermi_half_pair(-60.0) == (np.exp(-60.0), np.exp(-60.0))
 
 
-# The public kernels in their plain `**` form over the whole array: the
-# bit-level oracle of the band path, whose diagrams are printed from these
-# values.
+# The Bednarczyk form in plain `**` arithmetic over the whole array: the
+# rounding oracle of the product-form kernel, which rounds its integer
+# powers and nu^-11/8 differently in the last bits.
 def _reference_fermi_half(eta):
     eta = np.asarray(eta, dtype=float)
     safe = np.clip(eta, -50.0, 1.0e60)
@@ -135,28 +134,23 @@ def _reference_fermi_half_deriv(eta):
 EDGES = [-50.0, np.nextafter(-50.0, -np.inf), np.nextafter(-50.0, 0.0), np.nan, 1.0e61]
 
 
-def test_pow_form_kernels_are_bit_identical_to_the_reference():
+def test_public_kernels_are_bit_identical_to_the_pair():
     eta = np.concatenate([np.linspace(-800.0, 1.0e3, 180_001), EDGES])
-    f_ref, df_ref = _reference_fermi_half(eta), _reference_fermi_half_deriv(eta)
-    f, df = _fermi_half_pair_pow(eta)
-    assert np.array_equal(f, f_ref, equal_nan=True)
-    assert np.array_equal(df, df_ref, equal_nan=True)
-    assert _fermi_half_pair_pow(eta, deriv=False)[1] is None
-    assert np.array_equal(fermi_half(eta), f_ref, equal_nan=True)
-    assert np.array_equal(fermi_half_deriv(eta), df_ref, equal_nan=True)
+    f, df = _fermi_half_pair(eta)
+    assert np.array_equal(fermi_half(eta), f, equal_nan=True)
+    assert np.array_equal(fermi_half_deriv(eta), df, equal_nan=True)
+    assert np.isnan(f[-2]) and np.isnan(df[-2])
 
 
-def test_pow_form_kernels_keep_shape_and_scalar_type():
+def test_public_kernels_keep_shape_and_scalar_type():
     grid = np.linspace(-70.0, 30.0, 60).reshape(6, 10)     # tail and body mixed
-    f, df = _fermi_half_pair_pow(grid)
+    f, df = _fermi_half_pair(grid)
     assert f.shape == df.shape == grid.shape
-    assert np.array_equal(f, _reference_fermi_half(grid))
-    assert np.array_equal(df, _reference_fermi_half_deriv(grid))
-    assert np.array_equal(fermi_half(grid), _reference_fermi_half(grid))
-    assert np.array_equal(fermi_half_deriv(grid), _reference_fermi_half_deriv(grid))
+    assert np.array_equal(fermi_half(grid), f)
+    assert np.array_equal(fermi_half_deriv(grid), df)
     for eta in (-60.0, *EDGES, 0.25):
-        for kernel, ref in ((fermi_half, _reference_fermi_half),
-                            (fermi_half_deriv, _reference_fermi_half_deriv)):
-            value = kernel(eta)
-            assert type(value) is float
-            assert np.array_equal(value, ref(eta), equal_nan=True)
+        pair = _fermi_half_pair(eta)
+        for kernel, value in ((fermi_half, pair[0]), (fermi_half_deriv, pair[1])):
+            out = kernel(eta)
+            assert type(out) is float
+            assert np.array_equal(out, value, equal_nan=True)
