@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -85,11 +86,20 @@ def cmd_bandedges(args):
 
 
 def cmd_iv(args):
-    stack = _load_stack(args)
-    mesh = build_mesh(stack, args.max_spacing, args.fine_spacing, args.refine_width)
+    # a finite point count with a finite step > 0 implies finite vmin and vmax
+    if not (0.0 < args.step < math.inf
+            and math.isfinite((args.vmax - args.vmin) / args.step)):
+        print("iv: vmin, vmax and step must be finite with step > 0 and a finite "
+              "point count", file=sys.stderr)
+        return EXIT_INPUT
+    if not 0.0 < args.area < math.inf:
+        print("iv: area must be finite and > 0", file=sys.stderr)
+        return EXIT_INPUT
     if args.vmax < args.vmin:
         print("iv: vmax must not be below vmin", file=sys.stderr)
         return EXIT_INPUT
+    stack = _load_stack(args)
+    mesh = build_mesh(stack, args.max_spacing, args.fine_spacing, args.refine_width)
     if args.vmax == args.vmin:
         biases = [args.vmin]
     else:

@@ -191,7 +191,6 @@ class BandDiagram:
     temperature: float       # K
     converged: bool
     newton_update: float     # largest |dphi|/Vt of the last Newton step
-                             # (drift-diffusion: last quasi-Fermi update, V)
 
     def to_csv(self, path, extra_meta=None):
         meta = {

@@ -55,9 +55,11 @@ Each bias point is reached by continuation in steps of at most
 ``BIAS_STEP``. ``solve_drift_diffusion`` returns the Gummel state it
 ended in (a dict of the potential, densities, quasi-Fermi levels, lagged
 degeneracy and recombination terms at its bias) next to the band diagram
-and the IV point; passing that state back as ``init`` starts the next
-bias from it instead of from the 0 V Poisson solution, which is how
-``iv_sweep`` warm-starts each point from the previous one.
+and the IV point; passing a state back as ``init`` starts from it instead
+of from the 0 V Poisson solution. ``iv_sweep`` solves outward from the
+bias nearest 0 V and starts each later point from the secant predictor
+of its two solved neighbours (Allgower & Georg, *Numerical Continuation
+Methods*, Springer 1990), so one Gummel solve at its own bias corrects it.
 
 Sign convention: reported currents are positive when a positive gate
 voltage drives conventional current through the device (resistor-like IV
@@ -358,8 +360,8 @@ class _GummelWorkspace:
     def iterate(self, state, max_cycles, tolerance):
         """Run Anderson-mixed Gummel cycles at the state's bias.
 
-        Mutates and returns state, which always ends as the unmixed output
-        of the last cycle run.
+        Returns (state, converged, cycles, last Poisson stage's |dphi|/Vt);
+        state is mutated and always ends as the unmixed output of the last cycle.
         """
         arr, stats = self.arr, self.stats
         bias = state["bias"]
@@ -388,7 +390,7 @@ class _GummelWorkspace:
         depth = slot = 0
 
         converged = False
-        qf_update = np.inf
+        newton_update = np.inf
         cycles = 0
         for cycles in range(1, max_cycles + 1):
             phi, efn, efp, lng_n, lng_p = x[:5]
@@ -425,8 +427,8 @@ class _GummelWorkspace:
             # quasi-neutral regions regardless of degeneracy. The physical
             # Fermi-Dirac behaviour enters through the lagged degeneracy terms
             # lng_n/lng_p of the driving potentials.
-            phi_new, n, p, _, ok, _ = _solve_poisson(arr, efn_b, efp_b, phi_bc, phi,
-                                                     "boltzmann")
+            phi_new, n, p, _, ok, newton_update = _solve_poisson(arr, efn_b, efp_b, phi_bc,
+                                                                 phi, "boltzmann")
             if not ok:
                 raise NonConvergenceError(
                     f"Poisson stage failed inside Gummel cycle {cycles} at V = {bias} V",
@@ -468,7 +470,7 @@ class _GummelWorkspace:
 
         state.update(phi=g[0], n=n, p=p, efn=g[1], efp=g[2],
                      lng_n=g[3], lng_p=g[4], recomb=g[7])
-        return state, converged, cycles, float(qf_update)
+        return state, converged, cycles, newton_update
 
     def finalize(self, state):
         """Final continuity pass; fluxes and densities for reporting."""
@@ -516,7 +518,7 @@ def solve_drift_diffusion(stack, mesh, bias, generation=0.0, statistics="fermi",
 
     ladder = _bias_ladder(state["bias"], bias, BIAS_STEP)
     converged = False
-    qf_update = np.inf
+    newton_update = np.inf
     total_cycles = 0
     for k, v_step in enumerate(ladder):
         last = (k == len(ladder) - 1)
@@ -524,7 +526,7 @@ def solve_drift_diffusion(stack, mesh, bias, generation=0.0, statistics="fermi",
         max_cycles = MAX_GUMMEL if last else MAX_GUMMEL_CONTINUATION
         tol = QF_TOLERANCE if last else QF_TOLERANCE_CONTINUATION
         try:
-            state, converged, cycles, qf_update = ws.iterate(state, max_cycles, tol)
+            state, converged, cycles, newton_update = ws.iterate(state, max_cycles, tol)
         except NonConvergenceError as exc:
             exc.gummel_cycles += total_cycles
             raise
@@ -539,7 +541,7 @@ def solve_drift_diffusion(stack, mesh, bias, generation=0.0, statistics="fermi",
     continuity = float(np.max(np.abs(np.diff(j_total))) / scale) if j_total.size > 1 else 0.0
 
     diagram = _make_diagram(stack, mesh, ws.arr, state["phi"], n, p, efn, efp,
-                            bias, converged, qf_update)
+                            bias, converged, newton_update)
     point = IVPoint(bias=bias, current_density=j_mean,
                     gummel_iterations=total_cycles, converged=converged,
                     continuity_error=continuity)
@@ -559,23 +561,50 @@ def detailed_balance_floor(stack, mesh, factor=1e-15):
     return factor * _current_scale(arr)
 
 
-def iv_sweep(stack, mesh, biases, generation=0.0, statistics="fermi"):
-    """IV curve over `biases` in the given order with warm-start continuation.
+def _secant_state(a, b, bias):
+    """Gummel state at `bias` on the secant through solved states `a` and
+    `b`: linear in log n and log p, and in every other field as it is."""
+    t = (bias - b["bias"]) / (b["bias"] - a["bias"])
+    out = {k: b[k] + t * (b[k] - a[k])
+           for k in ("phi", "efn", "efp", "lng_n", "lng_p", "recomb")}
+    for k in ("n", "p"):
+        out[k] = np.exp(np.log(b[k]) + t * (np.log(b[k]) - np.log(a[k])))
+    out["bias"] = bias
+    return out
 
-    Per-point convergence failures are recorded on the corresponding
-    IVPoint (current NaN, the Gummel cycles actually run) without aborting
-    the sweep.
+
+def iv_sweep(stack, mesh, biases, generation=0.0, statistics="fermi"):
+    """IV curve over `biases`, returned in the given order.
+
+    Each distinct bias is solved once, outward from the one nearest 0 V,
+    the only cold start. The first point on either side continues from
+    it; each later one starts from the secant extrapolation of the last
+    two converged states on its side. A failed point is recorded on its
+    IVPoint (current NaN, the Gummel cycles actually run) without
+    aborting the sweep, and clears that side's history.
     """
-    points = []
-    warm = None
-    for bias in biases:
+    solved = {}
+
+    def solve(bias, history):
+        """Solve `bias` from up to two converged states; return the new ones."""
+        init = (_secant_state(*history, bias) if len(history) == 2
+                else history[0] if history else None)
         try:
-            _, point, warm = solve_drift_diffusion(stack, mesh, bias, generation,
-                                                   statistics, init=warm)
+            _, point, state = solve_drift_diffusion(stack, mesh, bias, generation,
+                                                    statistics, init=init)
         except NonConvergenceError as exc:
             point = IVPoint(bias=bias, current_density=math.nan,
                             gummel_iterations=exc.gummel_cycles, converged=False,
                             continuity_error=math.nan)
-            warm = None
-        points.append(point)
-    return IVCurve(points=tuple(points), temperature=stack.temperature)
+        solved[bias] = point
+        return history[-1:] + [state] if point.converged else []
+
+    order = sorted(set(biases))
+    if order:
+        k0 = order.index(min(order, key=abs))
+        origin = solve(order[k0], [])
+        for branch in (order[k0 + 1:], order[:k0][::-1]):
+            history = origin
+            for bias in branch:
+                history = solve(bias, history)
+    return IVCurve(points=tuple(solved[b] for b in biases), temperature=stack.temperature)

@@ -82,6 +82,26 @@ def test_iv_zero_width_range_single_point(tmp_path):
     assert cols["abs_I_A"][0] == abs(cols["I_A"][0])
 
 
+@pytest.mark.parametrize("bad", [
+    ["--step", "0"],
+    ["--vmax", "inf"],
+    ["--step", "-0.25"],
+    ["--step", "nan"],
+    ["--area", "-1"],
+    ["--area", "nan"],
+    ["--step", "inf"],
+    # the point count overflows a float; rejected before any bias is built
+    ["--vmin=-1e308", "--vmax", "1e308"],
+], ids=["step-zero", "vmax-inf", "step-negative", "step-nan", "area-negative",
+        "area-nan", "step-inf", "count-overflow"])
+def test_iv_rejects_a_bad_sweep_range_with_one_line(tmp_path, capsys, bad):
+    rc = main(["iv", *bad, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert len(err.splitlines()) == 1 and err.startswith("iv: ")
+    assert not (tmp_path / "iv.csv").exists()
+
+
 def test_iv_csv_records_cycles_and_convergence_but_no_seed(tmp_path):
     rc = main(["iv", "--vmin", "0.25", "--vmax", "0.5", "--out", str(tmp_path / "iv")])
     assert rc == EXIT_OK

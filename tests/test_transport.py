@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dotdiode import dataio, electrostatics, transport
 from dotdiode.constants import Q_E
@@ -16,6 +16,7 @@ from dotdiode.transport import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+DEFAULT_GRID = [-1.0 + k * 0.25 for k in range(13)]    # `dotdiode iv` defaults
 
 
 def test_bernoulli_at_zero():
@@ -78,6 +79,13 @@ def test_ohmic_slab_matches_resistor_formula(slab):
     assert pt.current_density == pytest.approx(analytic, rel=0.01)
 
 
+def test_drift_diffusion_diagram_reports_the_last_newton_update(reference_stack,
+                                                                 reference_mesh):
+    diagram, pt, _ = solve_drift_diffusion(reference_stack, reference_mesh, 0.5)
+    assert pt.converged
+    assert 0.0 <= diagram.newton_update < electrostatics.NEWTON_TOLERANCE
+
+
 def test_zero_bias_current_below_floor(reference_stack, reference_mesh):
     _, pt, _ = solve_drift_diffusion(reference_stack, reference_mesh, 0.0)
     floor = detailed_balance_floor(reference_stack, reference_mesh)
@@ -103,6 +111,83 @@ def test_small_sweep_continuity_and_shape(reference_stack, reference_mesh):
 def test_empty_bias_list_gives_empty_curve(reference_stack, reference_mesh):
     curve = iv_sweep(reference_stack, reference_mesh, [])
     assert curve.points == ()
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.data())
+def test_sweep_points_do_not_depend_on_the_bias_order(reference_stack, reference_mesh,
+                                                      data):
+    biases = data.draw(st.lists(st.sampled_from(DEFAULT_GRID), min_size=4, max_size=5,
+                                unique=True))
+    shuffled = data.draw(st.permutations(biases))
+    by_bias = {pt.bias: pt for pt in iv_sweep(reference_stack, reference_mesh,
+                                              sorted(biases)).points}
+    curve = iv_sweep(reference_stack, reference_mesh, shuffled)
+    assert curve.points == tuple(by_bias[b] for b in shuffled)
+
+
+def test_duplicate_biases_are_solved_once(reference_stack, reference_mesh, monkeypatch):
+    solved = []
+    real = transport.solve_drift_diffusion
+
+    def counting(stack, mesh, bias, *args, **kwargs):
+        solved.append(bias)
+        return real(stack, mesh, bias, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "solve_drift_diffusion", counting)
+    curve = iv_sweep(reference_stack, reference_mesh, [0.5, 0.25, 0.5, 0.25])
+    assert sorted(solved) == [0.25, 0.5]
+    assert curve.points[0] == curve.points[2] and curve.points[1] == curve.points[3]
+    assert list(curve.biases()) == [0.5, 0.25, 0.5, 0.25]
+
+
+def test_mid_branch_failure_marks_only_its_point(reference_stack, reference_mesh,
+                                                 monkeypatch):
+    # 0.6 V is the third point of the upward branch, off the BIAS_STEP grid,
+    # so neither the 0.3 V ladder nor the cold 0.9 V restart passes through it
+    arr = electrostatics.build_device_arrays(reference_stack, reference_mesh)
+    phi_neutral = electrostatics.neutral_potential(arr, "fermi")
+    drop = phi_neutral[-1] - phi_neutral[0]
+    real = transport._solve_poisson
+
+    def fail_at_0p6(arr, efn, efp, phi_bc, phi0, statistics):
+        out = real(arr, efn, efp, phi_bc, phi0, statistics)
+        if abs(phi_bc[1] - phi_bc[0] - drop - 0.6) < 1e-9:
+            return out[:4] + (False,) + out[5:]
+        return out
+
+    monkeypatch.setattr(transport, "_solve_poisson", fail_at_0p6)
+    biases = [0.6, -0.3, 0.0, 0.9, 0.3]
+    curve = iv_sweep(reference_stack, reference_mesh, biases)
+    assert list(curve.biases()) == biases
+    failed, *rest = curve.points
+    assert not failed.converged and math.isnan(failed.current_density)
+    assert failed.gummel_iterations == 1
+    assert all(pt.converged and math.isfinite(pt.current_density) for pt in rest)
+
+
+@pytest.mark.parametrize("step", [0.1, 0.5, 1.0])
+def test_wide_dark_sweeps_converge_and_match_golden(reference_stack, reference_mesh, step):
+    biases = [-2.0 + k * step for k in range(int(round(4.0 / step)) + 1)]
+    _assert_sweep_matches_golden(reference_stack, reference_mesh, biases, 0.0, "iv_dark")
+
+
+def test_coarse_lit_sweep_converges_and_matches_golden(reference_stack, reference_mesh):
+    _assert_sweep_matches_golden(reference_stack, reference_mesh, [0.0, 1.0, 2.0], 1e22,
+                                 "iv_lit")
+
+
+def _assert_sweep_matches_golden(stack, mesh, biases, generation, golden):
+    curve = iv_sweep(stack, mesh, biases, generation=generation)
+    assert all(pt.converged for pt in curve.points)
+    j_at = {round(pt.bias, 9): pt.current_density for pt in curve.points}
+    stored, _ = dataio.read_table(GOLDEN / f"{golden}.csv")
+    shared = [(j_at[round(b, 9)], j) for b, j in zip(stored["bias_V"], stored["J_Acm2"])
+              if round(b, 9) in j_at]
+    assert len(shared) >= 3
+    floor = detailed_balance_floor(stack, mesh)
+    for j_sweep, j_golden in shared:
+        assert j_sweep == pytest.approx(j_golden, rel=1e-4, abs=floor)
 
 
 def test_sweep_is_deterministic(reference_stack, reference_mesh, tmp_path):
@@ -162,9 +247,17 @@ def test_default_dark_sweep_matches_golden_iv(reference_stack, reference_mesh):
 
 
 def test_default_dark_sweep_cycle_budget(reference_stack, reference_mesh):
-    # unmixed, under-relaxed Gummel cycles needed 3,805 for these 13 points
-    curve = iv_sweep(reference_stack, reference_mesh, [-1.0 + k * 0.25 for k in range(13)])
-    assert sum(pt.gummel_iterations for pt in curve.points) <= 1000
+    # unmixed, under-relaxed Gummel cycles needed 3,805 for these 13 points,
+    # Anderson-mixed cycles solved in the given order from -1 V 694
+    curve = iv_sweep(reference_stack, reference_mesh, DEFAULT_GRID)
+    assert sum(pt.gummel_iterations for pt in curve.points) <= 350
+
+
+def test_lit_sweep_cycle_budget(reference_stack, reference_mesh):
+    # solved in the given order from 0 V, without the secant predictor: 259
+    curve = iv_sweep(reference_stack, reference_mesh, [0.0, 0.5, 1.0, 1.5, 2.0],
+                     generation=1e22)
+    assert sum(pt.gummel_iterations for pt in curve.points) <= 170
 
 
 def test_lit_sweep_matches_golden_iv(reference_stack, reference_mesh):
