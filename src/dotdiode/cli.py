@@ -5,8 +5,8 @@ plus plain-text reports with a machine-readable key = value section.
 Every command is deterministic for a fixed configuration. Only
 ``synthmap`` draws random numbers: with ``--seed`` it Poisson-samples the
 counts, and it echoes the seed into its output. Exit codes: 0 success, 1
-input or configuration error, 2 numerical non-convergence (never success on
-unconverged physics).
+input or configuration error (a usage error too, reported in one line), 2
+numerical non-convergence (never success on unconverged physics).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -32,6 +33,20 @@ from . import spectro_fit as sf
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NONCONVERGED = 2
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with two changes. A token such as -1e-3 is a negative number,
+    not an option name: argparse alone only takes -1 and -0.5 forms as
+    numbers. A usage error exits EXIT_INPUT with one line, since exit 2
+    means non-convergence here."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"{self.prog}: {message}\n")
 
 
 def _outdir(args):
@@ -79,7 +94,7 @@ def cmd_bandedges(args):
         out / "bandedges_summary.csv",
         [np.array([r[0] for r in rows]),
          np.array([r[1] for r in rows]),
-         np.array([float(r[2]) for r in rows])],
+         np.array([r[2] for r in rows], dtype=bool)],
         ["bias_V", "newton_update", "converged"],
         meta=_report_header(args, "bandedges"))
     return EXIT_OK if all_ok else EXIT_NONCONVERGED
@@ -271,7 +286,7 @@ def cmd_fit(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dotdiode",
         description="gated quantum-dot diode simulator and spectroscopy toolkit")
     parser.add_argument("--version", action="version", version=f"dotdiode {__version__}")

@@ -1,8 +1,10 @@
 """CSV and report I/O shared by the library and the CLI.
 
 Data files are comma-separated with optional metadata header lines that
-begin with '#' and contain 'key = value'. All floats are written with a
-fixed format so identical inputs produce byte-identical files.
+begin with '#' and contain 'key = value'. A column's dtype sets its text:
+integer and boolean columns are written as integers (booleans as 1/0), and
+every other column as floats in one fixed format, so identical inputs
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 FLOAT_FMT = "{:.12e}"
+CHUNK_ROWS = 256                # rows formatted per block by write_table
 
 
 class DataFormatError(ValueError):
@@ -22,16 +25,29 @@ def format_float(x):
 
 def write_table(path, columns, names, meta=None):
     """Write equal-length named columns to CSV with '# key = value' metadata
-    lines, one row at a time through a single row template (the same text
-    as format_float per value)."""
-    data = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    row_fmt = ",".join(["%.12e"] * data.shape[1]) + "\n"
+    lines. Integer and boolean columns are written as integers, every other
+    column as format_float writes each value, CHUNK_ROWS rows at a time.
+
+    A row block shares one dtype, so an integer beyond 2**53 in magnitude
+    next to a float column raises ValueError naming its column rather than
+    being rounded.
+    """
+    columns = [np.asarray(c) for c in columns]
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("columns differ in length")
+    if np.result_type(*{c.dtype for c in columns}).kind == "f":
+        for name, c in zip(names, columns):
+            if c.dtype.kind in "iu" and np.any((c > 2**53) | (c < -2**53)):
+                raise ValueError(f"column {name}: integers beyond 2**53 in magnitude "
+                                 "cannot be written exactly next to a float column")
+    row_fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.12e" for c in columns) + "\n"
     with open(path, "w") as fh:
         for key, value in (meta or {}).items():
             fh.write(f"# {key} = {value}\n")
         fh.write(",".join(names) + "\n")
-        for row in data:
-            fh.write(row_fmt % tuple(row.tolist()))
+        for start in range(0, len(columns[0]), CHUNK_ROWS):
+            block = np.column_stack([c[start:start + CHUNK_ROWS] for c in columns])
+            fh.writelines([row_fmt % tuple(row) for row in block.tolist()])
 
 
 def read_table(path):

@@ -213,7 +213,8 @@ class EmissionMap:
 
     gate_V: np.ndarray
     wavelength_nm: np.ndarray
-    intensity: np.ndarray          # shape (n_wavelength, n_gate)
+    intensity: np.ndarray          # (n_wavelength, n_gate): int64 counts when seeded,
+                                   # float expected counts otherwise
 
     def to_csv(self, path, meta=None):
         """One row per wavelength; the header row carries the gate voltages."""
@@ -238,7 +239,7 @@ def synth_emission_map(lines, ladder, gate_V, wavelength_nm, linewidth_ueV=30.0,
                        background=None, seed=None, d_i_nm=240.0):
     """Render active emission lines as Lorentzians over a (V, lambda) grid.
 
-    Counts are Poisson-sampled when `seed` is given, with one child
+    Counts are Poisson-sampled as int64 when `seed` is given, with one child
     generator per gate-voltage column (seed XOR column index) so the map
     is reproducible independently of evaluation order.
     """
@@ -250,17 +251,14 @@ def synth_emission_map(lines, ladder, gate_V, wavelength_nm, linewidth_ueV=30.0,
         raise ValueError("grids must be strictly increasing")
     background = background or BackgroundModel()
 
-    def column(k):
+    intensity = np.empty((wavelength_nm.size, gate_V.size),
+                         dtype=float if seed is None else np.int64)
+    for k in range(gate_V.size):
         clean = _render_column(lines, ladder, gate_V[k], wavelength_nm,
                                linewidth_ueV, background, d_i_nm)
-        if seed is None:
-            return clean
-        rng = np.random.default_rng(int(seed) ^ k)
-        return rng.poisson(clean).astype(float)
-
-    cols = [column(k) for k in range(gate_V.size)]
-    return EmissionMap(gate_V=gate_V, wavelength_nm=wavelength_nm,
-                       intensity=np.column_stack(cols))
+        intensity[:, k] = (clean if seed is None
+                           else np.random.default_rng(int(seed) ^ k).poisson(clean))
+    return EmissionMap(gate_V=gate_V, wavelength_nm=wavelength_nm, intensity=intensity)
 
 
 def _line_from_record(rec):

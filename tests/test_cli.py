@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dotdiode
 from dotdiode import dataio
-from dotdiode.cli import main, EXIT_OK, EXIT_INPUT
+from dotdiode.cli import build_parser, main, EXIT_OK, EXIT_INPUT
 from dotdiode import spectro_fit as sf
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -62,6 +63,44 @@ def test_bandedges_writes_per_bias_files(tmp_path):
 
 def test_bandedges_without_bias_is_usage_error(tmp_path):
     assert main(["bandedges", "--out", str(tmp_path)]) == EXIT_INPUT
+
+
+def test_bandedges_summary_writes_convergence_as_an_integer(tmp_path):
+    rc = main(["bandedges", "--bias", "-2.5e-05", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    rows = (tmp_path / "bandedges_summary.csv").read_text().splitlines()
+    assert rows[-2] == "bias_V,newton_update,converged"
+    assert rows[-1].startswith("-2.500000000000e-05,") and rows[-1].endswith(",1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["iv", "--vmin"],
+    ["iv", "--vmin", "abc"],
+    ["iv", "--bogus", "1"],
+    ["nope"],
+    [],
+], ids=["missing-value", "not-a-number", "unknown-option", "unknown-command", "no-command"])
+def test_usage_error_exits_1_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("dotdiode")
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_negative_exponent_values_parse_as_numbers():
+    args = build_parser().parse_args(["iv", "--vmin", "-1e-3", "--vmax", "-2.5E-05"])
+    assert (args.vmin, args.vmax) == (-1e-3, -2.5e-05)
+    args = build_parser().parse_args(["bandedges", "--bias", "-2.5e-05", "--bias", "-.5"])
+    assert args.bias == [-2.5e-05, -0.5]
 
 
 def test_bandedges_bad_device_schema(tmp_path):
@@ -261,12 +300,58 @@ def test_nonfinite_spectrum_is_input_error(tmp_path, capsys, column):
 
 
 def test_write_table_matches_per_value_format_float(tmp_path):
+    """Float columns are format_float per value; int and bool columns are
+    written as integers."""
     values = np.array([0.0, -0.0, 1e-300, -2.5e17, np.nan, np.inf, -np.inf, 1.0 / 3.0])
-    columns = [values, np.arange(values.size), values > 0]
+    columns = [values, np.arange(values.size) - 3, values > 0]
     path = tmp_path / "t.csv"
     dataio.write_table(path, columns, ["x", "k", "flag"], meta={"a": 1})
-    rows = [",".join(dataio.format_float(v) for v in row) for row in zip(*columns)]
+    rows = [f"{dataio.format_float(x)},{k},{int(flag)}" for x, k, flag in zip(*columns)]
     assert path.read_text() == "\n".join(["# a = 1", "x,k,flag", *rows]) + "\n"
+
+
+_ROUND_TRIP_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_rows=st.sampled_from([0, 1, dataio.CHUNK_ROWS - 1, dataio.CHUNK_ROWS,
+                               dataio.CHUNK_ROWS + 1]),
+       data=st.data())
+def test_write_table_round_trips_through_read_table(tmp_path_factory, n_rows, data):
+    """Float text is format_float's, bit for bit; int64 and bool columns come
+    back exact, at row counts on either side of a chunk boundary."""
+    x = np.array(data.draw(st.lists(_ROUND_TRIP_FLOATS, min_size=n_rows, max_size=n_rows)),
+                 dtype=float)
+    k = np.array(data.draw(st.lists(st.integers(-2**53, 2**53), min_size=n_rows,
+                                    max_size=n_rows)), dtype=np.int64)
+    flag = np.array(data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)),
+                    dtype=bool)
+    path = tmp_path_factory.mktemp("rt") / "t.csv"
+    dataio.write_table(path, [x, k, flag], ["x", "k", "flag"])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,k,flag" and len(lines) == n_rows + 1
+    assert [line.split(",") for line in lines[1:]] == \
+           [[dataio.format_float(a), str(b), str(int(c))] for a, b, c in zip(x, k, flag)]
+    cols, _ = dataio.read_table(path)
+    expected = np.array([float(dataio.format_float(a)) for a in x], dtype=float)
+    assert cols["x"].view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert cols["k"].tolist() == k.tolist()
+    assert cols["flag"].tolist() == flag.astype(float).tolist()
+
+
+def test_write_table_never_rounds_a_large_integer_column(tmp_path):
+    """An integer beyond 2**53 next to a float column would be rounded by the
+    shared float row, so it is refused by name; with only integer columns it
+    is written exactly."""
+    big = np.array([2**53 + 1, -(2**63)], dtype=np.int64)
+    with pytest.raises(ValueError, match="column count"):
+        dataio.write_table(tmp_path / "mixed.csv", [np.array([0.5, 1.5]), big],
+                           ["x", "count"])
+    dataio.write_table(tmp_path / "ints.csv", [np.arange(2), big], ["k", "count"])
+    assert (tmp_path / "ints.csv").read_text().splitlines()[1:] == \
+        ["0,9007199254740993", "1,-9223372036854775808"]
 
 
 def test_malformed_csv_reports_line_number(tmp_path):

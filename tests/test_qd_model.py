@@ -189,6 +189,7 @@ def test_map_deterministic_for_fixed_seed(lines, ladder):
     lam = np.linspace(1529.0, 1539.0, 300)
     a = synth_emission_map(list(lines.values()), ladder, gate, lam, seed=42)
     b = synth_emission_map(list(lines.values()), ladder, gate, lam, seed=42)
+    assert a.intensity.dtype == np.int64 and a.intensity.shape == (lam.size, gate.size)
     assert np.array_equal(a.intensity, b.intensity)
     c = synth_emission_map(list(lines.values()), ladder, gate, lam, seed=43)
     assert not np.array_equal(a.intensity, c.intensity)
