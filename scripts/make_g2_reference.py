@@ -36,11 +36,11 @@ def main():
         [trace.delay_ns, trace.coincidences],
         ["delay_ns", "coincidences"],
         meta={
-            "bin_width_ns": dataio.format_float(BIN_NS),
-            "irf_sigma_ns": dataio.format_float(sigma),
-            "true_g0": dataio.format_float(G0),
-            "true_tau_c_ns": dataio.format_float(TAU_C_NS),
-            "plateau_counts": dataio.format_float(PLATEAU),
+            "bin_width_ns": BIN_NS,
+            "irf_sigma_ns": sigma,
+            "true_g0": G0,
+            "true_tau_c_ns": TAU_C_NS,
+            "plateau_counts": PLATEAU,
             "seed": SEED,
         })
     print(f"irf sigma = {sigma:.6f} ns; wrote {DATA / 'g2_reference.csv'}")

@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, constants, dataio
-from .device import (SchemaError, MeshOptionError, parse_stack, build_mesh,
-                     load_reference_stack)
+from .device import parse_stack, build_mesh, load_reference_stack
 from .electrostatics import NonConvergenceError, solve_bias, field_lever_arm
 from .transport import iv_sweep, MESA_AREA_CM2
 from .qd_model import (load_reference_lines, load_charge_ladder, tuning_range,
@@ -124,7 +123,7 @@ def cmd_iv(args):
     curve = dataclasses.replace(curve, device_area_cm2=args.area)
     out = _outdir(args)
     meta = _report_header(args, "iv")
-    meta["generation_cm3s"] = dataio.format_float(args.generation)
+    meta["generation_cm3s"] = args.generation
     curve.to_csv(out / "iv.csv", meta=meta)
     return EXIT_OK if all(pt.converged for pt in curve.points) else EXIT_NONCONVERGED
 
@@ -136,21 +135,14 @@ def cmd_stark(args):
         return EXIT_INPUT
     volts = np.linspace(args.vmin, args.vmax, args.points)
     out = _outdir(args)
-    columns = [volts]
-    names = ["gate_V"]
-    report = []
-    for line in lines:
-        fields = np.array([field_lever_arm(v, args.di) for v in volts])
-        columns.append(stark_wavelength(line, fields))
-        names.append(f"lambda_{line.species}_nm")
-        span = tuning_range(line, args.vmin, args.vmax, args.di)
-        report.append((line.species, span))
-    dataio.write_table(out / "stark_wavelengths.csv", columns, names,
+    fields = field_lever_arm(volts, args.di)
+    dataio.write_table(out / "stark_wavelengths.csv",
+                       [volts, *(stark_wavelength(line, fields) for line in lines)],
+                       ["gate_V", *(f"lambda_{line.species}_nm" for line in lines)],
                        meta=_report_header(args, "stark"))
-    entries = {f"tuning_range_{species}_nm": dataio.format_float(span)
-               for species, span in report}
-    entries["d_i_nm"] = dataio.format_float(args.di)
-    entries["window_V"] = f"{args.vmin} to {args.vmax}"
+    entries = {f"tuning_range_{line.species}_nm":
+               tuning_range(line, args.vmin, args.vmax, args.di) for line in lines}
+    entries.update(d_i_nm=args.di, window_V=f"{args.vmin} to {args.vmax}")
     dataio.write_report(out / "stark_report.txt", "dotdiode stark tuning report",
                         [("run", _report_header(args, "stark")),
                          ("results", entries)])
@@ -185,101 +177,89 @@ def _read_spectrum(path):
                        polarizer_angle_deg=opt("polarizer_angle_deg"))
 
 
+def _estimates(fit):
+    """A FitResult's parameters, then their uncertainties as `<name>_err`."""
+    return {**fit.parameters, **{f"{k}_err": v for k, v in fit.uncertainties.items()}}
+
+
+def _model_columns(x_name, x, y_name, y, model):
+    return {x_name: x, y_name: y, "model": model, "residual": y - model}
+
+
+# Each fitter returns its report entries, its residual columns by name and
+# whether the fit converged.
+
+def _fit_peaks(args):
+    spec = _read_spectrum(args.data[0])
+    accepted, discarded = sf.fit_peaks(spec, n_peaks=args.n_peaks,
+                                       snr_gate=args.snr_gate, shape=args.shape)
+    entries = {"n_accepted": len(accepted), "n_discarded": len(discarded),
+               "snr_gate": args.snr_gate}
+    for i, p in enumerate(accepted):
+        entries.update({f"peak{i}_center_nm": p.center_nm, f"peak{i}_fwhm_nm": p.fwhm_nm,
+                        f"peak{i}_amplitude": p.amplitude, f"peak{i}_snr": p.snr})
+    for i, p in enumerate(discarded):
+        entries.update({f"discarded{i}_center_nm": p.center_nm, f"discarded{i}_snr": p.snr})
+    model = sf.peaks_model(spec.wavelength_nm, accepted + discarded)
+    return (entries, _model_columns("wavelength_nm", spec.wavelength_nm, "counts",
+                                    spec.counts, model),
+            all(p.converged for p in accepted + discarded))
+
+
+def _fit_fss(args):
+    series = [_read_spectrum(p) for p in args.data]
+    result = sf.extract_fss(series)
+    entries = {"fss_ueV": result.delta_ueV, "fss_err_ueV": result.delta_err_ueV,
+               "theta0_deg": result.theta0_deg, "phase_defined": result.phase_defined,
+               "minmax_ueV": result.minmax_ueV,
+               "consistent_with_zero": result.delta_ueV < 2.0 * result.delta_err_ueV}
+    columns = {"polarizer_angle_deg": np.array([s.polarizer_angle_deg for s in series]),
+               "peak_energy_ueV": result.energies_ueV}
+    return entries, columns, True
+
+
+def _fit_power(args):
+    cols, _ = dataio.read_columns(args.data[0], ("power_uW", "intensity"))
+    fit = sf.fit_power_law(cols["power_uW"], cols["intensity"],
+                           saturation_cutoff=args.saturation_cutoff)
+    entries = {"slope": fit.slope, "slope_err": fit.stderr, "cutoff_uW": fit.cutoff_uW,
+               "n_used": fit.n_used}
+    return (entries, _model_columns("power_uW", cols["power_uW"], "intensity",
+                                    cols["intensity"], fit.model), True)
+
+
+def _fit_g2(args):
+    cols, meta = dataio.read_columns(args.data[0], ("delay_ns", "coincidences"))
+    trace = sf.G2Trace(delay_ns=cols["delay_ns"], coincidences=cols["coincidences"],
+                       bin_width_ns=float(meta.get("bin_width_ns", 0.0)),
+                       irf_sigma_ns=float(meta.get("irf_sigma_ns", 0.0)))
+    fit = sf.fit_g2(trace)
+    entries = {**_estimates(fit), "tau_c_identifiable": fit.flags["tau_c_identifiable"],
+               "reduced_chi2": fit.reduced_chi2}
+    return (entries, _model_columns("delay_ns", trace.delay_ns, "coincidences",
+                                    trace.coincidences, fit.model), fit.converged)
+
+
+def _fit_lifetime(args):
+    cols, _ = dataio.read_columns(args.data[0], ("time_ns", "counts"))
+    trace = sf.DecayTrace(time_ns=cols["time_ns"], counts=cols["counts"])
+    fit = sf.fit_lifetime(trace)
+    entries = {**_estimates(fit), "degenerate": fit.flags["degenerate"],
+               "reduced_chi2_biexp": fit.flags["chi2_biexp"],
+               "reduced_chi2_single": fit.flags["chi2_single"]}
+    return (entries, _model_columns("time_ns", trace.time_ns, "counts", trace.counts,
+                                    fit.model), fit.converged)
+
+
+_FITTERS = {"peaks": _fit_peaks, "fss": _fit_fss, "power": _fit_power, "g2": _fit_g2,
+            "lifetime": _fit_lifetime}
+
+
 def cmd_fit(args):
     out = _outdir(args)
-    header = _report_header(args, f"fit {args.what}")
-    header["inputs"] = ";".join(args.data)
-
-    if args.what == "peaks":
-        spec = _read_spectrum(args.data[0])
-        accepted, discarded = sf.fit_peaks(spec, n_peaks=args.n_peaks,
-                                           snr_gate=args.snr_gate, shape=args.shape)
-        entries = {"n_accepted": len(accepted), "n_discarded": len(discarded),
-                   "snr_gate": dataio.format_float(args.snr_gate)}
-        for i, p in enumerate(accepted):
-            entries[f"peak{i}_center_nm"] = dataio.format_float(p.center_nm)
-            entries[f"peak{i}_fwhm_nm"] = dataio.format_float(p.fwhm_nm)
-            entries[f"peak{i}_amplitude"] = dataio.format_float(p.amplitude)
-            entries[f"peak{i}_snr"] = dataio.format_float(p.snr)
-        for i, p in enumerate(discarded):
-            entries[f"discarded{i}_center_nm"] = dataio.format_float(p.center_nm)
-            entries[f"discarded{i}_snr"] = dataio.format_float(p.snr)
-        converged = all(p.converged for p in accepted + discarded)
-        model = sf.peaks_model(spec.wavelength_nm, accepted + discarded)
-        dataio.write_table(out / "fit_residuals.csv",
-                           [spec.wavelength_nm, spec.counts, model, spec.counts - model],
-                           ["wavelength_nm", "counts", "model", "residual"])
-    elif args.what == "fss":
-        series = [_read_spectrum(p) for p in args.data]
-        result = sf.extract_fss(series)
-        entries = {
-            "fss_ueV": dataio.format_float(result.delta_ueV),
-            "fss_err_ueV": dataio.format_float(result.delta_err_ueV),
-            "theta0_deg": dataio.format_float(result.theta0_deg),
-            "phase_defined": result.phase_defined,
-            "minmax_ueV": dataio.format_float(result.minmax_ueV),
-            "consistent_with_zero": result.delta_ueV < 2.0 * result.delta_err_ueV,
-        }
-        converged = True
-        angles = np.array([s.polarizer_angle_deg for s in series])
-        dataio.write_table(out / "fit_residuals.csv",
-                           [angles, result.energies_ueV],
-                           ["polarizer_angle_deg", "peak_energy_ueV"])
-    elif args.what == "power":
-        cols, _ = dataio.read_columns(args.data[0], ("power_uW", "intensity"))
-        fit = sf.fit_power_law(cols["power_uW"], cols["intensity"],
-                               saturation_cutoff=args.saturation_cutoff)
-        entries = {"slope": dataio.format_float(fit.slope),
-                   "slope_err": dataio.format_float(fit.stderr),
-                   "cutoff_uW": dataio.format_float(fit.cutoff_uW),
-                   "n_used": fit.n_used}
-        converged = True
-        model = np.exp(fit.intercept) * cols["power_uW"] ** fit.slope
-        dataio.write_table(out / "fit_residuals.csv",
-                           [cols["power_uW"], cols["intensity"], model,
-                            cols["intensity"] - model],
-                           ["power_uW", "intensity", "model", "residual"])
-    elif args.what == "g2":
-        cols, meta = dataio.read_columns(args.data[0], ("delay_ns", "coincidences"))
-        trace = sf.G2Trace(delay_ns=cols["delay_ns"], coincidences=cols["coincidences"],
-                           bin_width_ns=float(meta.get("bin_width_ns", 0.0)),
-                           irf_sigma_ns=float(meta.get("irf_sigma_ns", 0.0)))
-        fit = sf.fit_g2(trace)
-        entries = {k: dataio.format_float(v) for k, v in fit.parameters.items()}
-        entries.update({f"{k}_err": dataio.format_float(v)
-                        for k, v in fit.uncertainties.items()})
-        entries["tau_c_identifiable"] = fit.flags["tau_c_identifiable"]
-        entries["reduced_chi2"] = dataio.format_float(fit.reduced_chi2)
-        converged = fit.converged
-        plateau = np.mean(trace.coincidences[np.abs(trace.delay_ns)
-                                             >= 0.6 * np.max(np.abs(trace.delay_ns))])
-        model = plateau * sf.g2_model(trace.delay_ns, fit.parameters["g0_deconvolved"],
-                                      fit.parameters["tau_c_ns"], trace.irf_sigma_ns,
-                                      trace.bin_width_ns, fit.parameters["norm"])
-        dataio.write_table(out / "fit_residuals.csv",
-                           [trace.delay_ns, trace.coincidences, model,
-                            trace.coincidences - model],
-                           ["delay_ns", "coincidences", "model", "residual"])
-    elif args.what == "lifetime":
-        cols, _ = dataio.read_columns(args.data[0], ("time_ns", "counts"))
-        trace = sf.DecayTrace(time_ns=cols["time_ns"], counts=cols["counts"])
-        fit = sf.fit_lifetime(trace)
-        entries = {k: dataio.format_float(v) for k, v in fit.parameters.items()}
-        entries.update({f"{k}_err": dataio.format_float(v)
-                        for k, v in fit.uncertainties.items()})
-        entries["degenerate"] = fit.flags["degenerate"]
-        entries["reduced_chi2_biexp"] = dataio.format_float(fit.flags["chi2_biexp"])
-        entries["reduced_chi2_single"] = dataio.format_float(fit.flags["chi2_single"])
-        converged = fit.converged
-        t0 = trace.time_ns - trace.time_ns[0]
-        model = (fit.parameters["A1"] * np.exp(-t0 / fit.parameters["tau1_ns"])
-                 + fit.parameters["A2"] * np.exp(-t0 / fit.parameters["tau2_ns"]))
-        dataio.write_table(out / "fit_residuals.csv",
-                           [trace.time_ns, trace.counts, model, trace.counts - model],
-                           ["time_ns", "counts", "model", "residual"])
-    else:  # pragma: no cover - argparse restricts choices
-        return EXIT_INPUT
-
+    entries, columns, converged = _FITTERS[args.what](args)
+    dataio.write_table(out / "fit_residuals.csv", list(columns.values()), list(columns))
+    header = {**_report_header(args, f"fit {args.what}"), "inputs": ";".join(args.data)}
     dataio.write_report(out / "fit_report.txt", f"dotdiode fit report: {args.what}",
                         [("run", header), ("results", entries)])
     return EXIT_OK if converged else EXIT_NONCONVERGED
@@ -348,7 +328,7 @@ def build_parser():
     p.set_defaults(func=cmd_synthmap)
 
     p = sub.add_parser("fit", parents=[common], help="run a fitter on CSV data")
-    p.add_argument("what", choices=["peaks", "fss", "power", "g2", "lifetime"])
+    p.add_argument("what", choices=list(_FITTERS))
     p.add_argument("--data", action="append", required=True,
                    help="input CSV (repeat for fss series)")
     p.add_argument("--n-peaks", type=int, default=1, dest="n_peaks")
@@ -366,9 +346,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, MeshOptionError, dataio.DataFormatError, FileNotFoundError,
-            LadderRangeError, sf.InsufficientDataError, sf.PartialSeriesError,
-            sf.InsufficientDecayError, sf.NormalizationError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"dotdiode {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NonConvergenceError as exc:

@@ -4,7 +4,8 @@ Data files are comma-separated with optional metadata header lines that
 begin with '#' and contain 'key = value'. A column's dtype sets its text:
 integer and boolean columns are written as integers (booleans as 1/0), and
 every other column as floats in one fixed format, so identical inputs
-produce byte-identical files.
+produce byte-identical files. Float metadata and report values use the
+same fixed format.
 """
 
 from __future__ import annotations
@@ -23,10 +24,16 @@ def format_float(x):
     return FLOAT_FMT.format(float(x))
 
 
+def _text(value):
+    """A metadata or report value as written: floats in the fixed format."""
+    return format_float(value) if isinstance(value, float) else value
+
+
 def write_table(path, columns, names, meta=None):
     """Write equal-length named columns to CSV with '# key = value' metadata
-    lines. Integer and boolean columns are written as integers, every other
-    column as format_float writes each value, CHUNK_ROWS rows at a time.
+    lines (float values as format_float writes them). Integer and boolean
+    columns are written as integers, every other column as format_float
+    writes each value, CHUNK_ROWS rows at a time.
 
     A row block shares one dtype, so an integer beyond 2**53 in magnitude
     next to a float column raises ValueError naming its column rather than
@@ -43,7 +50,7 @@ def write_table(path, columns, names, meta=None):
     row_fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.12e" for c in columns) + "\n"
     with open(path, "w") as fh:
         for key, value in (meta or {}).items():
-            fh.write(f"# {key} = {value}\n")
+            fh.write(f"# {key} = {_text(value)}\n")
         fh.write(",".join(names) + "\n")
         for start in range(0, len(columns[0]), CHUNK_ROWS):
             block = np.column_stack([c[start:start + CHUNK_ROWS] for c in columns])
@@ -110,11 +117,6 @@ def write_report(path, title, sections):
     for section, entries in sections:
         lines.append("")
         lines.append(f"[{section}]")
-        for key, value in entries.items():
-            if isinstance(value, float):
-                value = format_float(value)
-            lines.append(f"{key} = {value}")
-    text = "\n".join(lines) + "\n"
+        lines += [f"{key} = {_text(value)}" for key, value in entries.items()]
     with open(path, "w") as fh:
-        fh.write(text)
-    return text
+        fh.write("\n".join(lines) + "\n")

@@ -192,19 +192,13 @@ class BandDiagram:
     converged: bool
     newton_update: float     # largest |dphi|/Vt of the last Newton step
 
-    def to_csv(self, path, extra_meta=None):
-        meta = {
-            "bias_V": dataio.format_float(self.bias),
-            "temperature_K": dataio.format_float(self.temperature),
-            "converged": self.converged,
-            "newton_update": dataio.format_float(self.newton_update),
-        }
-        meta.update(extra_meta or {})
+    def to_csv(self, path):
         dataio.write_table(
             path,
             [self.mesh.nodes, self.Ec, self.Ev, self.phi, self.n, self.p, self.field],
             ["position_nm", "Ec_eV", "Ev_eV", "phi_V", "n_cm3", "p_cm3", "F_Vcm"],
-            meta=meta,
+            meta={"bias_V": self.bias, "temperature_K": self.temperature,
+                  "converged": self.converged, "newton_update": self.newton_update},
         )
 
 

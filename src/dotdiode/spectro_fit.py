@@ -56,6 +56,27 @@ class NormalizationError(ValueError):
     """A correlation trace has no long-delay plateau to normalize by."""
 
 
+def _checked(min_size, **fields):
+    """Two named fields, a grid and then its counts (or intensities), as 1D
+    float arrays of one length, at least `min_size`. Every value must be
+    finite and within +/-2**53, where floats still hold whole counts and
+    squares stay far from overflow; counts must be non-negative. A failure
+    raises ValueError naming the field, so a bad input stops where it
+    enters a fitter."""
+    arrays = [np.asarray(values, dtype=float) for values in fields.values()]
+    for name, a in zip(fields, arrays):
+        if a.ndim != 1 or a.size != arrays[0].size:
+            raise ValueError(f"{name} must be a 1D array as long as {next(iter(fields))}")
+        if not np.all(np.abs(a) <= 2.0**53):
+            raise ValueError(f"{name} must be finite and within +/-2**53")
+    if np.any(arrays[1] < 0):
+        raise ValueError(f"{list(fields)[1]} must be non-negative")
+    if arrays[0].size < min_size:
+        raise InsufficientDataError(f"{' and '.join(fields)}: {arrays[0].size} values, "
+                                    f"need at least {min_size}")
+    return arrays
+
+
 @dataclass(frozen=True)
 class Spectrum:
     wavelength_nm: np.ndarray
@@ -65,18 +86,9 @@ class Spectrum:
     polarizer_angle_deg: float | None = None
 
     def __post_init__(self):
-        wl = np.asarray(self.wavelength_nm, dtype=float)
-        c = np.asarray(self.counts, dtype=float)
-        if wl.ndim != 1 or wl.size != c.size:
-            raise ValueError("wavelength and counts must be 1D arrays of equal length")
-        if not np.all(np.isfinite(wl)):
-            raise ValueError("wavelength_nm must be finite")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("counts must be finite")
+        wl, c = _checked(1, wavelength_nm=self.wavelength_nm, counts=self.counts)
         if np.any(np.diff(wl) <= 0):
             raise ValueError("wavelength grid must be strictly increasing")
-        if np.any(c < 0):
-            raise ValueError("counts must be non-negative")
         object.__setattr__(self, "wavelength_nm", wl)
         object.__setattr__(self, "counts", c)
 
@@ -101,15 +113,13 @@ class G2Trace:
     irf_sigma_ns: float = 0.0
 
     def __post_init__(self):
-        t = np.asarray(self.delay_ns, dtype=float)
-        c = np.asarray(self.coincidences, dtype=float)
-        if t.size != c.size or t.size < 8:
-            raise ValueError("delay and coincidence arrays must match (>= 8 bins)")
+        t, c = _checked(8, delay_ns=self.delay_ns, coincidences=self.coincidences)
+        for name in ("bin_width_ns", "irf_sigma_ns"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         dt = np.diff(t)
         if np.any(dt <= 0) or np.ptp(dt) > 1e-9 * np.max(dt):
             raise ValueError("delay grid must be uniform and increasing")
-        if self.bin_width_ns < 0 or self.irf_sigma_ns < 0:
-            raise ValueError("bin width and IRF sigma must be non-negative")
         object.__setattr__(self, "delay_ns", t)
         object.__setattr__(self, "coincidences", c)
 
@@ -120,23 +130,24 @@ class DecayTrace:
     counts: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.time_ns, dtype=float)
-        c = np.asarray(self.counts, dtype=float)
-        if t.size != c.size or np.any(np.diff(t) <= 0):
-            raise ValueError("time grid must be increasing and match counts")
+        t, c = _checked(8, time_ns=self.time_ns, counts=self.counts)
+        if np.any(np.diff(t) <= 0):
+            raise ValueError("time grid must be increasing")
         object.__setattr__(self, "time_ns", t)
         object.__setattr__(self, "counts", c)
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Named parameter estimates with uncertainties and goodness of fit."""
+    """Named parameter estimates with uncertainties and goodness of fit, and
+    the fitted model on the input grid in data units."""
 
     parameters: dict
     uncertainties: dict
     covariance: np.ndarray
     reduced_chi2: float
     converged: bool
+    model: np.ndarray
     flags: dict = field(default_factory=dict)
 
 
@@ -158,6 +169,7 @@ class PowerLawFit:
     intercept: float
     cutoff_uW: float
     n_used: int
+    model: np.ndarray           # fitted intensity at each input power, in input order
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +391,13 @@ def fit_power_law(powers_uW, intensities, saturation_cutoff=None):
     Two intervals halve the noise of each slope, so one noisy point does not
     end the range early.
     """
-    p = np.asarray(powers_uW, dtype=float)
-    y = np.asarray(intensities, dtype=float)
-    if p.size != y.size:
-        raise ValueError("powers and intensities must have equal length")
-    if np.any(p <= 0) or np.any(y <= 0):
-        raise ValueError("powers and intensities must be positive")
-    order = np.argsort(p)
-    p, y = p[order], y[order]
+    p_in, y = _checked(3, power_uW=powers_uW, intensity=intensities)
+    if np.any(p_in <= 0) or np.any(y <= 0):
+        raise ValueError("power_uW and intensity must be positive")
+    order = np.argsort(p_in)
+    p, y = p_in[order], y[order]
+    if np.any(np.diff(p) == 0):
+        raise ValueError("power_uW values must be distinct")
 
     if saturation_cutoff is None:
         logp, logy = np.log(p), np.log(y)
@@ -406,10 +417,13 @@ def fit_power_law(powers_uW, intensities, saturation_cutoff=None):
 
     logp, logy = np.log(p[keep]), np.log(y[keep])
     (slope, intercept), cov = np.polyfit(logp, logy, 1, cov=True)
+    # extrapolated far above the cutoff, the law may leave the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = np.exp(float(intercept)) * p_in ** float(slope)
     return PowerLawFit(slope=float(slope), stderr=float(np.sqrt(max(cov[0, 0], 0.0))),
                        intercept=float(intercept),
                        cutoff_uW=float(saturation_cutoff),
-                       n_used=int(np.count_nonzero(keep)))
+                       n_used=int(np.count_nonzero(keep)), model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +436,16 @@ def antibunching_dip(tau_ns, tau_c_ns, irf_sigma_ns):
         out = np.exp(-t / tau_c_ns)
         return out if out.ndim else float(out)
     a = irf_sigma_ns / (math.sqrt(2.0) * tau_c_ns)
-    b = t / (math.sqrt(2.0) * irf_sigma_ns)
-    gauss = np.exp(-b * b)
+    with np.errstate(over="ignore"):    # b and b*b reach inf only where exp(-b*b) is 0
+        b = t / (math.sqrt(2.0) * irf_sigma_ns)
+        gauss = np.exp(-b * b)
     term2 = erfcx(a + b) * gauss
     u = a - b
     safe = u > -25.0
     term1 = np.where(
         safe,
         erfcx(np.where(safe, u, 0.0)) * gauss,
-        2.0 * np.exp(a * a - 2.0 * a * b) - erfcx(np.abs(u)) * gauss)
+        2.0 * np.exp(np.where(safe, 0.0, a * a - 2.0 * a * b)) - erfcx(np.abs(u)) * gauss)
     out = 0.5 * (term1 + term2)
     return out if out.ndim else float(out)
 
@@ -456,6 +471,7 @@ def fit_g2(trace):
     The trace is normalized by its long-delay plateau; `g0_raw` is the
     minimum of the normalized binned data and `g0_deconvolved` the fitted
     dip depth after undoing the instrument response and bin averaging.
+    The model is in coincidence counts: the fit times the plateau.
     """
     from scipy.optimize import least_squares
 
@@ -502,6 +518,8 @@ def fit_g2(trace):
         uncertainties={"g0_deconvolved": float(err[0]),
                        "tau_c_ns": float(err[1]), "norm": float(err[2])},
         covariance=cov, reduced_chi2=reduced_chi2, converged=bool(res.success),
+        model=plateau * g2_model(tau, float(g0_fit), float(tau_c_fit), trace.irf_sigma_ns,
+                                 trace.bin_width_ns, float(norm_fit)),
         flags={"tau_c_identifiable": bool(identifiable)})
 
 
@@ -551,6 +569,8 @@ def fit_lifetime(trace):
     # tail estimate of the slow constant from the last positive decade
     pos = y > max(peak * 1e-4, 1.0)
     t_pos, y_pos = t[pos], y[pos]
+    if t_pos.size < 2:
+        raise InsufficientDecayError("only the peak bin lies within 4 decades of the peak")
     k = max(t_pos.size // 2, 2)
     slope = np.polyfit(t_pos[-k:], np.log(y_pos[-k:]), 1)[0]
     tau_slow0 = -1.0 / slope if slope < 0 else t[-1] / 5.0
@@ -616,6 +636,7 @@ def fit_lifetime(trace):
                        "A2": float(e_a2), "tau2_ns": float(e_t2)},
         covariance=cov, reduced_chi2=chi2_bi,
         converged=bool(res_bi.success and res_s.success),
+        model=_biexp(t, a1, tau1, a2, tau2),
         flags={"degenerate": bool(degenerate),
                "chi2_single": chi2_single, "chi2_biexp": chi2_bi})
 

@@ -145,8 +145,8 @@ class IVCurve:
         j = self.current_densities()
         i = j * self.device_area_cm2
         base = {
-            "device_area_cm2": dataio.format_float(self.device_area_cm2),
-            "temperature_K": dataio.format_float(self.temperature),
+            "device_area_cm2": self.device_area_cm2,
+            "temperature_K": self.temperature,
             "all_converged": all(pt.converged for pt in self.points),
         }
         base.update(meta or {})

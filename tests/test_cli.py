@@ -1,3 +1,6 @@
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -11,10 +14,22 @@ from hypothesis import given, settings, strategies as st
 
 import dotdiode
 from dotdiode import dataio
-from dotdiode.cli import build_parser, main, EXIT_OK, EXIT_INPUT
+from dotdiode.cli import build_parser, main, EXIT_OK, EXIT_INPUT, EXIT_NONCONVERGED
 from dotdiode import spectro_fit as sf
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _make_golden_script():
+    spec = importlib.util.spec_from_file_location("make_golden",
+                                                  ROOT / "scripts" / "make_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+FIT_COMMANDS = _make_golden_script().FIT_COMMANDS
 
 
 def _g2_reference_path():
@@ -253,6 +268,133 @@ def test_fit_missing_column_is_input_error(tmp_path, capsys, what, names, missin
     assert missing in err
 
 
+def _with(values, k, value):
+    values = np.array(values, dtype=float)
+    values[k] = value
+    return values
+
+
+_POWERS = np.geomspace(0.1, 10.0, 12)
+_DECAY = sf.synth_decay_trace([(0.4, 0.3), (2.2, 0.7)], seed=10)
+_G2 = sf.synth_g2_trace(0.1, 2.0, 0.3, 0.256, seed=4)
+_G2_COLUMNS = {"delay_ns": _G2.delay_ns, "coincidences": _G2.coincidences}
+_G2_META = {"bin_width_ns": _G2.bin_width_ns, "irf_sigma_ns": _G2.irf_sigma_ns}
+
+
+@pytest.mark.parametrize("what, columns, meta, field", [
+    pytest.param("power", {"power_uW": [], "intensity": []}, {}, "power_uW",
+                 id="power-header-only"),
+    pytest.param("lifetime", {"time_ns": [], "counts": []}, {}, "time_ns",
+                 id="lifetime-header-only"),
+    pytest.param("lifetime", {"time_ns": _DECAY.time_ns,
+                              "counts": _with(_DECAY.counts, 5, np.nan)}, {}, "counts",
+                 id="lifetime-nan-count"),
+    pytest.param("power", {"power_uW": _POWERS, "intensity": _with(_POWERS, 3, np.inf)},
+                 {}, "intensity", id="power-inf-intensity"),
+    pytest.param("power", {"power_uW": np.full(12, 2.0), "intensity": _POWERS}, {},
+                 "power_uW", id="power-equal-powers"),
+    pytest.param("g2", {**_G2_COLUMNS, "coincidences": _with(_G2.coincidences, 7, np.nan)},
+                 _G2_META, "coincidences", id="g2-nan-count"),
+    pytest.param("g2", _G2_COLUMNS, {**_G2_META, "bin_width_ns": "nan"}, "bin_width_ns",
+                 id="g2-nan-bin-width"),
+    pytest.param("g2", _G2_COLUMNS, {**_G2_META, "irf_sigma_ns": "inf"}, "irf_sigma_ns",
+                 id="g2-inf-irf-sigma"),
+])
+def test_bad_fit_input_is_one_line_input_error(tmp_path, capsys, what, columns, meta, field):
+    """Empty, non-finite or degenerate fit inputs stop where they enter the
+    fitter, with one line naming the field."""
+    data = tmp_path / "data.csv"
+    dataio.write_table(data, list(columns.values()), list(columns), meta=meta)
+    rc = main(["fit", what, "--data", str(data), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert field in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["fit", "peaks", "--data", "{dir}"], id="data-directory"),
+    pytest.param(["bandedges", "--bias", "0", "--device", "{dir}"], id="device-directory"),
+    pytest.param(["stark", "--out", "{file}/out"], id="out-under-a-file"),
+])
+def test_unreadable_path_is_one_line_input_error(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_INPUT
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+_FIT_COLUMNS = {"peaks": ("wavelength_nm", "counts"), "fss": ("wavelength_nm", "counts"),
+                "power": ("power_uW", "intensity"), "g2": ("delay_ns", "coincidences"),
+                "lifetime": ("time_ns", "counts")}
+_FIT_META = ("bin_width_ns", "irf_sigma_ns", "power_uW", "gate_V")
+_ODD_FLOATS = st.sampled_from([0.0, -1.0, 1e300, -1e300, 1e-300, np.nan, np.inf, -np.inf])
+_META_TEXT = st.one_of(st.sampled_from(["", "abc", "1,5", "nan", "-inf", "0", "-1"]),
+                       st.floats(0.0, 5.0).map(dataio.format_float))
+
+
+@st.composite
+def _fit_column(draw, n, grid):
+    """n values, mostly an increasing grid (`grid`) or a peak, dip or decay
+    on a background, else any values; then maybe one value replaced by an
+    odd float."""
+    kind = draw(st.sampled_from(["grid" if grid else "shape"] * 3 + ["any"]))
+    k = np.arange(n, dtype=float)
+    if kind == "grid":
+        values = draw(st.floats(0.0, 50.0)) + draw(st.floats(0.01, 10.0)) * k
+    elif kind == "shape":
+        width = draw(st.floats(0.5, 10.0))
+        center = draw(st.one_of(st.just(0), st.integers(0, max(n - 1, 0))))
+        values = np.round(draw(st.floats(0.0, 100.0)) + draw(st.floats(-100.0, 5000.0))
+                          * np.exp(-np.abs(k - center) / width))
+    else:
+        values = np.array(draw(st.lists(st.floats(-1e3, 1e4), min_size=n, max_size=n)))
+    if n and draw(st.booleans()):
+        values[draw(st.integers(0, n - 1))] = draw(_ODD_FLOATS)
+    return values
+
+
+@st.composite
+def _fit_input(draw):
+    """A fit command and the text of its CSV: the expected columns, maybe one
+    missing or one extra, and metadata that may not be numeric."""
+    what = draw(st.sampled_from(sorted(_FIT_COLUMNS)))
+    names = list(_FIT_COLUMNS[what])
+    shape = draw(st.sampled_from(["expected", "expected", "missing", "extra"]))
+    if shape == "missing":
+        names.pop(draw(st.integers(0, 1)))
+    elif shape == "extra":
+        names.append("extra")
+    n = draw(st.one_of(st.integers(0, 3), st.integers(8, 40)))
+    columns = [draw(_fit_column(n, grid=k == 0)) for k in range(len(names))]
+    meta = draw(st.dictionaries(st.sampled_from(_FIT_META), _META_TEXT, max_size=3))
+    lines = [f"# {k} = {v}" for k, v in meta.items()] + [",".join(names)]
+    lines += [",".join(dataio.format_float(c[k]) for c in columns) for k in range(n)]
+    return what, "\n".join(lines) + "\n", draw(st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_fit_input())
+def test_fit_on_malformed_csv_exits_0_1_or_2(tmp_path_factory, case):
+    """Random or malformed input never raises (RuntimeWarnings are errors in
+    this suite); an input error is one line on stderr."""
+    what, text, copies = case
+    tmp = tmp_path_factory.mktemp("fit")
+    argv = ["fit", what, "--out", str(tmp / "o")]
+    for k in range(copies if what == "fss" else 1):     # fss: one file per angle
+        path = tmp / f"data{k}.csv"
+        path.write_text(f"# polarizer_angle_deg = {30 * k}\n{text}")
+        argv += ["--data", str(path)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (EXIT_OK, EXIT_INPUT, EXIT_NONCONVERGED)
+    if rc == EXIT_INPUT:
+        assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+
+
 @pytest.mark.parametrize("temperature", [0, "300"])
 def test_bad_device_temperature_is_input_error(tmp_path, capsys, temperature):
     doc = json.loads(resources.files("dotdiode.data")
@@ -300,14 +442,15 @@ def test_nonfinite_spectrum_is_input_error(tmp_path, capsys, column):
 
 
 def test_write_table_matches_per_value_format_float(tmp_path):
-    """Float columns are format_float per value; int and bool columns are
-    written as integers."""
+    """Float columns and float metadata are format_float per value; int and
+    bool columns are written as integers."""
     values = np.array([0.0, -0.0, 1e-300, -2.5e17, np.nan, np.inf, -np.inf, 1.0 / 3.0])
     columns = [values, np.arange(values.size) - 3, values > 0]
     path = tmp_path / "t.csv"
-    dataio.write_table(path, columns, ["x", "k", "flag"], meta={"a": 1})
+    dataio.write_table(path, columns, ["x", "k", "flag"], meta={"a": 1, "b": 1.0 / 3.0})
     rows = [f"{dataio.format_float(x)},{k},{int(flag)}" for x, k, flag in zip(*columns)]
-    assert path.read_text() == "\n".join(["# a = 1", "x,k,flag", *rows]) + "\n"
+    assert path.read_text() == "\n".join(
+        ["# a = 1", f"# b = {dataio.format_float(1.0 / 3.0)}", "x,k,flag", *rows]) + "\n"
 
 
 _ROUND_TRIP_FLOATS = st.one_of(
@@ -377,6 +520,17 @@ def test_bandedges_matches_golden_payload(tmp_path):
     pairs.append((tmp_path / "boltzmann" / "band_p0.700V.csv", "band_boltzmann_p0.700V.csv"))
     for produced, golden in pairs:
         assert produced.read_bytes() == (GOLDEN / golden).read_bytes(), golden
+
+
+@pytest.mark.parametrize("name", sorted(FIT_COMMANDS))
+def test_fit_matches_golden(name, tmp_path, monkeypatch):
+    """Report and residuals of every fit command, byte for byte. The report
+    records its input paths as given, so the command runs from the
+    repository root with the relative paths scripts/make_golden.py used."""
+    monkeypatch.chdir(ROOT)
+    assert main([*FIT_COMMANDS[name], "--out", str(tmp_path)]) == EXIT_OK
+    for file in ("fit_report.txt", "fit_residuals.csv"):
+        assert (tmp_path / file).read_bytes() == (GOLDEN / name / file).read_bytes(), file
 
 
 def test_boltzmann_bandedges_writes_nothing_to_stderr(tmp_path):
