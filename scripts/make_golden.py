@@ -3,7 +3,8 @@
 
 Band diagrams of the reference diode at the four standard biases, at the
 +/-2 V ends of the benchmark's band scan and, with Boltzmann statistics,
-at 0.7 V, a small seeded emission map, and the report and residuals of
+at 0.7 V, each set from one ``band_sweep`` as ``dotdiode bandedges`` solves
+it, a small seeded emission map, and the report and residuals of
 every ``dotdiode fit`` command on seeded synthetic inputs (written to
 ``fit_inputs/``) and on the bundled g2 trace. Regenerate only when an
 intentional physics or format change invalidates the stored files.
@@ -29,7 +30,7 @@ import numpy as np  # noqa: E402
 
 from dotdiode import dataio, spectro_fit as sf  # noqa: E402
 from dotdiode.device import load_reference_stack, build_mesh  # noqa: E402
-from dotdiode.electrostatics import solve_bias  # noqa: E402
+from dotdiode.electrostatics import band_sweep  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden"
 BIASES = [-0.5, 0.0, 0.5, 1.0, -2.0, 2.0]
@@ -85,9 +86,11 @@ def main():
     mesh = build_mesh(stack)
     for statistics, biases, prefix in (("fermi", BIASES, "band_"),
                                        ("boltzmann", BOLTZMANN_BIASES, "band_boltzmann_")):
-        for bias in biases:
+        for bias, diagram in band_sweep(stack, mesh, biases, statistics):
+            if isinstance(diagram, Exception):
+                raise diagram
             name = prefix + f"{bias:+.3f}V.csv".replace("+", "p").replace("-", "m")
-            solve_bias(stack, mesh, bias, statistics).to_csv(GOLDEN / name)
+            diagram.to_csv(GOLDEN / name)
             print("wrote", GOLDEN / name)
 
     import tempfile

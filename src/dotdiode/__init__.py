@@ -6,7 +6,8 @@ from .materials import lookup_material, band_offsets, mobility
 from .device import (Layer, LayerStack, parse_stack, serialize_stack,
                      build_mesh, doping_profile, load_reference_stack)
 from .electrostatics import (BandDiagram, fermi_half,
-                             solve_equilibrium, solve_bias, field_lever_arm)
+                             solve_equilibrium, solve_bias, band_sweep,
+                             field_lever_arm)
 from .transport import (IVPoint, IVCurve,
                         solve_drift_diffusion, iv_sweep)
 from .qd_model import (ExcitonLine, FssModel, ChargeLadder, stark_energy,
@@ -23,7 +24,7 @@ __all__ = [
     "Layer", "LayerStack", "parse_stack", "serialize_stack", "build_mesh",
     "doping_profile", "load_reference_stack",
     "BandDiagram", "fermi_half", "solve_equilibrium",
-    "solve_bias", "field_lever_arm",
+    "solve_bias", "band_sweep", "field_lever_arm",
     "IVPoint", "IVCurve", "solve_drift_diffusion",
     "iv_sweep",
     "ExcitonLine", "FssModel", "ChargeLadder", "stark_energy",

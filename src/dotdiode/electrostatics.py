@@ -9,9 +9,14 @@ by the applied gate voltage at the top contact.
 
 Under bias the contacts are treated as frozen quasi-equilibrium reservoirs:
 carrier statistics reference the nearer contact's quasi-Fermi level, with
-the split at mid-device, and the top reference sits at -V. The bias solve
-continues from the equilibrium solution in steps of at most
-``CONTINUATION_STEP`` volts. Each Poisson solve is a damped Newton
+the split at mid-device, and the top reference sits at -V. ``band_sweep``
+builds the device arrays, the neutral potential and the equilibrium once
+for a list of biases. It solves each distinct bias once, outward from
+0 V on either side, continuing from the converged potential of its solved
+neighbour: the gap from v_prev to v is crossed in
+n = ceil(|v - v_prev| / ``CONTINUATION_STEP``) equal steps
+v_prev + (v - v_prev) k/n. ``solve_bias`` and ``solve_equilibrium`` are
+one-bias sweeps. Each Poisson solve is a damped Newton
 iteration that stops once the largest update falls below
 ``NEWTON_TOLERANCE`` thermal voltages, or fails after
 ``NEWTON_MAX_ITERATIONS`` steps.
@@ -408,46 +413,76 @@ def solve_equilibrium(stack, mesh, statistics="fermi"):
 
     `statistics` is "fermi" or "boltzmann".
     """
-    arr = build_device_arrays(stack, mesh)
-    efn = np.zeros(mesh.n_nodes)
-    phi_n = neutral_potential(arr, statistics)
-    phi_bc = (phi_n[0], phi_n[-1])
-    phi, n, p, hist, ok, update = _solve_poisson(arr, efn, efn, phi_bc, phi_n, statistics)
-    if not ok:
-        raise NonConvergenceError(
-            f"equilibrium Poisson solve did not converge in {NEWTON_MAX_ITERATIONS} "
-            f"iterations (last scaled update {update:.3e})", hist)
-    return _make_diagram(stack, mesh, arr, phi, n, p, efn, efn, 0.0, ok, update)
+    return solve_bias(stack, mesh, 0.0, statistics)
 
 
 def solve_bias(stack, mesh, bias, statistics="fermi"):
-    """Band diagram at gate voltage `bias`, by continuation from equilibrium."""
-    if abs(bias) > 5.0:
-        raise ValueError("gate voltage outside the +/-5 V sanity bound")
+    """Band diagram at gate voltage `bias`: a one-bias `band_sweep` that
+    raises its NonConvergenceError."""
+    ((_, result),) = band_sweep(stack, mesh, [bias], statistics)
+    if isinstance(result, NonConvergenceError):
+        raise result
+    return result
+
+
+def band_sweep(stack, mesh, biases, statistics="fermi"):
+    """Band diagrams at `biases`, as an iterator of (bias, BandDiagram or
+    NonConvergenceError) pairs.
+
+    Raises ValueError, before anything is solved, naming the first bias
+    that is not finite or lies outside the +/-5 V sanity bound. The device
+    arrays, the neutral potential and the equilibrium are built once. Each
+    distinct bias is then solved once, outward from 0 V on either side, by
+    continuation from its solved neighbour (see the module docstring); a
+    bias that fails is yielded with its error, and the next one continues
+    from the last converged step. Diagrams are yielded one at a time as
+    they are solved, in that order, and none is kept.
+    """
+    for bias in biases:
+        if not abs(bias) <= 5.0:
+            raise ValueError(f"gate voltage {bias} V is not finite or outside the "
+                             "+/-5 V sanity bound")
+    return _sweep(stack, mesh, sorted(set(biases)), statistics)
+
+
+def _sweep(stack, mesh, order, statistics):
     arr = build_device_arrays(stack, mesh)
     phi_n = neutral_potential(arr, statistics)
 
-    eq = solve_equilibrium(stack, mesh, statistics)
-    if bias == 0.0:
-        return eq
-
-    n_steps = max(1, int(math.ceil(abs(bias) / CONTINUATION_STEP)))
-    phi = eq.phi.copy()
-    v_done = 0.0
-    for k in range(1, n_steps + 1):
-        v = bias * k / n_steps
+    def solve(v, phi):
         efn = quasi_fermi_split(stack, mesh, v)
-        phi_bc = (phi_n[0], phi_n[-1] + v)
-        phi_guess = phi.copy()
-        phi_guess[-1] = phi_bc[1]
-        phi, n, p, hist, ok, update = _solve_poisson(arr, efn, efn, phi_bc, phi_guess,
-                                                     statistics)
-        if not ok:
-            raise NonConvergenceError(
-                f"bias continuation stalled at V = {v:.4f} V "
-                f"(last converged V = {v_done:.4f} V)", hist, last_bias=v_done)
-        v_done = v
-    return _make_diagram(stack, mesh, arr, phi, n, p, efn, efn, bias, True, update)
+        return (efn, *_solve_poisson(arr, efn, efn, (phi_n[0], phi_n[-1] + v), phi,
+                                     statistics))
+
+    efn, phi_eq, n, p, hist, ok, update = solve(0.0, phi_n)
+    if not ok:
+        exc = NonConvergenceError(
+            f"equilibrium Poisson solve did not converge in {NEWTON_MAX_ITERATIONS} "
+            f"iterations (last scaled update {update:.3e})", hist)
+        for bias in order:
+            yield bias, exc
+        return
+    for bias in order:
+        if bias == 0.0:
+            yield bias, _make_diagram(stack, mesh, arr, phi_eq, n, p, efn, efn, 0.0, True,
+                                      update)
+    for branch in ([b for b in order if b > 0.0], [b for b in reversed(order) if b < 0.0]):
+        v_done, phi_done = 0.0, phi_eq
+        for bias in branch:
+            start = v_done
+            n_steps = math.ceil(abs(bias - start) / CONTINUATION_STEP)
+            for k in range(1, n_steps + 1):
+                v = start + (bias - start) * k / n_steps
+                efn, phi, n, p, hist, ok, update = solve(v, phi_done)
+                if not ok:
+                    yield bias, NonConvergenceError(
+                        f"bias continuation stalled at V = {v:.4f} V "
+                        f"(last converged V = {v_done:.4f} V)", hist, last_bias=v_done)
+                    break
+                v_done, phi_done = v, phi
+            else:
+                yield bias, _make_diagram(stack, mesh, arr, phi, n, p, efn, efn, bias,
+                                          True, update)
 
 
 def field_lever_arm(bias, d_i_nm):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dotdiode
-from dotdiode import dataio
+from dotdiode import cli, dataio
 from dotdiode.cli import build_parser, main, EXIT_OK, EXIT_INPUT, EXIT_NONCONVERGED
 from dotdiode import spectro_fit as sf
 
@@ -86,6 +86,51 @@ def test_bandedges_summary_writes_convergence_as_an_integer(tmp_path):
     rows = (tmp_path / "bandedges_summary.csv").read_text().splitlines()
     assert rows[-2] == "bias_V,newton_update,converged"
     assert rows[-1].startswith("-2.500000000000e-05,") and rows[-1].endswith(",1")
+
+
+def _bias_args(biases):
+    return [a for b in biases for a in ("--bias", b)]
+
+
+@pytest.mark.parametrize("biases, named", [
+    (["nan"], "nan"), (["inf"], "inf"), (["6"], "6.0"), (["0", "-6", "7"], "-6.0"),
+], ids=["nan", "inf", "beyond-5V", "bad-after-good"])
+def test_bandedges_rejects_a_bad_bias_before_writing(tmp_path, capsys, biases, named):
+    out = tmp_path / "o"
+    assert main(["bandedges", *_bias_args(biases), "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and f"gate voltage {named} V" in err
+    assert not out.exists()
+
+
+def test_bandedges_rejects_biases_sharing_a_file_name(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["bandedges", *_bias_args(["0.5", "0.5001"]), "--out", str(out)])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "0.5 V and 0.5001 V" in err and "band_p0.500V.csv" in err
+    assert not out.exists()
+
+
+def test_bandedges_solves_a_repeated_bias_once(tmp_path, monkeypatch):
+    real = cli.band_sweep
+    yielded = []
+
+    def recording(*args):
+        for bias, diagram in real(*args):
+            yielded.append(bias)
+            yield bias, diagram
+
+    monkeypatch.setattr(cli, "band_sweep", recording)
+    assert main(["bandedges", *_bias_args(["0.5", "0", "0.5"]),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert yielded == [0.0, 0.5]
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["band_p0.000V.csv", "band_p0.500V.csv", "bandedges_summary.csv"]
+    cols, _ = dataio.read_table(tmp_path / "bandedges_summary.csv")
+    assert list(cols["bias_V"]) == [0.5, 0.0, 0.5]
+    assert list(cols["converged"]) == [1.0, 1.0, 1.0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,6 +324,9 @@ _DECAY = sf.synth_decay_trace([(0.4, 0.3), (2.2, 0.7)], seed=10)
 _G2 = sf.synth_g2_trace(0.1, 2.0, 0.3, 0.256, seed=4)
 _G2_COLUMNS = {"delay_ns": _G2.delay_ns, "coincidences": _G2.coincidences}
 _G2_META = {"bin_width_ns": _G2.bin_width_ns, "irf_sigma_ns": _G2.irf_sigma_ns}
+_SPECTRUM = sf.synth_spectrum(np.linspace(1530.0, 1540.0, 201), [(1535.0, 0.1, 1000.0)],
+                              background=10.0, seed=3)
+_SPECTRUM_COLUMNS = {"wavelength_nm": _SPECTRUM.wavelength_nm, "counts": _SPECTRUM.counts}
 
 
 @pytest.mark.parametrize("what, columns, meta, field", [
@@ -299,6 +347,12 @@ _G2_META = {"bin_width_ns": _G2.bin_width_ns, "irf_sigma_ns": _G2.irf_sigma_ns}
                  id="g2-nan-bin-width"),
     pytest.param("g2", _G2_COLUMNS, {**_G2_META, "irf_sigma_ns": "inf"}, "irf_sigma_ns",
                  id="g2-inf-irf-sigma"),
+    pytest.param("g2", _G2_COLUMNS, {**_G2_META, "bin_width_ns": "abc"},
+                 "data.csv: metadata bin_width_ns", id="g2-text-bin-width"),
+    pytest.param("peaks", _SPECTRUM_COLUMNS, {"gate_V": "abc"}, "data.csv: metadata gate_V",
+                 id="spectrum-text-gate"),
+    pytest.param("peaks", _SPECTRUM_COLUMNS, {"power_uW": "abc"},
+                 "data.csv: metadata power_uW", id="spectrum-text-power"),
 ])
 def test_bad_fit_input_is_one_line_input_error(tmp_path, capsys, what, columns, meta, field):
     """Empty, non-finite or degenerate fit inputs stop where they enter the
@@ -508,8 +562,7 @@ def test_bandedges_matches_golden_payload(tmp_path):
     """Every band golden, byte for byte: the four standard biases, the
     +/-2 V ends of the scanned span, and Boltzmann statistics at 0.7 V."""
     biases = ["-0.5", "0", "0.5", "1.0", "-2", "2"]
-    rc = main(["bandedges", *(a for b in biases for a in ("--bias", b)),
-               "--out", str(tmp_path / "fermi")])
+    rc = main(["bandedges", *_bias_args(biases), "--out", str(tmp_path / "fermi")])
     assert rc == EXIT_OK
     rc = main(["bandedges", "--statistics", "boltzmann", "--bias", "0.7",
                "--out", str(tmp_path / "boltzmann")])

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.linalg import LinAlgError
 from scipy.linalg import solve_banded
 
 from dotdiode.constants import thermal_voltage
 from dotdiode.device import Layer, LayerStack, build_mesh
 from dotdiode import electrostatics
+from dotdiode.cli import main
 from dotdiode.electrostatics import (
-    NonConvergenceError, solve_equilibrium, solve_bias,
+    NonConvergenceError, band_sweep, solve_equilibrium, solve_bias,
     field_lever_arm, build_device_arrays, carrier_densities, neutral_potential,
     _solve_poisson, _tridiag_solve,
 )
@@ -126,6 +128,115 @@ def test_nonconvergence_reports_residual_history(reference_stack, reference_mesh
 def test_bias_sanity_bound(reference_stack, reference_mesh):
     with pytest.raises(ValueError):
         solve_bias(reference_stack, reference_mesh, 6.0)
+
+
+def _stratified_biases(seed, count=40, span=2.0):
+    """One uniform draw in each of `count` equal strata of [-span, span]."""
+    rng = np.random.default_rng(seed)
+    width = 2.0 * span / count
+    return [float(-span + (k + rng.random()) * width) for k in range(count)]
+
+
+def test_band_sweep_matches_lone_solves(reference_stack, reference_mesh):
+    """Each diagram of a sweep, continued from its solved neighbour, is the
+    diagram a lone solve continues to from equilibrium."""
+    biases = _stratified_biases(10)
+    yielded = []
+    for bias, bd in band_sweep(reference_stack, reference_mesh, biases):
+        lone = solve_bias(reference_stack, reference_mesh, bias)
+        assert bd.converged and bd.bias == bias
+        assert np.max(np.abs(bd.phi - lone.phi)) <= 1e-12
+        np.testing.assert_allclose(bd.n, lone.n, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(bd.p, lone.p, rtol=1e-10, atol=0.0)
+        yielded.append(bias)
+    up = sorted(b for b in biases if b > 0.0)
+    down = sorted((b for b in biases if b < 0.0), reverse=True)
+    assert yielded == up + down
+
+
+_ORDER_BIASES = (-1.3, -0.4, 0.0, 0.35, 0.9, 0.9, 1.6)
+
+
+@pytest.fixture(scope="module")
+def sorted_sweep(reference_stack, reference_mesh):
+    return dict(band_sweep(reference_stack, reference_mesh, sorted(_ORDER_BIASES)))
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(biases=st.permutations(_ORDER_BIASES))
+def test_band_sweep_is_independent_of_bias_order(reference_stack, reference_mesh,
+                                                  sorted_sweep, biases):
+    swept = list(band_sweep(reference_stack, reference_mesh, biases))
+    assert len(swept) == len(sorted_sweep)
+    for bias, bd in swept:
+        ref = sorted_sweep[bias]
+        assert all(np.array_equal(getattr(bd, f), getattr(ref, f))
+                   for f in ("phi", "n", "p", "field"))
+        assert bd.newton_update == ref.newton_update
+
+
+def test_band_sweep_failure_fails_only_that_bias(reference_stack, reference_mesh,
+                                                 monkeypatch):
+    """A bias whose solve fails is yielded with its error; the next bias on
+    its side continues from the last converged step, the other side is
+    untouched."""
+    phi_n = neutral_potential(build_device_arrays(reference_stack, reference_mesh))
+    real = electrostatics._solve_poisson
+    contacts = []
+
+    def fail_at_0p4(arr, efn, efp, phi_bc, phi0, statistics):
+        v = phi_bc[1] - phi_n[-1]
+        contacts.append(v)
+        out = real(arr, efn, efp, phi_bc, phi0, statistics)
+        if abs(v - 0.4) < 1e-9:
+            return out[:4] + (False,) + out[5:]
+        return out
+
+    monkeypatch.setattr(electrostatics, "_solve_poisson", fail_at_0p4)
+    swept = dict(band_sweep(reference_stack, reference_mesh, [0.7, -0.3, 0.4, 0.2]))
+    err = swept.pop(0.4)
+    assert isinstance(err, NonConvergenceError) and err.last_bias == 0.2
+    assert all(bd.converged for bd in swept.values())
+    # equilibrium, 0.2, 0.4 (failed), then 0.45 and 0.7 from 0.2, then -0.15 and -0.3
+    np.testing.assert_allclose(contacts, [0.0, 0.2, 0.4, 0.45, 0.7, -0.15, -0.3],
+                               atol=1e-12)
+    monkeypatch.setattr(electrostatics, "_solve_poisson", real)
+    lone = solve_bias(reference_stack, reference_mesh, 0.7)
+    assert np.max(np.abs(swept[0.7].phi - lone.phi)) <= 1e-12
+
+
+def test_band_sweep_failed_equilibrium_fails_every_bias(reference_stack, reference_mesh,
+                                                        monkeypatch):
+    monkeypatch.setattr(electrostatics, "NEWTON_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(electrostatics, "NEWTON_TOLERANCE", 1e-14)
+    swept = list(band_sweep(reference_stack, reference_mesh, [0.5, 0.0, -0.5]))
+    assert [b for b, _ in swept] == [-0.5, 0.0, 0.5]
+    assert all(isinstance(r, NonConvergenceError) and r.residual_history
+               for _, r in swept)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -5.5])
+def test_band_sweep_rejects_a_bad_bias_before_solving(reference_stack, reference_mesh,
+                                                      monkeypatch, bad):
+    monkeypatch.setattr(electrostatics, "build_device_arrays", None)
+    with pytest.raises(ValueError, match=str(bad)):
+        band_sweep(reference_stack, reference_mesh, [0.0, bad, 7.0])
+
+
+def test_bandedges_builds_the_device_set_up_once(tmp_path, monkeypatch):
+    calls = {"build_device_arrays": 0, "neutral_potential": 0}
+    for name in calls:
+        real = getattr(electrostatics, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(electrostatics, name, counted)
+    biases = ["-2", "-0.5", "0", "0.5", "1.0", "2"]
+    assert main(["bandedges", *(a for b in biases for a in ("--bias", b)),
+                 "--out", str(tmp_path)]) == 0
+    assert calls == {"build_device_arrays": 1, "neutral_potential": 1}
 
 
 def test_csv_export_columns(tmp_path, reference_stack, reference_mesh, equilibrium):
