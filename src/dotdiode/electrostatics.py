@@ -11,13 +11,13 @@ Under bias the contacts are treated as frozen quasi-equilibrium reservoirs:
 carrier statistics reference the nearer contact's quasi-Fermi level, with
 the split at mid-device, and the top reference sits at -V. ``band_sweep``
 builds the device arrays, the neutral potential and the equilibrium once
-for a list of biases. It solves each distinct bias once, outward from
-0 V on either side, continuing from the converged potential of its solved
-neighbour: the gap from v_prev to v is crossed in
-n = ceil(|v - v_prev| / ``CONTINUATION_STEP``) equal steps
-v_prev + (v - v_prev) k/n. ``solve_bias`` and ``solve_equilibrium`` are
-one-bias sweeps. Each Poisson solve is a damped Newton
-iteration that stops once the largest update falls below
+(``_set_up``, shared with the drift-diffusion sweep). It solves each
+distinct bias once, outward from 0 V on either side (``_outward``), from
+the converged potential of its solved neighbour: the gap from v_prev to v
+is crossed in n = ceil(|v - v_prev| / ``CONTINUATION_STEP``) equal steps
+v_prev + (v - v_prev) k/n (``_bias_ladder``). ``solve_bias`` and
+``solve_equilibrium`` are one-bias sweeps. Each Poisson solve is a damped
+Newton iteration that stops once the largest update falls below
 ``NEWTON_TOLERANCE`` thermal voltages, or fails after
 ``NEWTON_MAX_ITERATIONS`` steps.
 
@@ -403,9 +403,7 @@ def _make_diagram(stack, mesh, arr, phi, n, p, efn, efp, bias, converged, update
 def quasi_fermi_split(stack, mesh, bias):
     """Quasi-Fermi-level profile for the gated solve: 0 below mid-device,
     -bias at and above it."""
-    mid = 0.5 * stack.total_thickness_nm
-    ef = np.where(mesh.nodes < mid, 0.0, -bias)
-    return ef
+    return np.where(mesh.nodes < 0.5 * stack.total_thickness_nm, 0.0, -bias)
 
 
 def solve_equilibrium(stack, mesh, statistics="fermi"):
@@ -430,49 +428,72 @@ def band_sweep(stack, mesh, biases, statistics="fermi"):
     NonConvergenceError) pairs.
 
     Raises ValueError, before anything is solved, naming the first bias
-    that is not finite or lies outside the +/-5 V sanity bound. The device
-    arrays, the neutral potential and the equilibrium are built once. Each
-    distinct bias is then solved once, outward from 0 V on either side, by
-    continuation from its solved neighbour (see the module docstring); a
-    bias that fails is yielded with its error, and the next one continues
-    from the last converged step. Diagrams are yielded one at a time as
-    they are solved, in that order, and none is kept.
+    that is not finite or lies outside the +/-5 V sanity bound. Each
+    distinct bias is solved once (see the module docstring) and yielded as
+    it is solved; none is kept. A failed bias is yielded with its error,
+    and the next one on its side continues from the last converged step.
     """
+    _check_biases(biases)
+    return _sweep(stack, mesh, biases, statistics)
+
+
+def _check_biases(biases):
+    """Raise ValueError naming the first bias that is not finite or lies
+    outside the +/-5 V sanity bound."""
     for bias in biases:
         if not abs(bias) <= 5.0:
             raise ValueError(f"gate voltage {bias} V is not finite or outside the "
                              "+/-5 V sanity bound")
-    return _sweep(stack, mesh, sorted(set(biases)), statistics)
 
 
-def _sweep(stack, mesh, order, statistics):
+def _outward(order):
+    """(origin, rising branch, falling branch) of the sorted biases `order`,
+    walking away from the entry nearest 0 V."""
+    k0 = order.index(min(order, key=abs))
+    return order[k0], order[k0 + 1:], order[:k0][::-1]
+
+
+def _bias_ladder(start, target, step):
+    """Rungs start + (target - start) k/n, k = 1 ... n, in
+    n = max(1, ceil(|target - start| / step)) equal steps."""
+    n = max(1, math.ceil(abs(target - start) / step))
+    return [start + (target - start) * k / n for k in range(1, n + 1)]
+
+
+def _set_up(stack, mesh, statistics):
+    """(arrays, neutral potential, solve, solve(0, neutral potential)) of a
+    sweep, where solve(v, phi0) gives (efn, phi, n, p, history, converged,
+    update) at gate voltage v; raises NonConvergenceError if 0 V fails."""
     arr = build_device_arrays(stack, mesh)
     phi_n = neutral_potential(arr, statistics)
 
-    def solve(v, phi):
+    def solve(v, phi0):
         efn = quasi_fermi_split(stack, mesh, v)
-        return (efn, *_solve_poisson(arr, efn, efn, (phi_n[0], phi_n[-1] + v), phi,
+        return (efn, *_solve_poisson(arr, efn, efn, (phi_n[0], phi_n[-1] + v), phi0,
                                      statistics))
 
-    efn, phi_eq, n, p, hist, ok, update = solve(0.0, phi_n)
+    *_, history, ok, update = eq = solve(0.0, phi_n)
     if not ok:
-        exc = NonConvergenceError(
+        raise NonConvergenceError(
             f"equilibrium Poisson solve did not converge in {NEWTON_MAX_ITERATIONS} "
-            f"iterations (last scaled update {update:.3e})", hist)
-        for bias in order:
-            yield bias, exc
+            f"iterations (last scaled update {update:.3e})", history)
+    return arr, phi_n, solve, eq
+
+
+def _sweep(stack, mesh, biases, statistics):
+    try:
+        arr, _, solve, (efn, phi_eq, n, p, _, _, update) = _set_up(stack, mesh, statistics)
+    except NonConvergenceError as exc:
+        yield from ((bias, exc) for bias in sorted(set(biases)))
         return
-    for bias in order:
-        if bias == 0.0:
-            yield bias, _make_diagram(stack, mesh, arr, phi_eq, n, p, efn, efn, 0.0, True,
-                                      update)
-    for branch in ([b for b in order if b > 0.0], [b for b in reversed(order) if b < 0.0]):
+    origin, up, down = _outward(sorted({*biases, 0.0}))
+    if origin in biases:
+        yield origin, _make_diagram(stack, mesh, arr, phi_eq, n, p, efn, efn, 0.0, True,
+                                    update)
+    for branch in (up, down):
         v_done, phi_done = 0.0, phi_eq
         for bias in branch:
-            start = v_done
-            n_steps = math.ceil(abs(bias - start) / CONTINUATION_STEP)
-            for k in range(1, n_steps + 1):
-                v = start + (bias - start) * k / n_steps
+            for v in _bias_ladder(v_done, bias, CONTINUATION_STEP):
                 efn, phi, n, p, hist, ok, update = solve(v, phi_done)
                 if not ok:
                     yield bias, NonConvergenceError(

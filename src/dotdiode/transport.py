@@ -51,15 +51,15 @@ bounded without touching the V = 0 detailed balance. An optional uniform
 generation rate in the undoped layers models above-band illumination
 phenomenologically.
 
-Each bias point is reached by continuation in steps of at most
-``BIAS_STEP``. ``solve_drift_diffusion`` returns the Gummel state it
-ended in (a dict of the potential, densities, quasi-Fermi levels, lagged
-degeneracy and recombination terms at its bias) next to the band diagram
-and the IV point; passing a state back as ``init`` starts from it instead
-of from the 0 V Poisson solution. ``iv_sweep`` solves outward from the
-bias nearest 0 V and starts each later point from the secant predictor
-of its two solved neighbours (Allgower & Georg, *Numerical Continuation
-Methods*, Springer 1990), so one Gummel solve at its own bias corrects it.
+``iv_sweep`` shares the band sweep's set-up, outward order and ladder:
+each distinct bias is solved once, outward from the one nearest 0 V,
+which continues from the 0 V Poisson solution in steps of at most
+``BIAS_STEP``, as does the first point on either side from it. Each later
+point starts from the secant predictor of its two solved neighbours
+(Allgower & Georg, *Numerical Continuation Methods*, Springer 1990), so
+one Gummel solve at its own bias corrects it. After a failed point the
+next one continues from its side's last converged state in ``BIAS_STEP``
+steps. ``solve_drift_diffusion`` is a one-bias sweep.
 
 Sign convention: reported currents are positive when a positive gate
 voltage drives conventional current through the device (resistor-like IV
@@ -82,10 +82,12 @@ import numpy as np
 from . import constants, dataio
 from .device import DOPED_CONTACT_THRESHOLD
 from .electrostatics import (
-    NonConvergenceError, build_device_arrays, neutral_potential,
-    carrier_densities, fermi_half, _fermi_half_pair, _solve_poisson,
-    _tridiag_solve, _make_diagram, _statistics, solve_bias, quasi_fermi_split,
+    NonConvergenceError, build_device_arrays, carrier_densities, _fermi_half_pair,
+    _solve_poisson, _tridiag_solve, _make_diagram, _statistics, quasi_fermi_split,
+    _check_biases, _outward, _bias_ladder, _set_up,
 )
+# perfbench/test_perfbench.py checks that its tracer wraps these bindings
+from .electrostatics import fermi_half, solve_bias  # noqa: F401
 
 MESA_AREA_CM2 = 0.14e-2  # 0.14 mm^2 reference mesa
 
@@ -158,21 +160,12 @@ class IVCurve:
             meta=base)
 
 
-def _ln_gamma(eta, statistics):
-    """ln of the degeneracy factor F(eta)/exp(eta) (zero for Boltzmann)."""
-    if statistics == "boltzmann":
-        return np.zeros_like(np.asarray(eta, dtype=float))
-    eta = np.asarray(eta, dtype=float)
-    safe = np.maximum(eta, -30.0)
-    return np.where(eta < -30.0, 0.0, np.log(fermi_half(safe)) - safe)
-
-
 def _degeneracy(eta, statistics):
     """(ln gamma, damping) at eta for the Gummel loop, from one F/F' pair.
 
-    ln gamma is _ln_gamma's value; the per-node damping F'(eta)/F(eta),
-    clipped to [0.02, 1] (1 below eta = -30), keeps the lagged degeneracy
-    fixed point contractive.
+    ln gamma = ln(F(eta)/e^eta) is 0 below eta = -30 and for Boltzmann
+    statistics; the per-node damping F'(eta)/F(eta), clipped to [0.02, 1]
+    (1 below eta = -30), keeps the lagged degeneracy fixed point contractive.
     """
     eta = np.asarray(eta, dtype=float)
     if statistics == "boltzmann":
@@ -282,17 +275,12 @@ def _generation_profile(stack, mesh, rate):
 class _GummelWorkspace:
     """Mesh-resolved arrays and iteration state shared across bias steps."""
 
-    def __init__(self, stack, mesh, generation, statistics):
-        self.stack = stack
-        self.mesh = mesh
-        self.stats = statistics
-        self.arr = build_device_arrays(stack, mesh)
+    def __init__(self, stack, mesh, arr, phi_neutral, generation, statistics):
+        self.stack, self.mesh, self.arr, self.stats = stack, mesh, arr, statistics
+        self.phi_neutral = phi_neutral
         self.inverse = _statistics(statistics)[3]
-        arr, stats = self.arr, self.stats
-
-        self.phi_neutral = neutral_potential(arr, stats)
         zero = np.zeros(mesh.n_nodes)
-        n_neutral, p_neutral = carrier_densities(arr, self.phi_neutral, zero, zero, stats)
+        n_neutral, p_neutral = carrier_densities(arr, phi_neutral, zero, zero, statistics)
         self.n_bc = (n_neutral[0], n_neutral[-1])
         self.p_bc = (p_neutral[0], p_neutral[-1])
         self.gen = _generation_profile(stack, mesh, generation)
@@ -303,28 +291,23 @@ class _GummelWorkspace:
         # freezing it there removes a slowly damped flutter mode at the
         # degenerate contacts. Elsewhere it relaxes with per-node damping.
         self.free_nodes = (arr.Nd + arr.Na) < DOPED_CONTACT_THRESHOLD
-        self.lng_n_neutral = _ln_gamma(
-            self.inverse(np.maximum(n_neutral, 1e-30) / arr.Nc), stats)
-        self.lng_p_neutral = _ln_gamma(
-            self.inverse(np.maximum(p_neutral, 1e-30) / arr.Nv), stats)
+        self.lng_n_neutral = _degeneracy(
+            self.inverse(np.maximum(n_neutral, 1e-30) / arr.Nc), statistics)[0]
+        self.lng_p_neutral = _degeneracy(
+            self.inverse(np.maximum(p_neutral, 1e-30) / arr.Nv), statistics)[0]
 
-    def seed(self, bias, phi_start):
-        """Fresh iteration state at `bias` from a potential profile."""
+    def seed(self, efn, phi, n, p):
+        """Iteration state at 0 V from the equilibrium Poisson solution."""
         arr, stats = self.arr, self.stats
-        phi = phi_start.copy()
-        phi[0] = self.phi_neutral[0]
-        phi[-1] = self.phi_neutral[-1] + bias
-        efn = quasi_fermi_split(self.stack, self.mesh, bias).astype(float)
-        n, p = carrier_densities(arr, phi, efn, efn, stats)
         n = np.maximum(n, 1e-30)
         p = np.maximum(p, 1e-30)
         lng_n = np.where(self.free_nodes,
-                         _ln_gamma(self.inverse(n / arr.Nc), stats),
+                         _degeneracy(self.inverse(n / arr.Nc), stats)[0],
                          self.lng_n_neutral)
         lng_p = np.where(self.free_nodes,
-                         _ln_gamma(self.inverse(p / arr.Nv), stats),
+                         _degeneracy(self.inverse(p / arr.Nv), stats)[0],
                          self.lng_p_neutral)
-        return {"bias": bias, "phi": phi, "n": n, "p": p, "efn": efn,
+        return {"bias": 0.0, "phi": phi.copy(), "n": n, "p": p, "efn": efn.copy(),
                 "efp": efn.copy(), "lng_n": lng_n, "lng_p": lng_p,
                 "recomb": np.zeros(self.mesh.n_nodes)}
 
@@ -336,14 +319,9 @@ class _GummelWorkspace:
         out["bias"] = bias
         out["phi"][0] = self.phi_neutral[0]
         out["phi"][-1] = self.phi_neutral[-1] + bias
-        if old != 0.0:
-            scale = bias / old
-            out["efn"] = np.clip(state["efn"] * scale, min(0.0, -bias), max(0.0, -bias))
-            out["efp"] = np.clip(state["efp"] * scale, min(0.0, -bias), max(0.0, -bias))
-        else:
-            split = quasi_fermi_split(self.stack, self.mesh, bias).astype(float)
-            out["efn"] = split
-            out["efp"] = split.copy()
+        for k in ("efn", "efp"):
+            out[k] = (np.clip(state[k] * (bias / old), min(0.0, -bias), max(0.0, -bias))
+                      if old != 0.0 else quasi_fermi_split(self.stack, self.mesh, bias))
         return out
 
     def _hole_solve(self, v, n, p, efn, efp):
@@ -361,7 +339,7 @@ class _GummelWorkspace:
         """Run Anderson-mixed Gummel cycles at the state's bias.
 
         Returns (state, converged, cycles, last Poisson stage's |dphi|/Vt);
-        state is mutated and always ends as the unmixed output of the last cycle.
+        the state is a new dict, always the unmixed output of the last cycle.
         """
         arr, stats = self.arr, self.stats
         bias = state["bias"]
@@ -468,7 +446,7 @@ class _GummelWorkspace:
                     depth = slot = 0
                     x[:] = g
 
-        state.update(phi=g[0], n=n, p=p, efn=g[1], efp=g[2],
+        state = dict(state, phi=g[0], n=n, p=p, efn=g[1], efp=g[2],
                      lng_n=g[3], lng_p=g[4], recomb=g[7])
         return state, converged, cycles, newton_update
 
@@ -487,38 +465,11 @@ class _GummelWorkspace:
         return n, p, efn, efp, jn_el + jp_el
 
 
-def _bias_ladder(start, target, step):
-    """Intermediate biases from `start` (exclusive) to `target` (inclusive)."""
-    span = target - start
-    if span == 0.0:
-        return [target]
-    n_steps = max(1, int(math.ceil(abs(span) / step - 1e-12)))
-    return [start + span * k / n_steps for k in range(1, n_steps + 1)]
-
-
-def solve_drift_diffusion(stack, mesh, bias, generation=0.0, statistics="fermi",
-                          init=None):
-    """Self-consistent drift-diffusion solve at one bias point.
-
-    `generation` [cm^-3 s^-1] is uniform in the undoped layers; `statistics`
-    is "fermi" or "boltzmann". Returns (BandDiagram, IVPoint, state). The
-    solver continues in bias steps of at most BIAS_STEP carrying the full
-    Gummel state; `init` may be the state of a previous solve on the same
-    stack, mesh and generation to warm-start from its bias, otherwise
-    continuation starts from the gated Poisson solution at 0 V. A
-    NonConvergenceError carries the Gummel cycles run before it.
-    """
-    ws = _GummelWorkspace(stack, mesh, generation, statistics)
-
-    if init is not None:
-        state = init
-    else:
-        eq = solve_bias(stack, mesh, 0.0, statistics)
-        state = ws.seed(0.0, eq.phi)
-
+def _solve_point(ws, state, bias):
+    """Continue the Gummel state `state` to `bias` in steps of at most
+    BIAS_STEP and solve there: (state, BandDiagram, IVPoint). A
+    NonConvergenceError carries the Gummel cycles run before it."""
     ladder = _bias_ladder(state["bias"], bias, BIAS_STEP)
-    converged = False
-    newton_update = np.inf
     total_cycles = 0
     for k, v_step in enumerate(ladder):
         last = (k == len(ladder) - 1)
@@ -540,12 +491,26 @@ def solve_drift_diffusion(stack, mesh, bias, generation=0.0, statistics="fermi",
     scale = max(abs(j_mean), 1e-15 * _current_scale(ws.arr))
     continuity = float(np.max(np.abs(np.diff(j_total))) / scale) if j_total.size > 1 else 0.0
 
-    diagram = _make_diagram(stack, mesh, ws.arr, state["phi"], n, p, efn, efp,
+    diagram = _make_diagram(ws.stack, ws.mesh, ws.arr, state["phi"], n, p, efn, efp,
                             bias, converged, newton_update)
     point = IVPoint(bias=bias, current_density=j_mean,
                     gummel_iterations=total_cycles, converged=converged,
                     continuity_error=continuity)
-    return diagram, point, state
+    return state, diagram, point
+
+
+def solve_drift_diffusion(stack, mesh, bias, generation=0.0, statistics="fermi"):
+    """Self-consistent drift-diffusion solve at one bias point: a one-bias
+    `iv_sweep` that returns (BandDiagram, IVPoint) and raises its
+    NonConvergenceError, which carries the Gummel cycles run before it.
+
+    `generation` [cm^-3 s^-1] is uniform in the undoped layers; `statistics`
+    is "fermi" or "boltzmann".
+    """
+    ((_, result),) = _iv_sweep(stack, mesh, [bias], generation, statistics)
+    if isinstance(result, NonConvergenceError):
+        raise result
+    return result
 
 
 def _current_scale(arr):
@@ -576,35 +541,48 @@ def _secant_state(a, b, bias):
 def iv_sweep(stack, mesh, biases, generation=0.0, statistics="fermi"):
     """IV curve over `biases`, returned in the given order.
 
-    Each distinct bias is solved once, outward from the one nearest 0 V,
-    the only cold start. The first point on either side continues from
-    it; each later one starts from the secant extrapolation of the last
-    two converged states on its side. A failed point is recorded on its
-    IVPoint (current NaN, the Gummel cycles actually run) without
-    aborting the sweep, and clears that side's history.
+    Raises ValueError, before anything is solved, naming the first bias
+    that is not finite or lies outside the +/-5 V sanity bound. Each
+    distinct bias is solved once (see the module docstring). A failed
+    point is recorded on its IVPoint (current NaN, the Gummel cycles
+    actually run) without aborting the sweep.
     """
     solved = {}
-
-    def solve(bias, history):
-        """Solve `bias` from up to two converged states; return the new ones."""
-        init = (_secant_state(*history, bias) if len(history) == 2
-                else history[0] if history else None)
-        try:
-            _, point, state = solve_drift_diffusion(stack, mesh, bias, generation,
-                                                    statistics, init=init)
-        except NonConvergenceError as exc:
-            point = IVPoint(bias=bias, current_density=math.nan,
-                            gummel_iterations=exc.gummel_cycles, converged=False,
-                            continuity_error=math.nan)
-        solved[bias] = point
-        return history[-1:] + [state] if point.converged else []
-
-    order = sorted(set(biases))
-    if order:
-        k0 = order.index(min(order, key=abs))
-        origin = solve(order[k0], [])
-        for branch in (order[k0 + 1:], order[:k0][::-1]):
-            history = origin
-            for bias in branch:
-                history = solve(bias, history)
+    for bias, result in _iv_sweep(stack, mesh, biases, generation, statistics):
+        solved[bias] = result[1] if isinstance(result, tuple) else IVPoint(
+            bias=bias, current_density=math.nan, converged=False,
+            gummel_iterations=result.gummel_cycles, continuity_error=math.nan)
     return IVCurve(points=tuple(solved[b] for b in biases), temperature=stack.temperature)
+
+
+def _iv_sweep(stack, mesh, biases, generation, statistics):
+    """(bias, (BandDiagram, IVPoint) or NonConvergenceError) for each
+    distinct bias, in the order they are solved."""
+    _check_biases(biases)
+    order = sorted(set(biases))
+    if not order:
+        return
+    try:
+        arr, phi_n, _, (efn, phi_eq, n, p, *_) = _set_up(stack, mesh, statistics)
+    except NonConvergenceError as exc:
+        yield from ((bias, exc) for bias in order)
+        return
+    ws = _GummelWorkspace(stack, mesh, arr, phi_n, generation, statistics)
+
+    def solve(bias, side):
+        """(result, converged states after it) of `bias` from those before it."""
+        start = _secant_state(*side, bias) if len(side) == 2 else side[0]
+        try:
+            state, diagram, point = _solve_point(ws, start, bias)
+        except NonConvergenceError as exc:
+            return exc, side[-1:]
+        return (diagram, point), (side[-1:] + [state] if point.converged else side[-1:])
+
+    origin, up, down = _outward(order)
+    result, converged = solve(origin, [ws.seed(efn, phi_eq, n, p)])
+    yield origin, result
+    for branch in (up, down):
+        side = converged[-1:]
+        for bias in branch:
+            result, side = solve(bias, side)
+            yield bias, result

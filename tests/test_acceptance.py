@@ -134,14 +134,14 @@ def test_criterion_04_fermi_integral_grid():
 def test_criterion_05_transport_properties(reference_stack, reference_mesh):
     slab = LayerStack(layers=(Layer("InP", 400.0, donor_cm3=1e16),))
     smesh = build_mesh(slab, 2.0, 0.5, 5.0)
-    _, ohmic, _ = solve_drift_diffusion(slab, smesh, 0.005)
+    _, ohmic = solve_drift_diffusion(slab, smesh, 0.005)
     m = lookup_material("InP", 300.0)
     mu = mobility_at(m.mobility_e, 1e16, 300.0, m.mobility_T_exponent)
     analytic = Q_E * 1e16 * mu * 0.005 / 400e-7
     assert ohmic.converged
     assert abs(ohmic.current_density / analytic - 1.0) < 0.01
 
-    _, dark, _ = solve_drift_diffusion(reference_stack, reference_mesh, 0.0)
+    _, dark = solve_drift_diffusion(reference_stack, reference_mesh, 0.0)
     floor = detailed_balance_floor(reference_stack, reference_mesh)
     assert dark.converged
     assert abs(dark.current_density) < floor

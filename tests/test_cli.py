@@ -201,6 +201,17 @@ def test_iv_rejects_a_bad_sweep_range_with_one_line(tmp_path, capsys, bad):
     assert not (tmp_path / "iv.csv").exists()
 
 
+@pytest.mark.parametrize("vmin, named", [("1e308", "1e+308"), ("6", "6.0"),
+                                          ("1e300", "1e+300")],
+                         ids=["overflowing-ladder", "beyond-5V", "huge-ladder"])
+def test_iv_rejects_a_bad_bias_before_writing(tmp_path, capsys, vmin, named):
+    out = tmp_path / "o"
+    assert main(["iv", "--vmin", vmin, "--vmax", vmin, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and f"gate voltage {named} V" in err
+    assert not out.exists()
+
+
 def test_iv_csv_records_cycles_and_convergence_but_no_seed(tmp_path):
     rc = main(["iv", "--vmin", "0.25", "--vmax", "0.5", "--out", str(tmp_path / "iv")])
     assert rc == EXIT_OK

@@ -223,20 +223,46 @@ def test_band_sweep_rejects_a_bad_bias_before_solving(reference_stack, reference
         band_sweep(reference_stack, reference_mesh, [0.0, bad, 7.0])
 
 
-def test_bandedges_builds_the_device_set_up_once(tmp_path, monkeypatch):
-    calls = {"build_device_arrays": 0, "neutral_potential": 0}
-    for name in calls:
+@pytest.mark.parametrize("argv, fail_at, code", [
+    (["bandedges", "--bias", "-2", "--bias", "-0.5", "--bias", "0", "--bias", "0.5",
+      "--bias", "1.0", "--bias", "2"], None, 0),
+    (["iv"], None, 0),
+    (["iv", "--vmin", "-0.3", "--vmax", "0.9", "--step", "0.3"], 0.6, 2),
+], ids=["bandedges", "iv", "iv-failed-point"])
+def test_sweep_command_builds_the_set_up_once(tmp_path, monkeypatch, reference_stack,
+                                              reference_mesh, argv, fail_at, code):
+    """One device set-up and one Fermi equilibrium per command, also when a
+    point fails mid-branch (`fail_at`: the Gummel Poisson stage fails there)."""
+    from dotdiode import transport
+    phi_n = neutral_potential(build_device_arrays(reference_stack, reference_mesh))
+    calls = {"build_device_arrays": 0, "neutral_potential": 0, "equilibrium": 0}
+    for name in ("build_device_arrays", "neutral_potential"):
         real = getattr(electrostatics, name)
 
         def counted(*args, _real=real, _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(electrostatics, name, counted)
-    biases = ["-2", "-0.5", "0", "0.5", "1.0", "2"]
-    assert main(["bandedges", *(a for b in biases for a in ("--bias", b)),
-                 "--out", str(tmp_path)]) == 0
-    assert calls == {"build_device_arrays": 1, "neutral_potential": 1}
+        for module in (electrostatics, transport):     # every binding of it
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    real_poisson = electrostatics._solve_poisson
+
+    def counted_poisson(arr, efn, efp, phi_bc, phi0, statistics):
+        calls["equilibrium"] += statistics == "fermi" and not efn.any()
+        return real_poisson(arr, efn, efp, phi_bc, phi0, statistics)
+
+    def failing_poisson(arr, efn, efp, phi_bc, phi0, statistics):
+        out = real_poisson(arr, efn, efp, phi_bc, phi0, statistics)
+        if abs(phi_bc[1] - phi_n[-1] - fail_at) < 1e-9:
+            return out[:4] + (False,) + out[5:]
+        return out
+
+    monkeypatch.setattr(electrostatics, "_solve_poisson", counted_poisson)
+    if fail_at is not None:
+        monkeypatch.setattr(transport, "_solve_poisson", failing_poisson)
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    assert calls == {"build_device_arrays": 1, "neutral_potential": 1, "equilibrium": 1}
 
 
 def test_csv_export_columns(tmp_path, reference_stack, reference_mesh, equilibrium):
