@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -508,14 +510,110 @@ def test_nonfinite_spectrum_is_input_error(tmp_path, capsys, column):
 
 def test_write_table_matches_per_value_format_float(tmp_path):
     """Float columns and float metadata are format_float per value; int and
-    bool columns are written as integers."""
-    values = np.array([0.0, -0.0, 1e-300, -2.5e17, np.nan, np.inf, -np.inf, 1.0 / 3.0])
+    bool columns are written as integers. Zeros, non-finite, subnormal and
+    very large values raise no warning."""
+    values = np.array([0.0, -0.0, 1e-300, -2.5e17, np.nan, np.inf, -np.inf, 1.0 / 3.0,
+                       5e-324, -2.2e-310, 1.5e305, -1e300])
     columns = [values, np.arange(values.size) - 3, values > 0]
     path = tmp_path / "t.csv"
-    dataio.write_table(path, columns, ["x", "k", "flag"], meta={"a": 1, "b": 1.0 / 3.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dataio.write_table(path, columns, ["x", "k", "flag"], meta={"a": 1, "b": 1.0 / 3.0})
     rows = [f"{dataio.format_float(x)},{k},{int(flag)}" for x, k, flag in zip(*columns)]
     assert path.read_text() == "\n".join(
         ["# a = 1", f"# b = {dataio.format_float(1.0 / 3.0)}", "x,k,flag", *rows]) + "\n"
+
+
+def _assert_written_as(tmp_path, columns, expected_rows):
+    """write_table's body for `columns` is exactly `expected_rows`."""
+    path = tmp_path / "t.csv"
+    names = [f"c{j}" for j in range(len(columns))]
+    dataio.write_table(path, columns, names)
+    lines = path.read_text().split("\n")
+    assert lines[0] == ",".join(names) and lines[-1] == ""
+    assert len(lines) == len(expected_rows) + 2
+    assert [(k, row, want) for k, (row, want) in enumerate(zip(lines[1:], expected_rows))
+            if row != want][:5] == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_cols=st.sampled_from([1, 2, 7]), data=st.data())
+def test_float_columns_are_byte_identical_to_percent_format(tmp_path_factory, n_cols, data):
+    n_rows = data.draw(st.integers(0, 40))
+    values = data.draw(st.lists(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    x = np.array(values, dtype=float).reshape(n_rows, n_cols)
+    _assert_written_as(tmp_path_factory.mktemp("f"), list(x.T),
+                       [",".join("%.12e" % v for v in row) for row in x.tolist()])
+
+
+def _float_sweep(rng):
+    """Over a million floats: random mantissas in every decade from 1e-308 to
+    1e308; powers of ten, the 13-digit values next to them and their
+    neighbours; values a few ulp from a 13-digit rounding tie; whole numbers
+    around 1e12, 1e13 and 2**53; and +-0."""
+    decades = np.arange(-308, 308)
+    mantissa = rng.uniform(1.0, 10.0, (decades.size, 1500))
+    spread = (mantissa * 10.0 ** decades[:, None].astype(float)).ravel()
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    digits = rng.integers(10**12, 10**13, 20000)
+    exponents = rng.integers(-300, 300, 20000)
+    ties = np.array([float(f"{d}5e{e - 13}") for d, e in zip(digits.tolist(),
+                                                           exponents.tolist())])
+    grid = np.array([float(f"{m}e{e - 13}") for m in (10**13 - 1, 10**12 + 1)
+                     for e in range(-295, 309)])
+    whole = np.concatenate([c + np.arange(-2000, 2000, 0.5) for c in (1e12, 1e13, 2.0**53)])
+    below = above = [np.concatenate([powers, grid, ties])]
+    for _ in range(3):
+        below = below + [np.nextafter(below[-1], 0.0)]
+        above = above + [np.nextafter(above[-1], np.inf)]
+    values = np.concatenate([spread, *below, *above[1:], whole, [0.0, -0.0]])
+    return np.concatenate([values, -values[::7]])
+
+
+def test_float_sweep_is_byte_identical_to_percent_format(tmp_path):
+    values = _float_sweep(np.random.default_rng(2024))
+    assert values.size >= 10**6
+    values = values[:values.size // 4 * 4].reshape(-1, 4)
+    _assert_written_as(tmp_path, list(values.T),
+                       ["%.12e,%.12e,%.12e,%.12e" % row for row in map(tuple, values.tolist())])
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, dataio.CHUNK_ROWS - 1, dataio.CHUNK_ROWS,
+                                    dataio.CHUNK_ROWS + 1])
+def test_integer_columns_are_exact_at_any_width(tmp_path, n_rows):
+    """int64 and uint64 extremes, zero, negatives and bools, with a float
+    column beside them, at row counts on either side of a chunk boundary."""
+    k = np.resize(np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, -10,
+                            9999, -10000, 2**53 + 1], dtype=np.int64), n_rows)
+    u = np.resize(np.array([np.iinfo(np.uint64).max, 2**63, 0, 10**19], dtype=np.uint64),
+                  n_rows)
+    flag = np.arange(n_rows) % 3 == 0
+    x = np.linspace(-1.0, 1.0, n_rows)
+    _assert_written_as(tmp_path, [k, x, u, flag, k.astype(np.int8)],
+                       [f"{a},{b:.12e},{c},{int(d)},{e}" for a, b, c, d, e in
+                        zip(k.tolist(), x.tolist(), u.tolist(), flag.tolist(),
+                            k.astype(np.int8).tolist())])
+
+
+def test_write_table_memory_is_bounded_by_its_row_blocks(tmp_path):
+    """Peak writer memory does not grow with the row count: a 4001-row map
+    of 601 integer columns and one float column peaks within 1.2x of a
+    1024-row one."""
+    rng = np.random.default_rng(5)
+    peaks = []
+    for n_rows in (1024, 4001):
+        counts = rng.poisson(20.0, (n_rows, 601))
+        columns = [np.linspace(1528.0, 1540.0, n_rows), *counts.T]
+        names = [f"c{j}" for j in range(len(columns))]
+        tracemalloc.start()
+        try:
+            dataio.write_table(tmp_path / f"map{n_rows}.csv", columns, names)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
 
 
 _ROUND_TRIP_FLOATS = st.one_of(
@@ -550,16 +648,17 @@ def test_write_table_round_trips_through_read_table(tmp_path_factory, n_rows, da
 
 
 def test_write_table_never_rounds_a_large_integer_column(tmp_path):
-    """An integer beyond 2**53 next to a float column would be rounded by the
-    shared float row, so it is refused by name; with only integer columns it
-    is written exactly."""
+    """Each column is formatted by its own dtype, so an integer beyond 2**53
+    next to a float column is written exactly; a column that is neither
+    bool, integer nor float is refused by name before the file is opened."""
     big = np.array([2**53 + 1, -(2**63)], dtype=np.int64)
-    with pytest.raises(ValueError, match="column count"):
-        dataio.write_table(tmp_path / "mixed.csv", [np.array([0.5, 1.5]), big],
-                           ["x", "count"])
-    dataio.write_table(tmp_path / "ints.csv", [np.arange(2), big], ["k", "count"])
-    assert (tmp_path / "ints.csv").read_text().splitlines()[1:] == \
-        ["0,9007199254740993", "1,-9223372036854775808"]
+    dataio.write_table(tmp_path / "mixed.csv", [np.array([0.5, 1.5]), big], ["x", "count"])
+    assert (tmp_path / "mixed.csv").read_text().splitlines()[1:] == \
+        ["5.000000000000e-01,9007199254740993", "1.500000000000e+00,-9223372036854775808"]
+    with pytest.raises(ValueError, match="column label"):
+        dataio.write_table(tmp_path / "text.csv", [np.array([0.5, 1.5]), np.array(["a", "b"])],
+                           ["x", "label"])
+    assert not (tmp_path / "text.csv").exists()
 
 
 def test_malformed_csv_reports_line_number(tmp_path):
@@ -597,18 +696,24 @@ def test_fit_matches_golden(name, tmp_path, monkeypatch):
         assert (tmp_path / file).read_bytes() == (GOLDEN / name / file).read_bytes(), file
 
 
-def test_boltzmann_bandedges_writes_nothing_to_stderr(tmp_path):
-    """A line-search trial whose residual overflows is rejected silently.
-
-    Runs the CLI in a fresh interpreter, where numpy's default error
-    handling prints floating-point warnings to stderr.
-    """
+def _bandedges_stderr(tmp_path, *args):
+    """stderr of a successful `bandedges` run in a fresh interpreter, where
+    numpy's default error handling prints floating-point warnings."""
     proc = subprocess.run(
-        [sys.executable, "-m", "dotdiode.cli", "bandedges", "--statistics", "boltzmann",
-         "--bias", "0.7", "--out", str(tmp_path)],
+        [sys.executable, "-m", "dotdiode.cli", "bandedges", *args, "--out", str(tmp_path)],
         capture_output=True, text=True, env=_fresh_interpreter_env())
     assert proc.returncode == EXIT_OK
-    assert proc.stderr == ""
+    return proc.stderr
+
+
+def test_boltzmann_bandedges_writes_nothing_to_stderr(tmp_path):
+    """A line-search trial whose residual overflows is rejected silently."""
+    assert _bandedges_stderr(tmp_path, "--statistics", "boltzmann", "--bias", "0.7") == ""
+
+
+def test_bandedges_writes_nothing_to_stderr(tmp_path):
+    """Writing a diagram's zero fields and tiny densities raises no warning."""
+    assert _bandedges_stderr(tmp_path, "--bias", "0.0") == ""
 
 
 def test_cli_import_does_not_load_scipy_optimize():
