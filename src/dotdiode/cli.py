@@ -56,10 +56,9 @@ def _outdir(args):
     return out
 
 
-def _load_stack(args):
-    if args.device is None:
-        return load_reference_stack()
-    return parse_stack(args.device)
+def _stack_and_mesh(args):
+    stack = load_reference_stack() if args.device is None else parse_stack(args.device)
+    return stack, build_mesh(stack, args.max_spacing, args.fine_spacing, args.refine_width)
 
 
 def _report_header(args, command):
@@ -77,8 +76,7 @@ def cmd_bandedges(args):
     if not args.bias:
         print("bandedges: at least one --bias is required", file=sys.stderr)
         return EXIT_INPUT
-    stack = _load_stack(args)
-    mesh = build_mesh(stack, args.max_spacing, args.fine_spacing, args.refine_width)
+    stack, mesh = _stack_and_mesh(args)
     sweep = band_sweep(stack, mesh, args.bias, args.statistics)
     names = {}
     for bias in args.bias:
@@ -122,8 +120,7 @@ def cmd_iv(args):
     if args.vmax < args.vmin:
         print("iv: vmax must not be below vmin", file=sys.stderr)
         return EXIT_INPUT
-    stack = _load_stack(args)
-    mesh = build_mesh(stack, args.max_spacing, args.fine_spacing, args.refine_width)
+    stack, mesh = _stack_and_mesh(args)
     if args.vmax == args.vmin:
         biases = [args.vmin]
     else:
@@ -135,7 +132,11 @@ def cmd_iv(args):
     meta = _report_header(args, "iv")
     meta["generation_cm3s"] = args.generation
     curve.to_csv(out / "iv.csv", meta=meta)
-    return EXIT_OK if all(pt.converged for pt in curve.points) else EXIT_NONCONVERGED
+    failed = [pt.bias for pt in curve.points if not pt.converged]
+    if failed:
+        print(f"iv: no converged solution at {failed} V (T = {stack.temperature} K)",
+              file=sys.stderr)
+    return EXIT_NONCONVERGED if failed else EXIT_OK
 
 
 def cmd_stark(args):
@@ -293,25 +294,25 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"dotdiode {__version__}")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--device", default=None,
-                        help="device config JSON (default: bundled reference diode)")
     common.add_argument("--out", default="dotdiode_out", help="output directory")
 
-    mesh = argparse.ArgumentParser(add_help=False)
-    mesh.add_argument("--max-spacing", type=float, default=2.0, dest="max_spacing")
-    mesh.add_argument("--fine-spacing", type=float, default=0.125, dest="fine_spacing")
-    mesh.add_argument("--refine-width", type=float, default=10.0, dest="refine_width")
-    mesh.add_argument("--statistics", choices=["fermi", "boltzmann"], default="fermi")
+    solver = argparse.ArgumentParser(add_help=False)    # bandedges and iv only
+    solver.add_argument("--device", default=None,
+                        help="device config JSON (default: bundled reference diode)")
+    solver.add_argument("--max-spacing", type=float, default=2.0, dest="max_spacing")
+    solver.add_argument("--fine-spacing", type=float, default=0.125, dest="fine_spacing")
+    solver.add_argument("--refine-width", type=float, default=10.0, dest="refine_width")
+    solver.add_argument("--statistics", choices=["fermi", "boltzmann"], default="fermi")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bandedges", parents=[common, mesh],
+    p = sub.add_parser("bandedges", parents=[common, solver],
                        help="band diagrams at a list of gate voltages")
     p.add_argument("--bias", type=float, action="append", default=[],
                    help="gate voltage in volts (repeatable)")
     p.set_defaults(func=cmd_bandedges)
 
-    p = sub.add_parser("iv", parents=[common, mesh], help="drift-diffusion IV sweep")
+    p = sub.add_parser("iv", parents=[common, solver], help="drift-diffusion IV sweep")
     p.add_argument("--vmin", type=float, default=-1.0)
     p.add_argument("--vmax", type=float, default=2.0)
     p.add_argument("--step", type=float, default=0.25)

@@ -8,12 +8,8 @@ Unit conventions used throughout the package:
 """
 
 Q_E = 1.602177e-19        # elementary charge [C]
-K_B = 1.380649e-23        # Boltzmann constant [J/K]
 K_B_EV = 8.617333e-5      # Boltzmann constant [eV/K]
-H_PLANCK = 6.626070e-34   # Planck constant [J s]
-C_LIGHT = 2.997925e10     # speed of light [cm/s]
 EPS_0 = 8.854188e-14      # vacuum permittivity [F/cm]
-M_0 = 9.109384e-31        # free electron mass [kg]
 
 HC_EV_NM = 1239.841984    # h*c [eV nm], for energy <-> wavelength
 NM_TO_CM = 1.0e-7
@@ -31,13 +27,3 @@ def thermal_voltage(temperature):
 def effective_dos(mass_rel, temperature):
     """Effective density of states [cm^-3] for a parabolic band."""
     return NC_PREFACTOR_300K * (mass_rel * temperature / 300.0) ** 1.5
-
-
-def energy_to_wavelength(energy_ev):
-    """Photon energy [eV] -> vacuum wavelength [nm]."""
-    return HC_EV_NM / energy_ev
-
-
-def wavelength_to_energy(wavelength_nm):
-    """Vacuum wavelength [nm] -> photon energy [eV]."""
-    return HC_EV_NM / wavelength_nm

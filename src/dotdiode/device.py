@@ -288,9 +288,14 @@ def _check_mesh(mesh, stack, max_spacing, fine_spacing, refine_width):
             raise AssertionError(f"layer boundary {e} nm is not a mesh node")
 
 
-def _require_matching(stack, mesh):
+def _layer_table(stack, mesh):
+    """Per-layer (N_D, N_A, eps_r) arrays of `stack`, which `mesh` must belong to."""
     if mesh.stack_fingerprint != _stack_fingerprint(stack):
         raise ProfileConsistencyError("mesh was not built from this stack")
+    return (np.array([l.donor_cm3 for l in stack.layers]),
+            np.array([l.acceptor_cm3 for l in stack.layers]),
+            np.array([lookup_material(l.material, stack.temperature).eps_r
+                      for l in stack.layers]))
 
 
 def doping_profile(stack, mesh):
@@ -301,12 +306,7 @@ def doping_profile(stack, mesh):
     layers. For exact integrals use element_profile, whose values
     integrate to sum(thickness * density) per layer to < 1e-12 relative.
     """
-    _require_matching(stack, mesh)
-    mats = [lookup_material(l.material, stack.temperature) for l in stack.layers]
-    nd_layer = np.array([l.donor_cm3 for l in stack.layers])
-    na_layer = np.array([l.acceptor_cm3 for l in stack.layers])
-    eps_layer = np.array([m.eps_r for m in mats])
-
+    nd_layer, na_layer, eps_layer = _layer_table(stack, mesh)
     nd = nd_layer[mesh.node_layer]
     na = na_layer[mesh.node_layer]
     eps = eps_layer[mesh.node_layer].astype(float)
@@ -318,10 +318,6 @@ def doping_profile(stack, mesh):
 
 def element_profile(stack, mesh):
     """Per-element (N_D, N_A, eps_r) arrays from the containing layer."""
-    _require_matching(stack, mesh)
-    mats = [lookup_material(l.material, stack.temperature) for l in stack.layers]
-    nd_layer = np.array([l.donor_cm3 for l in stack.layers])
-    na_layer = np.array([l.acceptor_cm3 for l in stack.layers])
-    eps_layer = np.array([m.eps_r for m in mats])
+    nd_layer, na_layer, eps_layer = _layer_table(stack, mesh)
     el = mesh.element_layer
     return nd_layer[el], na_layer[el], eps_layer[el]

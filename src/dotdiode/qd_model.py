@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -35,8 +36,6 @@ from .spectro_fit import lorentzian_profile
 
 SPECIES = ("X0", "Xminus", "XX", "X2minus")
 CHARGED_SPECIES = ("Xminus", "X2minus")
-C_BAND_MIN_EV = 0.7867
-C_BAND_MAX_EV = 0.8165
 
 # dipole is stored in e*nm: 1 e*nm * 1 kV/cm = 1e-4 eV
 _DIPOLE_EV_PER_KVCM = 1.0e-4
@@ -261,38 +260,67 @@ def synth_emission_map(lines, ladder, gate_V, wavelength_nm, linewidth_ueV=30.0,
     return EmissionMap(gate_V=gate_V, wavelength_nm=wavelength_nm, intensity=intensity)
 
 
-def _line_from_record(rec):
-    fss = None
-    if rec.get("fss") is not None:
-        fss = FssModel(delta_ref_ueV=rec["fss"]["delta_ref_ueV"],
-                       slope_ueV_per_V=rec["fss"]["slope_ueV_per_V"],
-                       V_ref=rec["fss"]["V_ref"],
-                       floor_ueV=rec["fss"].get("floor_ueV", 0.0))
-    return ExcitonLine(species=rec["species"], E0_eV=rec["E0_eV"],
-                       dipole_enm=rec["dipole_enm"],
-                       polarizability_ueV=rec["polarizability_ueV"],
-                       fss=fss, relative_brightness=rec.get("relative_brightness", 1.0))
+def _check(value, kind, where):
+    """Raise ValueError naming `where` (the file, then the field) unless the
+    JSON `value` is of `kind`: float (a finite number), str, [kind] (a list
+    of kind) or {key: kind} (an object whose keys ending in "?" may be
+    absent, or null where their kind is an object)."""
+    if isinstance(kind, dict):
+        _check(value, dict, where)
+        for key, sub in kind.items():
+            name = key.rstrip("?")
+            if name != key and value.get(name) is None and (
+                    name not in value or isinstance(sub, dict)):
+                continue
+            if name not in value:
+                raise ValueError(f"{where}: missing field {name!r}")
+            _check(value[name], sub, f"{where}: {name}")
+    elif isinstance(kind, list):
+        _check(value, list, where)
+        for i, item in enumerate(value):
+            _check(item, kind[0], f"{where}[{i}]")
+    elif (isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind)
+          or kind is float and not math.isfinite(value)):
+        noun = {float: "a finite number", str: "a string", list: "a list", dict: "an object"}
+        raise ValueError(f"{where} must be {noun[kind]}, got {value!r:.40}")
+
+
+def _load_json(path, bundled, schema):
+    """The JSON file at `path` (bundled data file `bundled` if None), checked
+    against `schema` by `_check`."""
+    name = bundled if path is None else str(path)
+    source = resources.files("dotdiode.data").joinpath(bundled) if path is None else Path(path)
+    try:
+        doc = json.loads(source.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{name}: invalid JSON ({exc})") from None
+    _check(doc, schema, name)
+    return doc
 
 
 def load_reference_lines(path=None):
-    """The bundled calibrated emission lines (or a user lines file)."""
-    if path is None:
-        text = resources.files("dotdiode.data").joinpath("reference_lines.json").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    doc = json.loads(text)
-    return [_line_from_record(rec) for rec in doc["lines"]]
+    """The bundled calibrated emission lines (or a user lines file). A
+    missing or mistyped field raises ValueError naming the file and the
+    field, with its record index."""
+    doc = _load_json(path, "reference_lines.json", {"lines": [{
+        "species": str, "E0_eV": float, "dipole_enm": float, "polarizability_ueV": float,
+        "relative_brightness?": float, "fss?": {
+            "delta_ref_ueV": float, "slope_ueV_per_V": float, "V_ref": float,
+            "floor_ueV?": float}}]})
+    return [ExcitonLine(
+        species=rec["species"], E0_eV=rec["E0_eV"], dipole_enm=rec["dipole_enm"],
+        polarizability_ueV=rec["polarizability_ueV"],
+        fss=None if rec.get("fss") is None else FssModel(
+            *(rec["fss"][k] for k in ("delta_ref_ueV", "slope_ueV_per_V", "V_ref")),
+            floor_ueV=rec["fss"].get("floor_ueV", 0.0)),
+        relative_brightness=rec.get("relative_brightness", 1.0)) for rec in doc["lines"]]
 
 
 def load_charge_ladder(path=None):
-    """The bundled charge-state ladder (or a user ladder file)."""
-    if path is None:
-        text = resources.files("dotdiode.data").joinpath("charge_ladder.json").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    doc = json.loads(text)
+    """The bundled charge-state ladder (or a user ladder file). A missing or
+    mistyped field raises ValueError naming the file and the field."""
+    doc = _load_json(path, "charge_ladder.json", {
+        "region_edges_V": [float], "occupancy": [float], "active_species": [[str]]})
     return ChargeLadder(region_edges=tuple(doc["region_edges_V"]),
                         occupancy=tuple(doc["occupancy"]),
                         active_species=tuple(tuple(s) for s in doc["active_species"]))

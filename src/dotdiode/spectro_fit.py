@@ -5,9 +5,16 @@ IRF-deconvolved photon-correlation fits and biexponential lifetime fits.
 Peak shapes default to Lorentzian (CW, lifetime-limited lines); Gaussian
 and Voigt profiles are selectable. Single-peak and multi-peak fits use
 Levenberg-Marquardt with data-driven initial guesses taken from the
-highest residual maxima, and report parameter uncertainties from the
-Jacobian covariance. Fits never fail silently: results carry an explicit
-converged flag and discarded peaks are returned alongside accepted ones.
+highest residual maxima. Fits never fail silently: results carry an
+explicit converged flag and discarded peaks are returned alongside
+accepted ones.
+
+Every nonlinear fit (peaks, g2, both lifetime models) runs through one
+weighted least-squares core, ``_weighted_fit``: reduced chi^2 = 2 cost /
+max(m - n, 1) for m points and n parameters, covariance chi^2 (J^T J)^+ at
+the final Jacobian J with singular values below 1e-12 of the largest dropped
+(a direction the data do not constrain adds nothing), and standard errors
+the square roots of its diagonal.
 
 The photon-correlation model is a single-exponential antibunching dip
 1 - (1 - g0) exp(-|tau|/tau_c) convolved with a Gaussian instrument
@@ -30,7 +37,7 @@ from scipy.special import erfcx
 
 from . import constants
 
-# scipy.optimize is imported inside the fitters that use it: it is about a
+# scipy.optimize is imported inside the functions that use it: it is about a
 # third of the import time of the CLI, whose solver commands never need it.
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
@@ -54,6 +61,10 @@ class InsufficientDecayError(ValueError):
 
 class NormalizationError(ValueError):
     """A correlation trace has no long-delay plateau to normalize by."""
+
+
+class TimeScaleError(ValueError):
+    """A decay's time axis puts its start lifetimes outside the fitted range."""
 
 
 def _checked(min_size, **fields):
@@ -231,14 +242,19 @@ def _multi_lorentz_jacobian(x, params):
     return jac
 
 
-def _covariance(res):
-    """Parameter covariance from a least_squares result."""
+def _weighted_fit(residual, start, **options):
+    """scipy.optimize.least_squares on `residual` from `start` with
+    `options`: (result, covariance, standard errors, reduced chi^2), as the
+    module docstring defines them."""
+    from scipy.optimize import least_squares
+
+    res = least_squares(residual, start, **options)
     m, n = res.jac.shape
-    dof = max(m - n, 1)
-    s_sq = 2.0 * res.cost / dof
-    u, s, vt = np.linalg.svd(res.jac, full_matrices=False)
+    chi2 = float(2.0 * res.cost / max(m - n, 1))
+    _, s, vt = np.linalg.svd(res.jac, full_matrices=False)
     s = np.where(s > s[0] * 1e-12, s, np.inf)
-    return (vt.T / (s * s)) @ vt * s_sq
+    cov = (vt.T / (s * s)) @ vt * chi2
+    return res, cov, np.sqrt(np.maximum(np.diag(cov), 0.0)), chi2
 
 
 def _half_max_width(x, residual, i0, grid_step):
@@ -263,8 +279,6 @@ def fit_peaks(spectrum, n_peaks=1, snr_gate=5.0, shape="lorentzian"):
     Returns (accepted, discarded): peaks whose fitted signal-to-background
     ratio falls below `snr_gate` land in the discard list.
     """
-    from scipy.optimize import least_squares
-
     if n_peaks < 1:
         raise ValueError("n_peaks must be at least 1")
     if shape not in _SHAPES:
@@ -287,18 +301,13 @@ def fit_peaks(spectrum, n_peaks=1, snr_gate=5.0, shape="lorentzian"):
         residual = residual - _SHAPES[shape](x, x[i0], w0, amp0)
 
     sigma = np.sqrt(np.maximum(y, 1.0))
-
-    def fun(theta):
-        return (_multi_peak_model(x, theta, shape) - y) / sigma
-
-    kwargs = {"method": "lm", "xtol": 1e-12, "ftol": 1e-12, "gtol": 1e-12,
-              "max_nfev": 20000}
-    if shape == "lorentzian":
-        kwargs["jac"] = lambda theta: _multi_lorentz_jacobian(x, theta) / sigma[:, None]
-    res = least_squares(fun, np.asarray(params, dtype=float), **kwargs)
+    analytic = ({"jac": lambda theta: _multi_lorentz_jacobian(x, theta) / sigma[:, None]}
+                if shape == "lorentzian" else {})
+    res, _, sigmas, _ = _weighted_fit(
+        lambda theta: (_multi_peak_model(x, theta, shape) - y) / sigma,
+        np.asarray(params, dtype=float), method="lm", xtol=1e-12, ftol=1e-12, gtol=1e-12,
+        max_nfev=20000, **analytic)
     converged = bool(res.success)
-    cov = _covariance(res)
-    sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
     bg = res.x[0]
     accepted, discarded = [], []
@@ -473,8 +482,6 @@ def fit_g2(trace):
     dip depth after undoing the instrument response and bin averaging.
     The model is in coincidence counts: the fit times the plateau.
     """
-    from scipy.optimize import least_squares
-
     tau = trace.delay_ns
     y_raw = trace.coincidences
     tau_max = float(np.max(np.abs(tau)))
@@ -494,19 +501,12 @@ def fit_g2(trace):
         raise NormalizationError(
             f"trace spans {tau_max:.2f} ns, needs >= 5 correlation times")
 
-    def fun(theta):
-        g0, tau_c, norm = theta
-        return (g2_model(tau, g0, tau_c, trace.irf_sigma_ns,
-                         trace.bin_width_ns, norm) - y) / sigma
-
-    res = least_squares(fun, [max(g0_raw, 0.0), tau_c0, 1.0],
-                        bounds=([-1.0, 1e-4, 0.1], [2.0, 1e4, 10.0]),
-                        method="trf", xtol=1e-13, ftol=1e-13, max_nfev=5000)
-    cov = _covariance(res)
-    err = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    res, cov, err, reduced_chi2 = _weighted_fit(
+        lambda th: (g2_model(tau, th[0], th[1], trace.irf_sigma_ns, trace.bin_width_ns,
+                             th[2]) - y) / sigma,
+        [max(g0_raw, 0.0), tau_c0, 1.0], bounds=([-1.0, 1e-4, 0.1], [2.0, 1e4, 10.0]),
+        method="trf", xtol=1e-13, ftol=1e-13, max_nfev=5000)
     g0_fit, tau_c_fit, norm_fit = res.x
-    dof = max(tau.size - 3, 1)
-    reduced_chi2 = float(2.0 * res.cost / dof)
     identifiable = (1.0 - g0_fit) > max(3.0 * err[0], 1e-3)
     if identifiable and tau_max < 5.0 * tau_c_fit:
         raise NormalizationError(
@@ -555,8 +555,6 @@ def fit_lifetime(trace):
     the two constants agree within their joint uncertainty the fit
     collapses to the single-exponential result (degenerate flag).
     """
-    from scipy.optimize import least_squares
-
     t = trace.time_ns - trace.time_ns[0]
     y = trace.counts
     peak = float(np.max(y))
@@ -575,41 +573,36 @@ def fit_lifetime(trace):
     slope = np.polyfit(t_pos[-k:], np.log(y_pos[-k:]), 1)[0]
     tau_slow0 = -1.0 / slope if slope < 0 else t[-1] / 5.0
     tau_slow0 = min(max(tau_slow0, 1e-3), t[-1])
+    tau_min, tau_max = 1e-4, 1e4        # ns, the lifetime bounds of both fits
+    if not (tau_min <= tau_slow0 / 5.0 and tau_slow0 <= tau_max):
+        raise TimeScaleError(
+            f"time_ns: start lifetimes {tau_slow0 / 5.0:.3g} and {tau_slow0:.3g} ns lie "
+            f"outside the fitted range {tau_min:g} to {tau_max:g} ns")
 
-    bounds = ([0.0, 1e-4, 0.0, 1e-4], [np.inf, 1e4, np.inf, 1e4])
+    # Each fit runs twice, reweighted by its model (data-based Poisson weights
+    # bias the constants low in the sparse tail bins); the biexponential's
+    # second pass starts from its first, the single exponential's restarts.
+    options = {"method": "trf", "xtol": 1e-11, "ftol": 1e-11, "max_nfev": 400}
     start = np.array([0.4 * peak, tau_slow0 / 5.0, 0.6 * peak, tau_slow0])
-    res_bi = None
     for _ in range(2):
-        def fun_bi(theta):
-            return (_biexp(t, *theta) - y) / sigma
-
-        res_bi = least_squares(fun_bi, start, bounds=bounds, method="trf",
-                               xtol=1e-11, ftol=1e-11, max_nfev=400)
+        res_bi, cov, err, chi2_bi = _weighted_fit(
+            lambda theta: (_biexp(t, *theta) - y) / sigma, start,
+            bounds=([0.0, tau_min, 0.0, tau_min], [np.inf, tau_max, np.inf, tau_max]),
+            **options)
         start = res_bi.x
-        # reweight by the model: data-based Poisson weights bias the
-        # constants low in the sparse tail bins
         sigma = np.sqrt(np.maximum(_biexp(t, *res_bi.x), 1.0))
-    cov = _covariance(res_bi)
-    err = np.sqrt(np.maximum(np.diag(cov), 0.0))
     a1, tau1, a2, tau2 = res_bi.x
     e_a1, e_t1, e_a2, e_t2 = err
     if tau1 > tau2:
         a1, tau1, a2, tau2 = a2, tau2, a1, tau1
         e_a1, e_t1, e_a2, e_t2 = e_a2, e_t2, e_a1, e_t1
-    dof_bi = max(t.size - 4, 1)
-    chi2_bi = float(2.0 * res_bi.cost / dof_bi)
 
     s_sigma = np.sqrt(np.maximum(y, 1.0))
-    res_s = None
     for _ in range(2):
-        def fun_single(theta):
-            return (theta[0] * np.exp(-t / theta[1]) - y) / s_sigma
-
-        res_s = least_squares(fun_single, [peak, tau_slow0],
-                              bounds=([0.0, 1e-4], [np.inf, 1e4]),
-                              method="trf", xtol=1e-11, ftol=1e-11, max_nfev=400)
+        res_s, _, _, chi2_single = _weighted_fit(
+            lambda theta: (theta[0] * np.exp(-t / theta[1]) - y) / s_sigma,
+            [peak, tau_slow0], bounds=([0.0, tau_min], [np.inf, tau_max]), **options)
         s_sigma = np.sqrt(np.maximum(res_s.x[0] * np.exp(-t / res_s.x[1]), 1.0))
-    chi2_single = float(2.0 * res_s.cost / max(t.size - 2, 1))
 
     # degenerate when the constants overlap within their joint uncertainty,
     # when one component carries no area, or when the single-exponential

@@ -78,6 +78,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from . import constants, dataio
 from .device import DOPED_CONTACT_THRESHOLD
@@ -207,7 +208,8 @@ def _electron_integral_solve(arr, w, source, n_bc):
 
     `source` holds q*(R - G)*w_ctrl per node [A/cm^2]; the element fluxes
     are J_el[i] = J_el[0] + cumsum(source[1:-1]) and the Slotboom density
-    follows by summation. Returns (n, J_el).
+    follows by summation. Returns (n, J_el); ValueError if the Slotboom
+    density is not finite (at a few kelvin, exp(w/kT) leaves the float range).
     """
     x = np.diff(w) / arr.Vt
     c = constants.Q_E * arr.mu_e_el * arr.Vt / arr.h
@@ -216,44 +218,18 @@ def _electron_integral_solve(arr, w, source, n_bc):
     cond = c * bernoulli(-x) * np.exp(expw[:-1])      # J = cond * (s_{i+1} - s_i)
 
     q_cum = np.concatenate([[0.0], np.cumsum(source[1:-1])])
-    inv = 1.0 / cond
-    s0 = n_bc[0] * np.exp(min(-expw[0], 700.0))
-    s_end = n_bc[1] * np.exp(min(-expw[-1], 700.0))
-    j0 = (s_end - s0 - np.sum(q_cum * inv)) / np.sum(inv)
-    j_el = j0 + q_cum
-    s = _two_sided_profile(s0, s_end, j_el * inv)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = 1.0 / cond
+        s0 = n_bc[0] * np.exp(min(-expw[0], 700.0))
+        s_end = n_bc[1] * np.exp(min(-expw[-1], 700.0))
+        j0 = (s_end - s0 - np.sum(q_cum * inv)) / np.sum(inv)
+        j_el = j0 + q_cum
+        s = _two_sided_profile(s0, s_end, j_el * inv)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("the Slotboom density is not finite")
     s = np.maximum(s, 1e-300)
     n = np.exp(np.log(s) + expw)
     return n, j_el
-
-
-def _hole_tridiagonal_solve(arr, v, loss_coef, gen_term, p_bc):
-    """Scharfetter-Gummel hole continuity solve (M-matrix, implicit loss).
-
-    Solves d/dx Jp = q (G_eff - loss_coef * p) with Jp in SG form driven
-    by the hole potential `v`; `loss_coef` [1/s] enters the diagonal (so
-    recombination is unconditionally stable) and `gen_term` [A/cm^2 per
-    node] the right-hand side. Holes carry negligible current in n-i-n
-    devices but must stay bounded under strong generation, which this
-    local solve guarantees.
-    """
-    y = np.diff(v) / arr.Vt
-    bp = bernoulli(y)
-    bm = bernoulli(-y)
-    c = constants.Q_E * arr.mu_h_el * arr.Vt / arr.h
-
-    # Dirichlet rows at both ends hold the contact densities
-    lower = -c * bm
-    lower[-1] = 0.0
-    upper = -c * bp
-    upper[0] = 0.0
-    diag = np.ones(v.size)
-    diag[1:-1] = (c[1:] * bm[1:] + c[:-1] * bp[:-1]
-                  + constants.Q_E * arr.w[1:-1] * loss_coef[1:-1])
-    rhs = np.empty(v.size)
-    rhs[1:-1] = gen_term[1:-1]
-    rhs[0], rhs[-1] = p_bc
-    return _tridiag_solve(lower, diag, upper, rhs)
 
 
 def hole_flux(arr, v, p):
@@ -324,16 +300,43 @@ class _GummelWorkspace:
                       if old != 0.0 else quasi_fermi_split(self.stack, self.mesh, bias))
         return out
 
-    def _hole_solve(self, v, n, p, efn, efp):
-        """Hole continuity at fixed electrons: B n p implicit, the
-        mass-action back-generation explicit and capped at the thermal rate."""
+    def _continuity(self, phi, efn, efp, lng_n, lng_p, p, recomb, bias, cycles):
+        """Both continuity solves at a fixed potential: (n, p, v, electron
+        element flux). Electrons integrate exactly. Holes, negligible for the
+        current but bounded under strong generation, take a local SG solve of
+        d/dx Jp = q (G + g_rad - B n p), an M-matrix with the loss B n p on the
+        diagonal and the mass-action back-generation g_rad explicit, capped at
+        the thermal rate; Dirichlet rows hold the contact densities. A
+        breakdown of either solve raises NonConvergenceError naming the bias
+        and the temperature and carrying `cycles`."""
         arr = self.arr
-        loss = B_RADIATIVE * n
-        g_rad = np.minimum(
-            loss * p * np.exp(np.clip((efp - efn) / arr.Vt, -500.0, 40.0)),
-            B_RADIATIVE * self.nisq)
-        gen_term = constants.Q_E * arr.w * (self.gen + g_rad)
-        return np.maximum(_hole_tridiagonal_solve(arr, v, loss, gen_term, self.p_bc), 1e-30)
+        w, v = _driving_potentials(arr, phi, lng_n, lng_p)
+        src = constants.Q_E * arr.w * (recomb - self.gen)
+        y = np.diff(v) / arr.Vt
+        bp, bm = bernoulli(y), bernoulli(-y)
+        c = constants.Q_E * arr.mu_h_el * arr.Vt / arr.h
+        lower = -c * bm
+        lower[-1] = 0.0
+        upper = -c * bp
+        upper[0] = 0.0
+        try:
+            n, jn_el = _electron_integral_solve(arr, w, src, self.n_bc)
+            n = np.maximum(n, 1e-30)
+            loss = B_RADIATIVE * n
+            g_rad = np.minimum(
+                loss * p * np.exp(np.clip((efp - efn) / arr.Vt, -500.0, 40.0)),
+                B_RADIATIVE * self.nisq)
+            diag = np.ones(v.size)
+            diag[1:-1] = (c[1:] * bm[1:] + c[:-1] * bp[:-1]
+                          + constants.Q_E * arr.w[1:-1] * loss[1:-1])
+            rhs = constants.Q_E * arr.w * (self.gen + g_rad)
+            rhs[0], rhs[-1] = self.p_bc
+            p = _tridiag_solve(lower, diag, upper, rhs)
+        except (ValueError, LinAlgError) as exc:
+            raise NonConvergenceError(
+                f"transport solve broke down at V = {bias} V, "
+                f"T = {self.stack.temperature} K: {exc}", gummel_cycles=cycles) from None
+        return n, np.maximum(p, 1e-30), v, jn_el
 
     def iterate(self, state, max_cycles, tolerance):
         """Run Anderson-mixed Gummel cycles at the state's bias.
@@ -372,11 +375,7 @@ class _GummelWorkspace:
         cycles = 0
         for cycles in range(1, max_cycles + 1):
             phi, efn, efp, lng_n, lng_p = x[:5]
-            w, v = _driving_potentials(arr, phi, lng_n, lng_p)
-            src = constants.Q_E * arr.w * (x[7] - self.gen)
-            n, _ = _electron_integral_solve(arr, w, src, self.n_bc)
-            n = np.maximum(n, 1e-30)
-            p = self._hole_solve(v, n, np.exp(x[6]), efn, efp)
+            n, p, _, _ = self._continuity(*x[:5], np.exp(x[6]), x[7], bias, cycles)
 
             eta_raw_n = self.inverse(n / arr.Nc)
             eta_raw_p = self.inverse(p / arr.Nv)
@@ -454,11 +453,9 @@ class _GummelWorkspace:
         """Final continuity pass; fluxes and densities for reporting."""
         arr = self.arr
         phi = state["phi"]
-        src = constants.Q_E * arr.w * (state["recomb"] - self.gen)
-        w, v = _driving_potentials(arr, phi, state["lng_n"], state["lng_p"])
-        n, jn_el = _electron_integral_solve(arr, w, src, self.n_bc)
-        n = np.maximum(n, 1e-30)
-        p = self._hole_solve(v, n, state["p"], state["efn"], state["efp"])
+        n, p, v, jn_el = self._continuity(
+            phi, state["efn"], state["efp"], state["lng_n"], state["lng_p"], state["p"],
+            state["recomb"], state["bias"], 0)
         jp_el = hole_flux(arr, v, p)
         efn = (arr.Ec0 - phi) + arr.Vt * self.inverse(n / arr.Nc)
         efp = (arr.Ev0 - phi) - arr.Vt * self.inverse(p / arr.Nv)
@@ -471,19 +468,18 @@ def _solve_point(ws, state, bias):
     NonConvergenceError carries the Gummel cycles run before it."""
     ladder = _bias_ladder(state["bias"], bias, BIAS_STEP)
     total_cycles = 0
-    for k, v_step in enumerate(ladder):
-        last = (k == len(ladder) - 1)
-        state = ws.restep(state, v_step) if state["bias"] != v_step else state
-        max_cycles = MAX_GUMMEL if last else MAX_GUMMEL_CONTINUATION
-        tol = QF_TOLERANCE if last else QF_TOLERANCE_CONTINUATION
-        try:
+    try:
+        for k, v_step in enumerate(ladder):
+            last = (k == len(ladder) - 1)
+            state = ws.restep(state, v_step) if state["bias"] != v_step else state
+            max_cycles = MAX_GUMMEL if last else MAX_GUMMEL_CONTINUATION
+            tol = QF_TOLERANCE if last else QF_TOLERANCE_CONTINUATION
             state, converged, cycles, newton_update = ws.iterate(state, max_cycles, tol)
-        except NonConvergenceError as exc:
-            exc.gummel_cycles += total_cycles
-            raise
-        total_cycles += cycles
-
-    n, p, efn, efp, j_el = ws.finalize(state)
+            total_cycles += cycles
+        n, p, efn, efp, j_el = ws.finalize(state)
+    except NonConvergenceError as exc:
+        exc.gummel_cycles += total_cycles
+        raise
 
     # device sign convention: positive gate voltage -> positive current
     j_total = -j_el

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import importlib.util
 import io
 import json
@@ -141,7 +142,12 @@ def test_bandedges_solves_a_repeated_bias_once(tmp_path, monkeypatch):
     ["iv", "--bogus", "1"],
     ["nope"],
     [],
-], ids=["missing-value", "not-a-number", "unknown-option", "unknown-command", "no-command"])
+    # --device belongs to bandedges and iv only
+    ["stark", "--device", "/does/not/exist.json"],
+    ["synthmap", "--device", "/does/not/exist.json"],
+    ["fit", "peaks", "--data", "x.csv", "--device", "/does/not/exist.json"],
+], ids=["missing-value", "not-a-number", "unknown-option", "unknown-command", "no-command",
+        "stark-device", "synthmap-device", "fit-device"])
 def test_usage_error_exits_1_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -340,6 +346,7 @@ _G2_META = {"bin_width_ns": _G2.bin_width_ns, "irf_sigma_ns": _G2.irf_sigma_ns}
 _SPECTRUM = sf.synth_spectrum(np.linspace(1530.0, 1540.0, 201), [(1535.0, 0.1, 1000.0)],
                               background=10.0, seed=3)
 _SPECTRUM_COLUMNS = {"wavelength_nm": _SPECTRUM.wavelength_nm, "counts": _SPECTRUM.counts}
+_GOLDEN_DECAY, _ = dataio.read_table(GOLDEN / "fit_inputs" / "decay.csv")
 
 
 @pytest.mark.parametrize("what, columns, meta, field", [
@@ -366,6 +373,13 @@ _SPECTRUM_COLUMNS = {"wavelength_nm": _SPECTRUM.wavelength_nm, "counts": _SPECTR
                  id="spectrum-text-gate"),
     pytest.param("peaks", _SPECTRUM_COLUMNS, {"power_uW": "abc"},
                  "data.csv: metadata power_uW", id="spectrum-text-power"),
+    # start lifetimes outside the fixed 1e-4 to 1e4 ns bounds of fit_lifetime
+    pytest.param("lifetime", {"time_ns": _GOLDEN_DECAY["time_ns"] * 1e10,
+                              "counts": _GOLDEN_DECAY["counts"]}, {}, "time_ns",
+                 id="lifetime-time-scaled-1e10"),
+    pytest.param("lifetime", {"time_ns": _GOLDEN_DECAY["time_ns"] * 1e-100,
+                              "counts": _GOLDEN_DECAY["counts"]}, {}, "time_ns",
+                 id="lifetime-time-scaled-1e-100"),
 ])
 def test_bad_fit_input_is_one_line_input_error(tmp_path, capsys, what, columns, meta, field):
     """Empty, non-finite or degenerate fit inputs stop where they enter the
@@ -379,18 +393,98 @@ def test_bad_fit_input_is_one_line_input_error(tmp_path, capsys, what, columns, 
     assert field in err
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["fit", "peaks", "--data", "{dir}"], id="data-directory"),
-    pytest.param(["bandedges", "--bias", "0", "--device", "{dir}"], id="device-directory"),
-    pytest.param(["stark", "--out", "{file}/out"], id="out-under-a-file"),
+_BUNDLED = {name: json.loads(resources.files("dotdiode.data").joinpath(name).read_text())
+            for name in ("reference_lines.json", "charge_ladder.json")}
+
+
+def _edited(name, edit):
+    """The bundled data file `name` as JSON text, after `edit` changed it."""
+    doc = copy.deepcopy(_BUNDLED[name])
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("argv, text, named", [
+    pytest.param(["fit", "peaks", "--data", "{dir}"], None, "", id="data-directory"),
+    pytest.param(["bandedges", "--bias", "0", "--device", "{dir}"], None, "",
+                 id="device-directory"),
+    pytest.param(["stark", "--out", "{file}/out"], None, "", id="out-under-a-file"),
+    pytest.param(["stark", "--lines", "{json}"],
+                 _edited("reference_lines.json", lambda doc: doc["lines"][1].pop("E0_eV")),
+                 "bad.json: lines[1]: missing field 'E0_eV'", id="line-without-E0"),
+    pytest.param(["synthmap", "--lines", "{json}"],
+                 _edited("reference_lines.json", lambda doc: doc["lines"][0].update(E0_eV="abc")),
+                 "bad.json: lines[0]: E0_eV must be a finite number", id="line-text-E0"),
+    pytest.param(["synthmap", "--ladder", "{json}"],
+                 _edited("charge_ladder.json", lambda doc: doc.pop("occupancy")),
+                 "bad.json: missing field 'occupancy'", id="ladder-without-occupancy"),
+    pytest.param(["stark", "--lines", "{json}"], json.dumps(_BUNDLED["reference_lines.json"]
+                                                           ["lines"]),
+                 "bad.json must be an object", id="lines-top-level-list"),
 ])
-def test_unreadable_path_is_one_line_input_error(tmp_path, capsys, argv):
+def test_unreadable_path_is_one_line_input_error(tmp_path, capsys, argv, text, named):
+    """An input path that cannot be read, or a JSON configuration with a
+    missing or mistyped field, is one line naming the file and the field."""
     (tmp_path / "file").write_text("")
-    argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
+    if text is not None:
+        (tmp_path / "bad.json").write_text(text)
+    argv = [a.format(dir=tmp_path, file=tmp_path / "file", json=tmp_path / "bad.json")
+            for a in argv]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "o")]
     assert main(argv) == EXIT_INPUT
-    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and named in err
+
+
+def _json_paths(doc, prefix=()):
+    """The key path of every value inside a JSON document."""
+    children = (doc.items() if isinstance(doc, dict)
+                else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in children:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+@st.composite
+def _malformed_config(draw):
+    """A bundled configuration file with one key dropped or one value
+    replaced by a value of another (or the same) JSON type."""
+    name = draw(st.sampled_from(sorted(_BUNDLED)))
+    path = draw(st.sampled_from(list(_json_paths(_BUNDLED[name]))))
+    replacement = draw(st.sampled_from(["abc", None, True, [], {}, 1.5, ["X0"]]))
+    drop = draw(st.booleans())
+
+    def edit(doc):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if drop and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = replacement
+
+    return name, _edited(name, edit)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_malformed_config())
+def test_malformed_json_configuration_exits_0_or_1(tmp_path_factory, case):
+    """stark and synthmap on a malformed lines or ladder file never raise
+    (RuntimeWarnings are errors in this suite) and say at most one line."""
+    name, text = case
+    path = tmp_path_factory.mktemp("config") / name
+    path.write_text(text)
+    commands = [["synthmap", "--nv", "5", "--nl", "51"]]
+    if name == "reference_lines.json":
+        commands.append(["stark", "--points", "5"])
+    for argv in commands:
+        option = "--lines" if name == "reference_lines.json" else "--ladder"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([*argv, option, str(path), "--out", str(path.parent / "o")])
+        assert rc in (EXIT_OK, EXIT_INPUT)
+        assert len(err.getvalue().strip().splitlines()) <= 1, err.getvalue()
 
 
 _FIT_COLUMNS = {"peaks": ("wavelength_nm", "counts"), "fss": ("wavelength_nm", "counts"),
@@ -475,6 +569,24 @@ def test_bad_device_temperature_is_input_error(tmp_path, capsys, temperature):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "temperature" in err
+
+
+@pytest.mark.parametrize("temperature", [10, 4])
+def test_iv_breakdown_exits_2_with_one_line_and_writes_the_csv(tmp_path, capsys,
+                                                                temperature):
+    doc = json.loads(resources.files("dotdiode.data")
+                     .joinpath("device_fig1a.json").read_text())
+    doc["temperature_K"] = temperature
+    device = tmp_path / "cold.json"
+    device.write_text(json.dumps(doc))
+    rc = main(["iv", "--device", str(device), "--vmin", "0", "--vmax", "0.5", "--step", "0.5",
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_NONCONVERGED
+    assert capsys.readouterr().err.splitlines() == [
+        f"iv: no converged solution at [0.0, 0.5] V (T = {float(temperature)} K)"]
+    cols, meta = dataio.read_table(tmp_path / "o" / "iv.csv")
+    assert list(cols["converged"]) == [0.0, 0.0] and np.all(np.isnan(cols["J_Acm2"]))
+    assert meta["all_converged"] == "False"
 
 
 @pytest.mark.parametrize("field", ["thickness_nm", "donor_cm3"])

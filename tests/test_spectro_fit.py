@@ -293,6 +293,42 @@ def test_flat_trace_raises_insufficient_decay():
 
 
 # ---------------------------------------------------------------------------
+# the weighted least-squares core
+
+_RNG = np.random.default_rng(5)
+_DESIGN = _RNG.normal(size=(40, 3))
+_LINEAR_DATA = _DESIGN @ [1.0, -2.0, 0.5] + 0.1 * _RNG.normal(size=40)
+
+
+def _linear_fit(design):
+    return sf._weighted_fit(lambda theta: design @ theta - _LINEAR_DATA,
+                            np.zeros(design.shape[1]), jac=lambda theta: design, method="lm")
+
+
+def test_core_covariance_of_a_full_rank_linear_fit_is_chi2_inv_normal_matrix():
+    res, cov, err, chi2 = _linear_fit(_DESIGN)
+    resid = _DESIGN @ res.x - _LINEAR_DATA
+    assert chi2 == pytest.approx(resid @ resid / (40 - 3), rel=1e-12)
+    expected = chi2 * np.linalg.inv(_DESIGN.T @ _DESIGN)
+    np.testing.assert_allclose(cov, expected, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(err, np.sqrt(np.diag(expected)), rtol=1e-12, atol=0.0)
+
+
+def test_core_drops_the_null_direction_of_a_duplicated_column():
+    """Parameters 0 and 3 multiply the same column, so only their sum is
+    constrained: their difference gets no variance, each gets a quarter of
+    the sum's, and the other parameters keep their full-rank covariance."""
+    design = np.column_stack([_DESIGN, _DESIGN[:, 0]])
+    _, cov, err, chi2 = _linear_fit(design)
+    assert np.all(np.isfinite(err))
+    full = chi2 * np.linalg.inv(_DESIGN.T @ _DESIGN)
+    np.testing.assert_allclose(cov[1:3, 1:3], full[1:3, 1:3], rtol=1e-9)
+    np.testing.assert_allclose(np.diag(cov)[[0, 3]], full[0, 0] / 4.0, rtol=1e-9)
+    difference = np.array([1.0, 0.0, 0.0, -1.0])
+    assert abs(difference @ cov @ difference) < 1e-12 * np.trace(cov)
+
+
+# ---------------------------------------------------------------------------
 # round-trip coverage: every fitter recovers truth within 3 sigma in >= 95%
 # of seeded trials at ~1e3-count noise
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -238,6 +239,22 @@ def test_gummel_failure_carries_the_running_cycle_count(reference_stack, referen
     with pytest.raises(NonConvergenceError) as err:
         solve_drift_diffusion(reference_stack, reference_mesh, 0.5)
     assert err.value.gummel_cycles == 40
+
+
+@pytest.mark.parametrize("temperature", [10.0, 4.0])
+def test_low_temperature_breakdown_is_a_failed_point(reference_stack, temperature):
+    # at a few kelvin the Slotboom factors exp(w/kT) leave the float range in
+    # the first Gummel cycle; no RuntimeWarning may escape (warnings are errors)
+    stack = dataclasses.replace(reference_stack, temperature=temperature)
+    mesh = build_mesh(stack)
+    curve = iv_sweep(stack, mesh, [0.0, 0.5])
+    assert [pt.converged for pt in curve.points] == [False, False]
+    assert all(math.isnan(pt.current_density) for pt in curve.points)
+    assert [pt.gummel_iterations for pt in curve.points] == [1, 1]
+    with pytest.raises(NonConvergenceError) as err:
+        solve_drift_diffusion(stack, mesh, 0.0)
+    assert f"V = 0.0 V, T = {temperature} K" in str(err.value)
+    assert err.value.gummel_cycles == 1
 
 
 def test_default_dark_sweep_matches_golden_iv(reference_stack, reference_mesh):
