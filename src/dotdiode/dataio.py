@@ -7,9 +7,13 @@ float columns in one fixed format, "%.12e", so identical inputs produce
 byte-identical files. Float metadata and report values use the same format
 through format_float, the scalar definition of that text.
 
-write_table formats a table body in numpy, CHUNK_ROWS rows at a time, with
-no Python formatting per value. Each column is formatted by its own dtype
-into fixed-width byte slots whose NUL padding is dropped once per block.
+write_table formats a table body in numpy, in blocks of
+max(1, CHUNK_VALUES // columns) rows, with no Python formatting per value.
+A block's size is set by its value count, not its row count: a 7-column
+band diagram of up to 21,428 rows goes out in one block and a 602-column
+emission map in blocks of 249 rows, so memory is bounded by the block at
+any width. Each column is formatted by its own dtype into fixed-width byte
+slots whose NUL padding is dropped once per block.
 Integers are written from their exact magnitude, four digits per table
 lookup. A float x gets its 13 significant digits as rint(|x| * 10**(12-e)),
 with e = floor(log10|x|) and 10**(12-e) taken from a table of powers parsed
@@ -26,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 FLOAT_FMT = "{:.12e}"
-CHUNK_ROWS = 256                # rows formatted per block by write_table
+CHUNK_VALUES = 150_000          # values formatted per block by write_table
 _POW10_MIN = -300
 _POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 309)])
 _TIE_WINDOW = 4e-3              # > the 2.3e-3 error bound of _float_text
@@ -139,7 +143,7 @@ def write_table(path, columns, names, meta=None):
     """Write equal-length named columns to CSV with '# key = value' metadata
     lines (float values as format_float writes them). Integer and boolean
     columns are written as integers, exactly at any width; float columns as
-    format_float writes each value, CHUNK_ROWS rows at a time.
+    format_float writes each value, about CHUNK_VALUES values at a time.
 
     A column of any other dtype raises ValueError naming it, before the file
     is opened.
@@ -163,8 +167,9 @@ def write_table(path, columns, names, meta=None):
         for key, value in (meta or {}).items():
             fh.write(f"# {key} = {_text(value)}\n")
         fh.write(",".join(names) + "\n")
-        for start in range(0, len(columns[0]), CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
+        block_rows = max(1, CHUNK_VALUES // len(columns))
+        for start in range(0, len(columns[0]), block_rows):
+            rows = slice(start, start + block_rows)
             slots = {}
             for kind, idx in groups.items():
                 dtype, kernel = _KINDS[kind]

@@ -12,10 +12,16 @@ carrier statistics reference the nearer contact's quasi-Fermi level, with
 the split at mid-device, and the top reference sits at -V. ``band_sweep``
 builds the device arrays, the neutral potential and the equilibrium once
 (``_set_up``, shared with the drift-diffusion sweep). It solves each
-distinct bias once, outward from 0 V on either side (``_outward``), from
-the converged potential of its solved neighbour: the gap from v_prev to v
-is crossed in n = ceil(|v - v_prev| / ``CONTINUATION_STEP``) equal steps
-v_prev + (v - v_prev) k/n (``_bias_ladder``). ``solve_bias`` and
+distinct bias once, outward from 0 V on either side (``_outward``),
+continuing from its solved neighbour: the gap from v_prev to v is crossed
+in n = ceil(|v - v_prev| / ``CONTINUATION_STEP``) equal rungs
+v_prev + (v - v_prev) k/n (``_bias_ladder``). The first rung of a side
+starts from the 0 V potential; each later one from the secant predictor
+through the side's last two converged rungs (``_secant``, which also
+predicts the drift-diffusion sweep's states; Allgower & Georg, *Numerical
+Continuation Methods*, Springer 1990), which halves the Newton steps of a
+scan. A failed rung leaves only the last converged one to continue from,
+as the first rung of a side does. ``solve_bias`` and
 ``solve_equilibrium`` are one-bias sweeps. Each Poisson solve is a damped
 Newton iteration that stops once the largest update falls below
 ``NEWTON_TOLERANCE`` thermal voltages, or fails after
@@ -64,6 +70,10 @@ _FD_COEF = 3.0 * _SQRT_PI / 4.0
 NEWTON_TOLERANCE = 1e-10       # max scaled Newton update, dimensionless
 NEWTON_MAX_ITERATIONS = 200
 CONTINUATION_STEP = 0.25       # V, bias continuation increment
+_SECANT_REACH = 16.0           # the secant predictor reaches at most this many
+                               # lengths of the secant it extrapolates
+_INVERSE_MAX = 1e80            # largest u inverse_fermi_half accepts; near 1e89 the
+                               # Newton iterates reach the 1e60 clip, where F' is 0
 
 
 class NonConvergenceError(RuntimeError):
@@ -141,11 +151,13 @@ def inverse_fermi_half(u):
     Starts from Nilsson's closed-form inverse (within 0.02 of the root)
     and evaluates F and F' through the shared
     ``_fermi_half_pair`` once per step (see the module docstring); about
-    three steps reach the 1e-13 stop.
+    three steps reach the 1e-13 stop. Raises ValueError unless every u is
+    in (0, 1e80], so a non-finite or absurd density fails by name instead
+    of dividing by an F' that underflowed.
     """
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
-        raise ValueError("inverse_fermi_half requires positive arguments")
+    if not np.all((u > 0) & (u <= _INVERSE_MAX)):
+        raise ValueError(f"inverse_fermi_half requires arguments in (0, {_INVERSE_MAX:g}]")
     eta = _nilsson_inverse(u)
     for _ in range(100):
         f, df = _fermi_half_pair(eta)
@@ -363,9 +375,11 @@ def _solve_poisson(arr, efn, efp, phi_bc, phi0, statistics):
         t = 1.0
         for _ in range(30):
             trial = phi + t * delta
-            r_new, n, p, df_n, df_p = _poisson_residual(arr, trial, efn, efp, pair, phi_bc)
-            # an overflowing trial residual gives inf, which is rejected
-            with np.errstate(over="ignore"):
+            # a trial whose densities or residual overflow has an inf or NaN
+            # residual norm, which is rejected
+            with np.errstate(over="ignore", invalid="ignore"):
+                r_new, n, p, df_n, df_p = _poisson_residual(arr, trial, efn, efp, pair,
+                                                            phi_bc)
                 rnorm_new = np.linalg.norm(r_new)
             if rnorm_new <= rnorm or scaled_update < NEWTON_TOLERANCE:
                 break
@@ -460,6 +474,19 @@ def _bias_ladder(start, target, step):
     return [start + (target - start) * k / n for k in range(1, n + 1)]
 
 
+def _secant(a, b, v):
+    """The secant predictor at bias `v` through the solved pairs a = (v_a, x_a)
+    and b = (v_b, x_b): x_b + t (x_b - x_a), t = (v - v_b) / (v_b - v_a).
+
+    t is capped at ``_SECANT_REACH``: two solved biases far closer together
+    than the next step (0 V and 1e-269 V, say) define a slope that is mostly
+    rounding, and an uncapped t would carry it to a start that overflows.
+    """
+    (v_a, x_a), (v_b, x_b) = a, b
+    t = min((v - v_b) / (v_b - v_a), _SECANT_REACH)
+    return x_b + t * (x_b - x_a)
+
+
 def _set_up(stack, mesh, statistics):
     """(arrays, neutral potential, solve, solve(0, neutral potential)) of a
     sweep, where solve(v, phi0) gives (efn, phi, n, p, history, converged,
@@ -491,16 +518,19 @@ def _sweep(stack, mesh, biases, statistics):
         yield origin, _make_diagram(stack, mesh, arr, phi_eq, n, p, efn, efn, 0.0, True,
                                     update)
     for branch in (up, down):
-        v_done, phi_done = 0.0, phi_eq
+        side = [(0.0, phi_eq)]          # the branch's last converged rungs, at most two
         for bias in branch:
-            for v in _bias_ladder(v_done, bias, CONTINUATION_STEP):
-                efn, phi, n, p, hist, ok, update = solve(v, phi_done)
+            for v in _bias_ladder(side[-1][0], bias, CONTINUATION_STEP):
+                phi0 = _secant(*side, v) if len(side) == 2 else side[0][1]
+                efn, phi, n, p, hist, ok, update = solve(v, phi0)
                 if not ok:
                     yield bias, NonConvergenceError(
                         f"bias continuation stalled at V = {v:.4f} V "
-                        f"(last converged V = {v_done:.4f} V)", hist, last_bias=v_done)
+                        f"(last converged V = {side[-1][0]:.4f} V)", hist,
+                        last_bias=side[-1][0])
+                    side = side[-1:]
                     break
-                v_done, phi_done = v, phi
+                side = [side[-1], (v, phi)]
             else:
                 yield bias, _make_diagram(stack, mesh, arr, phi, n, p, efn, efn, bias,
                                           True, update)

@@ -85,7 +85,7 @@ from .device import DOPED_CONTACT_THRESHOLD
 from .electrostatics import (
     NonConvergenceError, build_device_arrays, carrier_densities, _fermi_half_pair,
     _solve_poisson, _tridiag_solve, _make_diagram, _statistics, quasi_fermi_split,
-    _check_biases, _outward, _bias_ladder, _set_up,
+    _check_biases, _outward, _bias_ladder, _secant, _set_up,
 )
 # perfbench/test_perfbench.py checks that its tracer wraps these bindings
 from .electrostatics import fermi_half, solve_bias  # noqa: F401
@@ -301,14 +301,16 @@ class _GummelWorkspace:
         return out
 
     def _continuity(self, phi, efn, efp, lng_n, lng_p, p, recomb, bias, cycles):
-        """Both continuity solves at a fixed potential: (n, p, v, electron
-        element flux). Electrons integrate exactly. Holes, negligible for the
+        """Both continuity solves at a fixed potential: (n, p, eta_n, eta_p,
+        v, electron element flux), where eta inverts the statistics at each
+        density. Electrons integrate exactly. Holes, negligible for the
         current but bounded under strong generation, take a local SG solve of
         d/dx Jp = q (G + g_rad - B n p), an M-matrix with the loss B n p on the
         diagonal and the mass-action back-generation g_rad explicit, capped at
         the thermal rate; Dirichlet rows hold the contact densities. A
-        breakdown of either solve raises NonConvergenceError naming the bias
-        and the temperature and carrying `cycles`."""
+        breakdown of either solve, or a density that ``inverse_fermi_half``
+        rejects (not finite, or beyond its range), raises NonConvergenceError
+        naming the bias and the temperature and carrying `cycles`."""
         arr = self.arr
         w, v = _driving_potentials(arr, phi, lng_n, lng_p)
         src = constants.Q_E * arr.w * (recomb - self.gen)
@@ -331,12 +333,13 @@ class _GummelWorkspace:
                           + constants.Q_E * arr.w[1:-1] * loss[1:-1])
             rhs = constants.Q_E * arr.w * (self.gen + g_rad)
             rhs[0], rhs[-1] = self.p_bc
-            p = _tridiag_solve(lower, diag, upper, rhs)
+            p = np.maximum(_tridiag_solve(lower, diag, upper, rhs), 1e-30)
+            eta_n, eta_p = self.inverse(n / arr.Nc), self.inverse(p / arr.Nv)
         except (ValueError, LinAlgError) as exc:
             raise NonConvergenceError(
                 f"transport solve broke down at V = {bias} V, "
                 f"T = {self.stack.temperature} K: {exc}", gummel_cycles=cycles) from None
-        return n, np.maximum(p, 1e-30), v, jn_el
+        return n, p, eta_n, eta_p, v, jn_el
 
     def iterate(self, state, max_cycles, tolerance):
         """Run Anderson-mixed Gummel cycles at the state's bias.
@@ -375,10 +378,8 @@ class _GummelWorkspace:
         cycles = 0
         for cycles in range(1, max_cycles + 1):
             phi, efn, efp, lng_n, lng_p = x[:5]
-            n, p, _, _ = self._continuity(*x[:5], np.exp(x[6]), x[7], bias, cycles)
-
-            eta_raw_n = self.inverse(n / arr.Nc)
-            eta_raw_p = self.inverse(p / arr.Nv)
+            n, p, eta_raw_n, eta_raw_p, _, _ = self._continuity(
+                *x[:5], np.exp(x[6]), x[7], bias, cycles)
             efn_t = np.clip((arr.Ec0 - phi) + arr.Vt * eta_raw_n, ef_lo, ef_hi)
             efp_t = np.clip((arr.Ev0 - phi) - arr.Vt * eta_raw_p, ef_lo, ef_hi)
             eta_n = (efn_t - arr.Ec0 + phi) / arr.Vt
@@ -453,12 +454,12 @@ class _GummelWorkspace:
         """Final continuity pass; fluxes and densities for reporting."""
         arr = self.arr
         phi = state["phi"]
-        n, p, v, jn_el = self._continuity(
+        n, p, eta_n, eta_p, v, jn_el = self._continuity(
             phi, state["efn"], state["efp"], state["lng_n"], state["lng_p"], state["p"],
             state["recomb"], state["bias"], 0)
         jp_el = hole_flux(arr, v, p)
-        efn = (arr.Ec0 - phi) + arr.Vt * self.inverse(n / arr.Nc)
-        efp = (arr.Ev0 - phi) - arr.Vt * self.inverse(p / arr.Nv)
+        efn = (arr.Ec0 - phi) + arr.Vt * eta_n
+        efp = (arr.Ev0 - phi) - arr.Vt * eta_p
         return n, p, efn, efp, jn_el + jp_el
 
 
@@ -525,12 +526,11 @@ def detailed_balance_floor(stack, mesh, factor=1e-15):
 def _secant_state(a, b, bias):
     """Gummel state at `bias` on the secant through solved states `a` and
     `b`: linear in log n and log p, and in every other field as it is."""
-    t = (bias - b["bias"]) / (b["bias"] - a["bias"])
-    out = {k: b[k] + t * (b[k] - a[k])
-           for k in ("phi", "efn", "efp", "lng_n", "lng_p", "recomb")}
-    for k in ("n", "p"):
-        out[k] = np.exp(np.log(b[k]) + t * (np.log(b[k]) - np.log(a[k])))
-    out["bias"] = bias
+    def line(k, f=lambda x: x):
+        return _secant((a["bias"], f(a[k])), (b["bias"], f(b[k])), bias)
+
+    out = {k: line(k) for k in ("phi", "efn", "efp", "lng_n", "lng_p", "recomb")}
+    out.update(n=np.exp(line("n", np.log)), p=np.exp(line("p", np.log)), bias=bias)
     return out
 
 

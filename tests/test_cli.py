@@ -571,7 +571,7 @@ def test_bad_device_temperature_is_input_error(tmp_path, capsys, temperature):
     assert "temperature" in err
 
 
-@pytest.mark.parametrize("temperature", [10, 4])
+@pytest.mark.parametrize("temperature", [10, 4, 20])
 def test_iv_breakdown_exits_2_with_one_line_and_writes_the_csv(tmp_path, capsys,
                                                                 temperature):
     doc = json.loads(resources.files("dotdiode.data")
@@ -692,11 +692,18 @@ def test_float_sweep_is_byte_identical_to_percent_format(tmp_path):
                        ["%.12e,%.12e,%.12e,%.12e" % row for row in map(tuple, values.tolist())])
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, dataio.CHUNK_ROWS - 1, dataio.CHUNK_ROWS,
-                                    dataio.CHUNK_ROWS + 1])
+def _around_a_block(n_columns):
+    """Row counts 0, 1 and on either side of write_table's first block
+    boundary for a table of `n_columns` columns."""
+    rows = max(1, dataio.CHUNK_VALUES // n_columns)
+    return [0, 1, rows - 1, rows, rows + 1]
+
+
+@pytest.mark.parametrize("n_rows", _around_a_block(5),
+                         ids=["0", "1", "block-1", "block", "block+1"])
 def test_integer_columns_are_exact_at_any_width(tmp_path, n_rows):
     """int64 and uint64 extremes, zero, negatives and bools, with a float
-    column beside them, at row counts on either side of a chunk boundary."""
+    column beside them, at row counts on either side of a block boundary."""
     k = np.resize(np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, -10,
                             9999, -10000, 2**53 + 1], dtype=np.int64), n_rows)
     u = np.resize(np.array([np.iinfo(np.uint64).max, 2**63, 0, 10**19], dtype=np.uint64),
@@ -728,24 +735,37 @@ def test_write_table_memory_is_bounded_by_its_row_blocks(tmp_path):
     assert peaks[1] <= 1.2 * peaks[0]
 
 
+def test_seven_float_columns_spanning_two_blocks_match_percent_format(tmp_path):
+    """A band-diagram-shaped table of 7 float columns, one row past its
+    block and well into the second, is written as "%.12e" writes each value."""
+    rows = dataio.CHUNK_VALUES // 7
+    assert 1628 <= rows        # a band diagram goes out in one block
+    rng = np.random.default_rng(7)
+    shape = (rows + 1 + rows // 3, 7)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, shape)
+    _assert_written_as(tmp_path, list(values.T),
+                       [",".join("%.12e" % v for v in row) for row in values.tolist()])
+
+
 _ROUND_TRIP_FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, np.inf, -np.inf, np.nan]))
 
 
 @settings(max_examples=25, deadline=None)
-@given(n_rows=st.sampled_from([0, 1, dataio.CHUNK_ROWS - 1, dataio.CHUNK_ROWS,
-                               dataio.CHUNK_ROWS + 1]),
+@given(n_rows=st.sampled_from(_around_a_block(3)),
        data=st.data())
 def test_write_table_round_trips_through_read_table(tmp_path_factory, n_rows, data):
     """Float text is format_float's, bit for bit; int64 and bool columns come
-    back exact, at row counts on either side of a chunk boundary."""
-    x = np.array(data.draw(st.lists(_ROUND_TRIP_FLOATS, min_size=n_rows, max_size=n_rows)),
-                 dtype=float)
-    k = np.array(data.draw(st.lists(st.integers(-2**53, 2**53), min_size=n_rows,
-                                    max_size=n_rows)), dtype=np.int64)
-    flag = np.array(data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)),
-                    dtype=bool)
+    back exact, at row counts on either side of a block boundary. Each column
+    repeats up to 64 drawn values to its length."""
+    def column(elements, dtype):
+        drawn = data.draw(st.lists(elements, min_size=min(n_rows, 1), max_size=64))
+        return np.resize(np.array(drawn, dtype=dtype), n_rows)
+
+    x = column(_ROUND_TRIP_FLOATS, float)
+    k = column(st.integers(-2**53, 2**53), np.int64)
+    flag = column(st.booleans(), bool)
     path = tmp_path_factory.mktemp("rt") / "t.csv"
     dataio.write_table(path, [x, k, flag], ["x", "k", "flag"])
     lines = path.read_text().splitlines()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from numpy.linalg import LinAlgError
 from scipy.linalg import solve_banded
 
 from dotdiode.constants import thermal_voltage
-from dotdiode.device import Layer, LayerStack, build_mesh
+from dotdiode.device import Layer, LayerStack, build_mesh, parse_stack
 from dotdiode import electrostatics
 from dotdiode.cli import main
 from dotdiode.electrostatics import (
@@ -13,7 +15,7 @@ from dotdiode.electrostatics import (
     field_lever_arm, build_device_arrays, carrier_densities, neutral_potential,
     _solve_poisson, _tridiag_solve,
 )
-from dotdiode.materials import lookup_material
+from dotdiode.materials import lookup_material, material_names
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +154,54 @@ def test_band_sweep_matches_lone_solves(reference_stack, reference_mesh):
     up = sorted(b for b in biases if b > 0.0)
     down = sorted((b for b in biases if b < 0.0), reverse=True)
     assert yielded == up + down
+
+
+def test_band_sweep_newton_budget(reference_stack, reference_mesh, monkeypatch):
+    # each rung started from its solved neighbour's potential: 344 Newton steps
+    # over these 40 biases; from the secant through the last two rungs: 180
+    real = electrostatics._solve_poisson
+    steps = []
+
+    def counted(*args):
+        out = real(*args)
+        steps.append(len(out[3]))
+        return out
+
+    monkeypatch.setattr(electrostatics, "_solve_poisson", counted)
+    swept = list(band_sweep(reference_stack, reference_mesh, _stratified_biases(10)))
+    assert all(bd.converged for _, bd in swept) and len(steps) == 41
+    assert sum(steps) <= 220
+
+
+_DOPING = st.one_of(st.just(0.0), st.floats(1e14, 1e19).map(lambda x: float(f"{x:.1e}")))
+_LAYER = st.fixed_dictionaries({
+    "material": st.sampled_from(material_names()),
+    "thickness_nm": st.floats(2.0, 200.0),
+    "donor_cm3": _DOPING,
+    "acceptor_cm3": _DOPING,
+})
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(layers=st.lists(_LAYER, min_size=1, max_size=4),
+       biases=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+def test_random_stacks_converge_or_fail_by_name(layers, biases):
+    """A band sweep of any 1-4-layer stack from the material database gives
+    each bias a converged diagram with finite potential and finite,
+    non-negative densities, or a NonConvergenceError; it never raises
+    anything else and never warns."""
+    stack = parse_stack({"layers": layers})
+    mesh = build_mesh(stack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        swept = dict(band_sweep(stack, mesh, biases))
+    assert sorted(swept) == sorted(set(biases))
+    for bd in swept.values():
+        if isinstance(bd, NonConvergenceError):
+            continue
+        assert bd.converged and np.isfinite(bd.phi).all()
+        for density in (bd.n, bd.p):
+            assert np.isfinite(density).all() and (density >= 0.0).all()
 
 
 _ORDER_BIASES = (-1.3, -0.4, 0.0, 0.35, 0.9, 0.9, 1.6)

@@ -64,6 +64,14 @@ def test_inverse_rejects_nonpositive():
         inverse_fermi_half(0.0)
 
 
+@pytest.mark.parametrize("u", [np.inf, np.nan, 1e90])
+def test_inverse_rejects_what_it_cannot_invert(u):
+    # past about 1e89 the Newton iterates reach the 1e60 clip, where F' is 0
+    with pytest.raises(ValueError, match="1e"):
+        inverse_fermi_half(np.array([1.0, u]))
+    assert fermi_half(inverse_fermi_half(1e80)) == pytest.approx(1e80, rel=1e-12)
+
+
 def test_inverse_round_trip_over_the_full_positive_range():
     u = np.logspace(-300, 6, 3001)
     eta = inverse_fermi_half(u)
