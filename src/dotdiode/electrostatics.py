@@ -9,23 +9,25 @@ by the applied gate voltage at the top contact.
 
 Under bias the contacts are treated as frozen quasi-equilibrium reservoirs:
 carrier statistics reference the nearer contact's quasi-Fermi level, with
-the split at mid-device, and the top reference sits at -V. ``band_sweep``
-builds the device arrays, the neutral potential and the equilibrium once
-(``_set_up``, shared with the drift-diffusion sweep). It solves each
-distinct bias once, outward from 0 V on either side (``_outward``),
-continuing from its solved neighbour: the gap from v_prev to v is crossed
-in n = ceil(|v - v_prev| / ``CONTINUATION_STEP``) equal rungs
-v_prev + (v - v_prev) k/n (``_bias_ladder``). The first rung of a side
-starts from the 0 V potential; each later one from the secant predictor
-through the side's last two converged rungs (``_secant``, which also
-predicts the drift-diffusion sweep's states; Allgower & Georg, *Numerical
-Continuation Methods*, Springer 1990), which halves the Newton steps of a
-scan. A failed rung leaves only the last converged one to continue from,
-as the first rung of a side does. ``solve_bias`` and
-``solve_equilibrium`` are one-bias sweeps. Each Poisson solve is a damped
-Newton iteration that stops once the largest update falls below
-``NEWTON_TOLERANCE`` thermal voltages, or fails after
+the split at mid-device, and the top reference sits at -V. Each Poisson
+solve is a damped Newton iteration that stops once the largest update
+falls below ``NEWTON_TOLERANCE`` thermal voltages, or fails after
 ``NEWTON_MAX_ITERATIONS`` steps.
+
+Both sweeps, ``band_sweep`` and the drift-diffusion ``iv_sweep``, build
+the device arrays and the neutral potential once (``_set_up``) and hand
+their rung solve to one walk (``_walk``). It solves 0 V first, from the
+sweep's origin state, then each distinct bias once, outward from 0 V on
+either side. From a side's last converged rung u, bias v is reached in
+n = ceil(|v - u| / ``CONTINUATION_STEP``) equal rungs, the last exactly v
+(``_bias_ladder``). A rung starts from the secant through the side's last
+two converged rungs (``_secant``; Allgower & Georg, *Numerical
+Continuation Methods*, Springer 1990), or from the last one. A rung that
+fails is retried once, from the last converged rung at half the step; a
+second failure fails its bias, and the next bias continues from the last
+converged rung. A rung that has failed from the same converged rungs
+before fails its bias at once. If 0 V fails, both sides start from the
+origin. ``solve_bias`` and ``solve_equilibrium`` are one-bias sweeps.
 
 The F_half implementation is the Bednarczyk analytic approximation of the
 complete Fermi-Dirac integral of order 1/2, normalized so F_half(eta) ->
@@ -443,9 +445,8 @@ def band_sweep(stack, mesh, biases, statistics="fermi"):
 
     Raises ValueError, before anything is solved, naming the first bias
     that is not finite or lies outside the +/-5 V sanity bound. Each
-    distinct bias is solved once (see the module docstring) and yielded as
-    it is solved; none is kept. A failed bias is yielded with its error,
-    and the next one on its side continues from the last converged step.
+    distinct bias is solved once, by the walk of the module docstring from
+    the neutral potential, and yielded as it is solved; none is kept.
     """
     _check_biases(biases)
     return _sweep(stack, mesh, biases, statistics)
@@ -460,18 +461,11 @@ def _check_biases(biases):
                              "+/-5 V sanity bound")
 
 
-def _outward(order):
-    """(origin, rising branch, falling branch) of the sorted biases `order`,
-    walking away from the entry nearest 0 V."""
-    k0 = order.index(min(order, key=abs))
-    return order[k0], order[k0 + 1:], order[:k0][::-1]
-
-
 def _bias_ladder(start, target, step):
-    """Rungs start + (target - start) k/n, k = 1 ... n, in
-    n = max(1, ceil(|target - start| / step)) equal steps."""
+    """Rungs start + (target - start) k/n, k = 1 ... n - 1, and target itself,
+    in n = max(1, ceil(|target - start| / step)) equal steps."""
     n = max(1, math.ceil(abs(target - start) / step))
-    return [start + (target - start) * k / n for k in range(1, n + 1)]
+    return [start + (target - start) * k / n for k in range(1, n)] + [target]
 
 
 def _secant(a, b, v):
@@ -487,10 +481,49 @@ def _secant(a, b, v):
     return x_b + t * (x_b - x_a)
 
 
+def _walk(biases, origin, solve, step):
+    """(bias, result) for each distinct bias as it is solved, by the walk of
+    the module docstring from the state `origin` at 0 V in rungs of at most
+    `step` volts. solve(v, (u, x), final) solves the rung at v from x, solved
+    at u or predicted at v (u = v), `final` when v is a bias; it returns the
+    converged state and the bias's result, or None and a NonConvergenceError.
+    """
+    order = sorted(set(biases))
+    if not order:
+        return
+    x, result = solve(0.0, (0.0, origin), 0.0 in order)
+    yield from ((bias, result) for bias in order if bias == 0.0)
+    zero = [(0.0, origin if x is None else x)]
+    for branch in ([b for b in order if b > 0.0], [b for b in order[::-1] if b < 0.0]):
+        side, failed = zero, {}     # the last two converged rungs; rungs failed from them
+        for bias in branch:
+            rungs, retry = _bias_ladder(side[-1][0], bias, step), True
+            while rungs:
+                v = rungs.pop(0)
+                key = (v, v == bias)
+                if key not in failed:
+                    start = (v, _secant(*side, v)) if len(side) == 2 else side[-1]
+                    x, result = solve(v, start, key[1])
+                    if x is not None:
+                        side, failed = [side[-1], (v, x)], {}
+                        continue
+                    failed[key] = result
+                    if retry:
+                        retry = False
+                        rungs[:0] = [side[-1][0] + (v - side[-1][0]) / 2, v]
+                        continue
+                last = side[-1][0]
+                result = NonConvergenceError(
+                    f"bias continuation stalled at V = {v:.4f} V (last converged V = "
+                    f"{last:.4f} V): {failed[key]}", failed[key].residual_history,
+                    last_bias=last)
+                break
+            yield bias, result
+
+
 def _set_up(stack, mesh, statistics):
-    """(arrays, neutral potential, solve, solve(0, neutral potential)) of a
-    sweep, where solve(v, phi0) gives (efn, phi, n, p, history, converged,
-    update) at gate voltage v; raises NonConvergenceError if 0 V fails."""
+    """(arrays, neutral potential, solve) of a sweep, where solve(v, phi0)
+    gives (efn, phi, n, p, history, converged, update) at gate voltage v."""
     arr = build_device_arrays(stack, mesh)
     phi_n = neutral_potential(arr, statistics)
 
@@ -499,41 +532,23 @@ def _set_up(stack, mesh, statistics):
         return (efn, *_solve_poisson(arr, efn, efn, (phi_n[0], phi_n[-1] + v), phi0,
                                      statistics))
 
-    *_, history, ok, update = eq = solve(0.0, phi_n)
-    if not ok:
-        raise NonConvergenceError(
-            f"equilibrium Poisson solve did not converge in {NEWTON_MAX_ITERATIONS} "
-            f"iterations (last scaled update {update:.3e})", history)
-    return arr, phi_n, solve, eq
+    return arr, phi_n, solve
 
 
 def _sweep(stack, mesh, biases, statistics):
-    try:
-        arr, _, solve, (efn, phi_eq, n, p, _, _, update) = _set_up(stack, mesh, statistics)
-    except NonConvergenceError as exc:
-        yield from ((bias, exc) for bias in sorted(set(biases)))
-        return
-    origin, up, down = _outward(sorted({*biases, 0.0}))
-    if origin in biases:
-        yield origin, _make_diagram(stack, mesh, arr, phi_eq, n, p, efn, efn, 0.0, True,
-                                    update)
-    for branch in (up, down):
-        side = [(0.0, phi_eq)]          # the branch's last converged rungs, at most two
-        for bias in branch:
-            for v in _bias_ladder(side[-1][0], bias, CONTINUATION_STEP):
-                phi0 = _secant(*side, v) if len(side) == 2 else side[0][1]
-                efn, phi, n, p, hist, ok, update = solve(v, phi0)
-                if not ok:
-                    yield bias, NonConvergenceError(
-                        f"bias continuation stalled at V = {v:.4f} V "
-                        f"(last converged V = {side[-1][0]:.4f} V)", hist,
-                        last_bias=side[-1][0])
-                    side = side[-1:]
-                    break
-                side = [side[-1], (v, phi)]
-            else:
-                yield bias, _make_diagram(stack, mesh, arr, phi, n, p, efn, efn, bias,
-                                          True, update)
+    arr, phi_n, solve = _set_up(stack, mesh, statistics)
+
+    def rung(v, start, final):
+        efn, phi, n, p, history, ok, update = solve(v, start[1])
+        if not ok:
+            return None, NonConvergenceError(
+                f"Poisson solve at V = {v:.4f} V did not converge in "
+                f"{NEWTON_MAX_ITERATIONS} iterations (last scaled update {update:.3e})",
+                history)
+        return phi, (_make_diagram(stack, mesh, arr, phi, n, p, efn, efn, v, True, update)
+                     if final else None)
+
+    yield from _walk(biases, phi_n, rung, CONTINUATION_STEP)
 
 
 def field_lever_arm(bias, d_i_nm):

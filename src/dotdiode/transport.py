@@ -51,15 +51,16 @@ bounded without touching the V = 0 detailed balance. An optional uniform
 generation rate in the undoped layers models above-band illumination
 phenomenologically.
 
-``iv_sweep`` shares the band sweep's set-up, outward order and ladder:
-each distinct bias is solved once, outward from the one nearest 0 V,
-which continues from the 0 V Poisson solution in steps of at most
-``BIAS_STEP``, as does the first point on either side from it. Each later
-point starts from the secant predictor of its two solved neighbours
-(Allgower & Georg, *Numerical Continuation Methods*, Springer 1990), so
-one Gummel solve at its own bias corrects it. After a failed point the
-next one continues from its side's last converged state in ``BIAS_STEP``
-steps. ``solve_drift_diffusion`` is a one-bias sweep.
+``iv_sweep`` hands the walk of the ``electrostatics`` module docstring a
+Gummel rung, from a state seeded by the 0 V Poisson solution. The state
+is one (8, N) array of the cycle map's rows (potential, quasi-Fermi
+levels, degeneracy terms, ln n, ln p, recombination rate), which the
+secant predictor extrapolates directly. A rung carries a state solved at
+another bias to its own (``restep``) and iterates to the loose
+``QF_TOLERANCE_CONTINUATION`` within ``MAX_GUMMEL_CONTINUATION`` cycles
+before a bias of the sweep, and to ``QF_TOLERANCE`` within ``MAX_GUMMEL``
+at it. A point counts the Gummel cycles run since the previous point.
+``solve_drift_diffusion`` is a one-bias sweep.
 
 Sign convention: reported currents are positive when a positive gate
 voltage drives conventional current through the device (resistor-like IV
@@ -83,9 +84,9 @@ from numpy.linalg import LinAlgError
 from . import constants, dataio
 from .device import DOPED_CONTACT_THRESHOLD
 from .electrostatics import (
-    NonConvergenceError, build_device_arrays, carrier_densities, _fermi_half_pair,
-    _solve_poisson, _tridiag_solve, _make_diagram, _statistics, quasi_fermi_split,
-    _check_biases, _outward, _bias_ladder, _secant, _set_up,
+    CONTINUATION_STEP, NonConvergenceError, build_device_arrays, carrier_densities,
+    _fermi_half_pair, _solve_poisson, _tridiag_solve, _make_diagram, _statistics,
+    quasi_fermi_split, _check_biases, _set_up, _walk,
 )
 # perfbench/test_perfbench.py checks that its tracer wraps these bindings
 from .electrostatics import fermi_half, solve_bias  # noqa: F401
@@ -98,7 +99,6 @@ QF_TOLERANCE_CONTINUATION = 1e-5    # V, at intermediate biases
 MAX_GUMMEL_CONTINUATION = 150
 QF_DENSITY_FLOOR = 1e6              # cm^-3, QFL updates below this density
                                     # do not count towards convergence
-BIAS_STEP = 0.125                   # V, internal continuation increment
 B_RADIATIVE = 1e-10                 # cm^3/s
 ANDERSON_DEPTH = 5                  # previous Gummel cycles mixed into each new one
 
@@ -283,21 +283,19 @@ class _GummelWorkspace:
         lng_p = np.where(self.free_nodes,
                          _degeneracy(self.inverse(p / arr.Nv), stats)[0],
                          self.lng_p_neutral)
-        return {"bias": 0.0, "phi": phi.copy(), "n": n, "p": p, "efn": efn.copy(),
-                "efp": efn.copy(), "lng_n": lng_n, "lng_p": lng_p,
-                "recomb": np.zeros(self.mesh.n_nodes)}
+        return np.stack([phi, efn, efn, lng_n, lng_p, np.log(n), np.log(p),
+                         np.zeros(self.mesh.n_nodes)])
 
-    def restep(self, state, bias):
-        """Carry a converged state to a nearby bias (continuation)."""
-        old = state["bias"]
-        out = {k: (v.copy() if isinstance(v, np.ndarray) else v)
-               for k, v in state.items()}
-        out["bias"] = bias
-        out["phi"][0] = self.phi_neutral[0]
-        out["phi"][-1] = self.phi_neutral[-1] + bias
-        for k in ("efn", "efp"):
-            out[k] = (np.clip(state[k] * (bias / old), min(0.0, -bias), max(0.0, -bias))
-                      if old != 0.0 else quasi_fermi_split(self.stack, self.mesh, bias))
+    def restep(self, old, x, bias):
+        """Carry a state x converged at bias `old` to a nearby `bias` (x itself
+        when the two are equal)."""
+        if old == bias:
+            return x
+        out = x.copy()
+        out[0, 0] = self.phi_neutral[0]
+        out[0, -1] = self.phi_neutral[-1] + bias
+        out[1:3] = (np.clip(x[1:3] * (bias / old), min(0.0, -bias), max(0.0, -bias))
+                    if old != 0.0 else quasi_fermi_split(self.stack, self.mesh, bias))
         return out
 
     def _continuity(self, phi, efn, efp, lng_n, lng_p, p, recomb, bias, cycles):
@@ -341,14 +339,12 @@ class _GummelWorkspace:
                 f"T = {self.stack.temperature} K: {exc}", gummel_cycles=cycles) from None
         return n, p, eta_n, eta_p, v, jn_el
 
-    def iterate(self, state, max_cycles, tolerance):
-        """Run Anderson-mixed Gummel cycles at the state's bias.
-
-        Returns (state, converged, cycles, last Poisson stage's |dphi|/Vt);
-        the state is a new dict, always the unmixed output of the last cycle.
-        """
+    def iterate(self, x, bias, max_cycles, tolerance):
+        """(state, cycles, last Poisson stage's |dphi|/Vt) of Anderson-mixed
+        Gummel cycles from the state x at `bias`, the state a new array, the
+        unmixed output of the last cycle. Raises NonConvergenceError if the
+        quasi-Fermi update is not below `tolerance` within `max_cycles`."""
         arr, stats = self.arr, self.stats
-        bias = state["bias"]
         phi_bc = (self.phi_neutral[0], self.phi_neutral[-1] + bias)
 
         # maximum principle: quasi-Fermi levels stay between contact values
@@ -362,9 +358,6 @@ class _GummelWorkspace:
         # and of outputs into the next input; it also damps the flip-flop of
         # the explicit recombination term at generation-recombination
         # balance, so recomb needs no relaxation of its own.
-        x = np.stack([state["phi"], state["efn"], state["efp"], state["lng_n"],
-                      state["lng_p"], np.log(state["n"]), np.log(state["p"]),
-                      state["recomb"]])
         g = np.empty_like(x)
         g_prev = np.empty_like(x)
         scale = np.array([1.0 / arr.Vt] * 3 + [1.0] * 2)[:, None]
@@ -373,9 +366,6 @@ class _GummelWorkspace:
         f_prev = None
         depth = slot = 0
 
-        converged = False
-        newton_update = np.inf
-        cycles = 0
         for cycles in range(1, max_cycles + 1):
             phi, efn, efp, lng_n, lng_p = x[:5]
             n, p, eta_raw_n, eta_raw_p, _, _ = self._continuity(
@@ -425,7 +415,6 @@ class _GummelWorkspace:
             du_p = np.max(np.abs(efp_t - efp)[mask_p]) if np.any(mask_p) else 0.0
             qf_update = max(du_n, du_p)
             if qf_update < tolerance:
-                converged = True
                 break
 
             f = ((g[:5] - x[:5]) * scale).ravel()
@@ -445,55 +434,21 @@ class _GummelWorkspace:
                 if not np.all(np.isfinite(x)):
                     depth = slot = 0
                     x[:] = g
+        else:
+            raise NonConvergenceError(f"Gummel iteration did not converge in {max_cycles} "
+                                      f"cycles at V = {bias} V", gummel_cycles=max_cycles)
+        return g, cycles, newton_update
 
-        state = dict(state, phi=g[0], n=n, p=p, efn=g[1], efp=g[2],
-                     lng_n=g[3], lng_p=g[4], recomb=g[7])
-        return state, converged, cycles, newton_update
-
-    def finalize(self, state):
+    def finalize(self, x, bias):
         """Final continuity pass; fluxes and densities for reporting."""
         arr = self.arr
-        phi = state["phi"]
-        n, p, eta_n, eta_p, v, jn_el = self._continuity(
-            phi, state["efn"], state["efp"], state["lng_n"], state["lng_p"], state["p"],
-            state["recomb"], state["bias"], 0)
+        phi = x[0]
+        n, p, eta_n, eta_p, v, jn_el = self._continuity(*x[:5], np.exp(x[6]), x[7], bias,
+                                                         0)
         jp_el = hole_flux(arr, v, p)
         efn = (arr.Ec0 - phi) + arr.Vt * eta_n
         efp = (arr.Ev0 - phi) - arr.Vt * eta_p
         return n, p, efn, efp, jn_el + jp_el
-
-
-def _solve_point(ws, state, bias):
-    """Continue the Gummel state `state` to `bias` in steps of at most
-    BIAS_STEP and solve there: (state, BandDiagram, IVPoint). A
-    NonConvergenceError carries the Gummel cycles run before it."""
-    ladder = _bias_ladder(state["bias"], bias, BIAS_STEP)
-    total_cycles = 0
-    try:
-        for k, v_step in enumerate(ladder):
-            last = (k == len(ladder) - 1)
-            state = ws.restep(state, v_step) if state["bias"] != v_step else state
-            max_cycles = MAX_GUMMEL if last else MAX_GUMMEL_CONTINUATION
-            tol = QF_TOLERANCE if last else QF_TOLERANCE_CONTINUATION
-            state, converged, cycles, newton_update = ws.iterate(state, max_cycles, tol)
-            total_cycles += cycles
-        n, p, efn, efp, j_el = ws.finalize(state)
-    except NonConvergenceError as exc:
-        exc.gummel_cycles += total_cycles
-        raise
-
-    # device sign convention: positive gate voltage -> positive current
-    j_total = -j_el
-    j_mean = float(np.mean(j_total))
-    scale = max(abs(j_mean), 1e-15 * _current_scale(ws.arr))
-    continuity = float(np.max(np.abs(np.diff(j_total))) / scale) if j_total.size > 1 else 0.0
-
-    diagram = _make_diagram(ws.stack, ws.mesh, ws.arr, state["phi"], n, p, efn, efp,
-                            bias, converged, newton_update)
-    point = IVPoint(bias=bias, current_density=j_mean,
-                    gummel_iterations=total_cycles, converged=converged,
-                    continuity_error=continuity)
-    return state, diagram, point
 
 
 def solve_drift_diffusion(stack, mesh, bias, generation=0.0, statistics="fermi"):
@@ -523,17 +478,6 @@ def detailed_balance_floor(stack, mesh, factor=1e-15):
     return factor * _current_scale(arr)
 
 
-def _secant_state(a, b, bias):
-    """Gummel state at `bias` on the secant through solved states `a` and
-    `b`: linear in log n and log p, and in every other field as it is."""
-    def line(k, f=lambda x: x):
-        return _secant((a["bias"], f(a[k])), (b["bias"], f(b[k])), bias)
-
-    out = {k: line(k) for k in ("phi", "efn", "efp", "lng_n", "lng_p", "recomb")}
-    out.update(n=np.exp(line("n", np.log)), p=np.exp(line("p", np.log)), bias=bias)
-    return out
-
-
 def iv_sweep(stack, mesh, biases, generation=0.0, statistics="fermi"):
     """IV curve over `biases`, returned in the given order.
 
@@ -555,30 +499,42 @@ def _iv_sweep(stack, mesh, biases, generation, statistics):
     """(bias, (BandDiagram, IVPoint) or NonConvergenceError) for each
     distinct bias, in the order they are solved."""
     _check_biases(biases)
-    order = sorted(set(biases))
-    if not order:
-        return
-    try:
-        arr, phi_n, _, (efn, phi_eq, n, p, *_) = _set_up(stack, mesh, statistics)
-    except NonConvergenceError as exc:
-        yield from ((bias, exc) for bias in order)
+    arr, phi_n, solve = _set_up(stack, mesh, statistics)
+    efn, phi_eq, n, p, history, ok, update = solve(0.0, phi_n)
+    if not ok:
+        exc = NonConvergenceError(
+            f"equilibrium Poisson solve did not converge in {len(history)} iterations "
+            f"(last scaled update {update:.3e})", history)
+        yield from ((bias, exc) for bias in sorted(set(biases)))
         return
     ws = _GummelWorkspace(stack, mesh, arr, phi_n, generation, statistics)
+    spent = 0                   # Gummel cycles run since the last point was solved
 
-    def solve(bias, side):
-        """(result, converged states after it) of `bias` from those before it."""
-        start = _secant_state(*side, bias) if len(side) == 2 else side[0]
+    def rung(v, start, final):
+        nonlocal spent
+        limits = ((MAX_GUMMEL, QF_TOLERANCE) if final
+                  else (MAX_GUMMEL_CONTINUATION, QF_TOLERANCE_CONTINUATION))
         try:
-            state, diagram, point = _solve_point(ws, start, bias)
+            x, cycles, update = ws.iterate(ws.restep(*start, v), v, *limits)
+            spent += cycles
+            if not final:
+                return x, None
+            n, p, efn, efp, j_el = ws.finalize(x, v)
         except NonConvergenceError as exc:
-            return exc, side[-1:]
-        return (diagram, point), (side[-1:] + [state] if point.converged else side[-1:])
+            spent += exc.gummel_cycles
+            return None, exc
+        # device sign convention: positive gate voltage -> positive current
+        j_total = -j_el
+        j_mean = float(np.mean(j_total))
+        scale = max(abs(j_mean), 1e-15 * _current_scale(arr))
+        continuity = (float(np.max(np.abs(np.diff(j_total))) / scale)
+                      if j_total.size > 1 else 0.0)
+        return x, (_make_diagram(stack, mesh, arr, x[0], n, p, efn, efp, v, True, update),
+                   IVPoint(bias=v, current_density=j_mean, gummel_iterations=spent,
+                           converged=True, continuity_error=continuity))
 
-    origin, up, down = _outward(order)
-    result, converged = solve(origin, [ws.seed(efn, phi_eq, n, p)])
-    yield origin, result
-    for branch in (up, down):
-        side = converged[-1:]
-        for bias in branch:
-            result, side = solve(bias, side)
-            yield bias, result
+    for bias, result in _walk(biases, ws.seed(efn, phi_eq, n, p), rung, CONTINUATION_STEP):
+        if isinstance(result, NonConvergenceError):
+            result.gummel_cycles = spent
+        yield bias, result
+        spent = 0

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.linalg import LinAlgError
 from scipy.linalg import solve_banded
 
@@ -173,6 +173,17 @@ def test_band_sweep_newton_budget(reference_stack, reference_mesh, monkeypatch):
     assert sum(steps) <= 220
 
 
+@example(0.0, 0.7)          # the Boltzmann golden's bias: 0.7 * 3 / 3 is not 0.7
+@given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_bias_ladder_ends_exactly_at_its_target(start, target):
+    step = electrostatics.CONTINUATION_STEP
+    ladder = electrostatics._bias_ladder(start, target, step)
+    assert ladder[-1] == target
+    gaps = np.diff([start, *ladder])
+    assert np.all(np.abs(gaps) <= step * (1.0 + 1e-12))
+    assert len(ladder) == max(1, int(np.ceil(abs(target - start) / step)))
+
+
 _DOPING = st.one_of(st.just(0.0), st.floats(1e14, 1e19).map(lambda x: float(f"{x:.1e}")))
 _LAYER = st.fixed_dictionaries({
     "material": st.sampled_from(material_names()),
@@ -227,9 +238,9 @@ def test_band_sweep_is_independent_of_bias_order(reference_stack, reference_mesh
 
 def test_band_sweep_failure_fails_only_that_bias(reference_stack, reference_mesh,
                                                  monkeypatch):
-    """A bias whose solve fails is yielded with its error; the next bias on
-    its side continues from the last converged step, the other side is
-    untouched."""
+    """A bias whose solve fails, also after its retry at half the step, is
+    yielded with its error; the next bias on its side continues from the last
+    converged rung, the other side is untouched."""
     phi_n = neutral_potential(build_device_arrays(reference_stack, reference_mesh))
     real = electrostatics._solve_poisson
     contacts = []
@@ -245,10 +256,12 @@ def test_band_sweep_failure_fails_only_that_bias(reference_stack, reference_mesh
     monkeypatch.setattr(electrostatics, "_solve_poisson", fail_at_0p4)
     swept = dict(band_sweep(reference_stack, reference_mesh, [0.7, -0.3, 0.4, 0.2]))
     err = swept.pop(0.4)
-    assert isinstance(err, NonConvergenceError) and err.last_bias == 0.2
+    assert isinstance(err, NonConvergenceError)
+    assert err.last_bias == pytest.approx(0.3, abs=1e-12)
     assert all(bd.converged for bd in swept.values())
-    # equilibrium, 0.2, 0.4 (failed), then 0.45 and 0.7 from 0.2, then -0.15 and -0.3
-    np.testing.assert_allclose(contacts, [0.0, 0.2, 0.4, 0.45, 0.7, -0.15, -0.3],
+    # equilibrium, 0.2, 0.4 (failed), the retry's 0.3 and 0.4 (failed), then 0.5
+    # and 0.7 from 0.3, then -0.15 and -0.3
+    np.testing.assert_allclose(contacts, [0.0, 0.2, 0.4, 0.3, 0.4, 0.5, 0.7, -0.15, -0.3],
                                atol=1e-12)
     monkeypatch.setattr(electrostatics, "_solve_poisson", real)
     lone = solve_bias(reference_stack, reference_mesh, 0.7)
@@ -260,7 +273,8 @@ def test_band_sweep_failed_equilibrium_fails_every_bias(reference_stack, referen
     monkeypatch.setattr(electrostatics, "NEWTON_MAX_ITERATIONS", 1)
     monkeypatch.setattr(electrostatics, "NEWTON_TOLERANCE", 1e-14)
     swept = list(band_sweep(reference_stack, reference_mesh, [0.5, 0.0, -0.5]))
-    assert [b for b, _ in swept] == [-0.5, 0.0, 0.5]
+    # 0 V first, then outward; each side starts from the neutral potential
+    assert [b for b, _ in swept] == [0.0, 0.5, -0.5]
     assert all(isinstance(r, NonConvergenceError) and r.residual_history
                for _, r in swept)
 

@@ -129,26 +129,34 @@ def test_sweep_points_do_not_depend_on_the_bias_order(reference_stack, reference
     assert curve.points == tuple(by_bias[b] for b in shuffled)
 
 
+def _record_rungs(monkeypatch):
+    """The (bias, final) of every rung the sweep's walk solves, in order."""
+    rungs = []
+    real = transport._walk
+
+    def recording(biases, origin, solve, step):
+        def rung(v, start, final):
+            rungs.append((v, final))
+            return solve(v, start, final)
+        return real(biases, origin, rung, step)
+
+    monkeypatch.setattr(transport, "_walk", recording)
+    return rungs
+
+
 def test_duplicate_biases_are_solved_once(reference_stack, reference_mesh, monkeypatch):
-    solved = []
-    real = transport._solve_point
-
-    def counting(ws, state, bias):
-        solved.append(bias)
-        return real(ws, state, bias)
-
-    monkeypatch.setattr(transport, "_solve_point", counting)
+    rungs = _record_rungs(monkeypatch)
     curve = iv_sweep(reference_stack, reference_mesh, [0.5, 0.25, 0.5, 0.25])
-    assert sorted(solved) == [0.25, 0.5]
+    assert rungs == [(0.0, False), (0.25, True), (0.5, True)]
     assert curve.points[0] == curve.points[2] and curve.points[1] == curve.points[3]
     assert list(curve.biases()) == [0.5, 0.25, 0.5, 0.25]
 
 
 def test_mid_branch_failure_marks_only_its_point(reference_stack, reference_mesh,
                                                  monkeypatch):
-    # 0.6 V is the third point of the upward branch, off the BIAS_STEP grid,
-    # so neither the 0.3 V ladder nor the 0.9 V one passes through it: 0.9 V
-    # continues from the last converged point, 0.3 V, over 0.42 ... 0.9 V
+    # 0.6 V is the third point of the upward branch: its rungs 0.45 and 0.6,
+    # then the retry's 0.525 and 0.6 again. 0.9 V continues from the last
+    # converged rung, 0.525 V, over 0.7125 V, so no later rung passes 0.6 V
     arr = electrostatics.build_device_arrays(reference_stack, reference_mesh)
     phi_neutral = electrostatics.neutral_potential(arr, "fermi")
     drop = phi_neutral[-1] - phi_neutral[0]
@@ -161,12 +169,19 @@ def test_mid_branch_failure_marks_only_its_point(reference_stack, reference_mesh
         return out
 
     monkeypatch.setattr(transport, "_solve_poisson", fail_at_0p6)
+    rungs = _record_rungs(monkeypatch)
     biases = [0.6, -0.3, 0.0, 0.9, 0.3]
     curve = iv_sweep(reference_stack, reference_mesh, biases)
+    assert [v for v, _ in rungs] == pytest.approx(
+        [0.0, 0.15, 0.3, 0.45, 0.6, 0.525, 0.6, 0.7125, 0.9, -0.15, -0.3], abs=1e-12)
+    assert [final for _, final in rungs] == [True, False, True, False, True, False, True,
+                                             False, True, False, True]
     assert list(curve.biases()) == biases
     failed, *rest = curve.points
     assert not failed.converged and math.isnan(failed.current_density)
-    assert failed.gummel_iterations == 1
+    # the 0.45 V and 0.525 V rungs converge; each 0.6 V attempt fails in its
+    # first cycle
+    assert failed.gummel_iterations == 26
     assert all(pt.converged and math.isfinite(pt.current_density) for pt in rest)
 
 
@@ -227,22 +242,25 @@ def test_gummel_failure_carries_the_running_cycle_count(reference_stack, referen
     real = transport._solve_poisson
     inner = []
 
-    def fail_on_call_40(arr, efn, efp, phi_bc, phi0, statistics):
+    def fail_from_call_40(arr, efn, efp, phi_bc, phi0, statistics):
         out = real(arr, efn, efp, phi_bc, phi0, statistics)
         if statistics == "boltzmann":        # the Poisson stage of a Gummel cycle
             inner.append(None)
-            if len(inner) == 40:
+            if len(inner) >= 40:
                 return out[:4] + (False,) + out[5:]
         return out
 
-    monkeypatch.setattr(transport, "_solve_poisson", fail_on_call_40)
+    monkeypatch.setattr(transport, "_solve_poisson", fail_from_call_40)
     with pytest.raises(NonConvergenceError) as err:
         solve_drift_diffusion(reference_stack, reference_mesh, 0.5)
-    assert err.value.gummel_cycles == 40
+    # 39 cycles converge (0 V and 0.25 V on the way), the 40th fails at 0.5 V
+    # and so does the first cycle of its retry from 0.25 V
+    assert err.value.gummel_cycles == 41 and err.value.last_bias == 0.25
 
 
-# Gummel cycles run at 0 V and 0.5 V before each point breaks down
-_BREAKDOWN_CYCLES = {10.0: [1, 1], 4.0: [1, 1], 20.0: [8, 5]}
+# Gummel cycles run at 0 V and 0.5 V before each point breaks down; 0.5 V
+# counts its 0.25 V rung and the retry's 0.125 V rung
+_BREAKDOWN_CYCLES = {10.0: [1, 2], 4.0: [1, 2], 20.0: [8, 11]}
 
 
 @pytest.mark.parametrize("temperature", [10.0, 4.0, 20.0])
@@ -276,7 +294,52 @@ def test_default_dark_sweep_cycle_budget(reference_stack, reference_mesh):
     # unmixed, under-relaxed Gummel cycles needed 3,805 for these 13 points,
     # Anderson-mixed cycles solved in the given order from -1 V 694
     curve = iv_sweep(reference_stack, reference_mesh, DEFAULT_GRID)
-    assert sum(pt.gummel_iterations for pt in curve.points) <= 350
+    assert sum(pt.gummel_iterations for pt in curve.points) <= 255
+
+
+@pytest.mark.parametrize("temperature", [55.0, 77.0, 120.0])
+def test_cryogenic_sweep_converges_at_every_bias(reference_stack, temperature):
+    # with 0.125 V rungs, no retry and unconverged rungs carried on, 1 V
+    # failed at 55 K and 77 K, and 0.5 V at 120 K
+    stack = dataclasses.replace(reference_stack, temperature=temperature)
+    curve = iv_sweep(stack, build_mesh(stack), [0.0, 0.5, 1.0])
+    assert all(pt.converged and math.isfinite(pt.current_density) for pt in curve.points)
+
+
+def test_unconverged_point_is_written_as_failed(tmp_path, monkeypatch):
+    # three cycles cannot reach 1e-8 V at 0.5 V: the point is failed, with the
+    # cycles it ran, not a current from an unconverged state
+    from dotdiode.cli import main
+    monkeypatch.setattr(transport, "MAX_GUMMEL", 3)
+    assert main(["iv", "--vmin", "0.5", "--vmax", "0.5", "--out", str(tmp_path)]) == 2
+    cols, meta = dataio.read_table(tmp_path / "iv.csv")
+    assert math.isnan(cols["J_Acm2"][0]) and cols["converged"][0] == 0
+    assert cols["gummel_iterations"][0] > 6 and meta["all_converged"] == "False"
+
+
+def test_a_rung_that_failed_is_not_solved_again(reference_stack, reference_mesh,
+                                                monkeypatch):
+    # every Gummel cycle between 0 V and 0.3 V fails, so 0.5 V fails at its
+    # 0.25 V rung and at the retry's 0.125 V rung; 1 V would start from the
+    # same 0 V state with the same 0.25 V rung, and fails at once
+    arr = electrostatics.build_device_arrays(reference_stack, reference_mesh)
+    drop = np.diff(electrostatics.neutral_potential(arr, "fermi")[[0, -1]])[0]
+    real = transport._solve_poisson
+
+    def fail_below_0p3(arr, efn, efp, phi_bc, phi0, statistics):
+        out = real(arr, efn, efp, phi_bc, phi0, statistics)
+        if statistics == "boltzmann" and 0.0 < phi_bc[1] - phi_bc[0] - drop < 0.3:
+            return out[:4] + (False,) + out[5:]
+        return out
+
+    monkeypatch.setattr(transport, "_solve_poisson", fail_below_0p3)
+    rungs = _record_rungs(monkeypatch)
+    swept = dict(transport._iv_sweep(reference_stack, reference_mesh, [0.0, 0.5, 1.0],
+                                     0.0, "fermi"))
+    assert rungs == [(0.0, True), (0.25, False), (0.125, False)]
+    assert isinstance(swept[0.0], tuple) and swept[0.0][1].converged
+    assert [swept[b].gummel_cycles for b in (0.5, 1.0)] == [2, 0]
+    assert swept[1.0].last_bias == 0.0
 
 
 def test_lit_sweep_cycle_budget(reference_stack, reference_mesh):
