@@ -23,9 +23,14 @@ from a half-integer, rint rounds it as "%.12e" does. The values near a tie
 (under 1 % of random inputs) and every non-finite, subnormal, very large or
 very small value are written by format_float itself, so the text is
 byte-identical to "%.12e" % x for every float.
+
+check_json checks a parsed JSON configuration (a device, lines or ladder
+file) against a small schema and names the file and field of a mismatch.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -244,3 +249,28 @@ def write_report(path, title, sections):
         lines += [f"{key} = {_text(value)}" for key, value in entries.items()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def check_json(value, kind, where):
+    """Raise ValueError naming `where` (the file, then the field) unless the
+    JSON `value` is of `kind`: float (a finite number), str, [kind] (a list
+    of kind) or {key: kind} (an object whose keys ending in "?" may be
+    absent, or null where their kind is an object)."""
+    if isinstance(kind, dict):
+        check_json(value, dict, where)
+        for key, sub in kind.items():
+            name = key.rstrip("?")
+            if name != key and value.get(name) is None and (
+                    name not in value or isinstance(sub, dict)):
+                continue
+            if name not in value:
+                raise ValueError(f"{where}: missing field {name!r}")
+            check_json(value[name], sub, f"{where}: {name}")
+    elif isinstance(kind, list):
+        check_json(value, list, where)
+        for i, item in enumerate(value):
+            check_json(item, kind[0], f"{where}[{i}]")
+    elif (isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind)
+          or kind is float and not math.isfinite(value)):
+        noun = {float: "a finite number", str: "a string", list: "a list", dict: "an object"}
+        raise ValueError(f"{where} must be {noun[kind]}, got {value!r:.40}")

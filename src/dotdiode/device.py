@@ -39,9 +39,13 @@ from importlib import resources
 
 import numpy as np
 
+from . import dataio
 from .materials import T_MAX, lookup_material, UnknownMaterialError
 
 DOPED_CONTACT_THRESHOLD = 1.0e17  # cm^-3; layers at or above count as contacts
+_STACK_SCHEMA = {"name?": str, "temperature_K?": float, "layers": [{
+    "material": str, "thickness_nm": float, "donor_cm3?": float, "acceptor_cm3?": float,
+    "label?": str}]}
 
 
 class SchemaError(ValueError):
@@ -128,33 +132,32 @@ def parse_stack(source):
     """Build a validated LayerStack from a JSON document.
 
     `source` may be a JSON string, a dict, or a path to a JSON file.
-    Schema violations raise SchemaError naming the offending layer index.
+    Schema violations raise SchemaError naming the file (or "device") and
+    the offending field, with its layer index.
     """
+    where = "device"
     if isinstance(source, dict):
         doc = source
     else:
         text = str(source)
         if not text.lstrip().startswith("{"):
+            where = text
             with open(text, "r") as fh:
                 text = fh.read()
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
-
-    if "layers" not in doc or not isinstance(doc["layers"], list):
-        raise SchemaError("document must contain a 'layers' list")
+    try:
+        dataio.check_json(doc, _STACK_SCHEMA, where)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
     if not doc["layers"]:
         raise SchemaError("'layers' list must not be empty")
     temperature = doc.get("temperature_K", 300.0)
-    if isinstance(temperature, bool) or not isinstance(temperature, (int, float)):
-        raise SchemaError(f"temperature_K must be a number, got {temperature!r}")
 
     layers = []
     for idx, entry in enumerate(doc["layers"]):
-        for key in ("material", "thickness_nm"):
-            if key not in entry:
-                raise SchemaError(f"layer {idx}: missing field {key!r}")
         try:
             lookup_material(entry["material"], temperature)
         except UnknownMaterialError as exc:
@@ -165,12 +168,12 @@ def parse_stack(source):
                 thickness_nm=float(entry["thickness_nm"]),
                 donor_cm3=float(entry.get("donor_cm3", 0.0)),
                 acceptor_cm3=float(entry.get("acceptor_cm3", 0.0)),
-                label=str(entry.get("label", "")),
+                label=entry.get("label", ""),
             ))
         except ValueError as exc:
             raise SchemaError(f"layer {idx}: {exc}") from exc
     return LayerStack(layers=tuple(layers), temperature=float(temperature),
-                      name=str(doc.get("name", "")))
+                      name=doc.get("name", ""))
 
 
 def serialize_stack(stack):

@@ -11,8 +11,9 @@ Under bias the contacts are treated as frozen quasi-equilibrium reservoirs:
 carrier statistics reference the nearer contact's quasi-Fermi level, with
 the split at mid-device, and the top reference sits at -V. Each Poisson
 solve is a damped Newton iteration that stops once the largest update
-falls below ``NEWTON_TOLERANCE`` thermal voltages, or fails after
-``NEWTON_MAX_ITERATIONS`` steps.
+falls below ``NEWTON_TOLERANCE`` thermal voltages (or a looser tolerance
+its caller passes, as the drift-diffusion Poisson stage does), or fails
+after ``NEWTON_MAX_ITERATIONS`` steps.
 
 Both sweeps, ``band_sweep`` and the drift-diffusion ``iv_sweep``, build
 the device arrays and the neutral potential once (``_set_up``) and hand
@@ -40,17 +41,19 @@ and returns F and F' together: the shared terms (clip, Gaussian, nu,
 exp(-eta), nu^-3/8) are computed once, integer powers are products and
 nu^-11/8 is nu^-3/8 / nu, so one call costs one libm ``pow``. The public
 ``fermi_half`` and ``fermi_half_deriv`` return its two halves.
-``inverse_fermi_half`` starts its Newton iteration from Nilsson's closed-form
-inverse of F_1/2 (Phys. Stat. Sol. (a) 19, K75, 1973) and calls the pair
-once per step.
+``inverse_fermi_half`` returns ln(u) where ln(u) <= -30; elsewhere it
+starts Newton from Nilsson's closed-form inverse of F_1/2 (Phys. Stat.
+Sol. (a) 19, K75, 1973) and calls the pair once per step, and about three
+steps bring each value within 1e-13 of the root.
 
 Each Newton trial potential of the Poisson solve gets one pair evaluation
-per carrier (one ``exp`` for Boltzmann statistics). The accepted trial's
-F' builds the next Jacobian and its densities are the ones returned, so
-nothing is evaluated twice at the same potential. The tridiagonal Newton
-step calls LAPACK ``dgtsv`` directly, the routine
-``scipy.linalg.solve_banded`` uses for this band structure, without its
-band matrix and argument wrapper.
+for both carriers, on their stacked (2, N) arguments (one ``exp`` for
+Boltzmann statistics). The accepted trial's F' builds the next Jacobian
+and its densities are the ones returned, so nothing is evaluated twice at
+the same potential; eps_0 eps, q w and the Jacobian's coupling sums are
+device arrays, computed once. The tridiagonal Newton step calls
+LAPACK ``dgtsv`` directly, the routine ``scipy.linalg.solve_banded`` uses
+for this band structure, without its band matrix and argument wrapper.
 """
 
 from __future__ import annotations
@@ -150,25 +153,37 @@ def _nilsson_inverse(u):
 def inverse_fermi_half(u):
     """Solve fermi_half(eta) = u for eta (safeguarded Newton).
 
-    Starts from Nilsson's closed-form inverse (within 0.02 of the root)
-    and evaluates F and F' through the shared
-    ``_fermi_half_pair`` once per step (see the module docstring); about
-    three steps reach the 1e-13 stop. Raises ValueError unless every u is
+    Where ln(u) <= -30 the root is ln(u) to the last bit, and that is
+    returned. Elsewhere Newton starts from Nilsson's closed-form inverse
+    (within 0.02 of the root) and evaluates F and F' through the shared
+    ``_fermi_half_pair`` once per step. A value stops once its step s is
+    below 4e-7 max(1, eta): the error left, about |F''/2F'| s^2, is then
+    below 6.5e-14 max(1, |eta|). As each value stops on its own, a stacked
+    call returns its rows bit for bit. Raises ValueError unless every u is
     in (0, 1e80], so a non-finite or absurd density fails by name instead
     of dividing by an F' that underflowed.
     """
     u = np.asarray(u, dtype=float)
     if not np.all((u > 0) & (u <= _INVERSE_MAX)):
         raise ValueError(f"inverse_fermi_half requires arguments in (0, {_INVERSE_MAX:g}]")
-    eta = _nilsson_inverse(u)
-    for _ in range(100):
-        f, df = _fermi_half_pair(eta)
-        limit = 5.0 + 0.1 * np.abs(eta)
-        step = np.clip((f - u) / df, -limit, limit)
-        eta = eta - step
-        if (np.abs(step) / np.maximum(1.0, np.abs(eta))).max() < 1e-13:
-            break
-    return eta if eta.ndim else float(eta)
+    flat = u.reshape(-1)
+    out = np.log(flat)
+    live = out > -30.0
+    if live.any():
+        target = flat[live]
+        eta = _nilsson_inverse(target)
+        done = np.zeros(eta.shape, dtype=bool)
+        for _ in range(100):
+            f, df = _fermi_half_pair(eta)
+            limit = 5.0 + 0.1 * np.abs(eta)
+            step = np.where(done, 0.0, np.clip((f - target) / df, -limit, limit))
+            eta = eta - step
+            done |= np.abs(step) < 4e-7 * np.maximum(1.0, eta)
+            if done.all():
+                break
+        out[live] = eta
+    out = out.reshape(u.shape)
+    return out if out.ndim else float(out)
 
 
 def _exp_clipped(eta):
@@ -239,6 +254,10 @@ class _DeviceArrays:
     mu_h_el: np.ndarray
     Vt: float
     temperature: float
+    eps0_eps: np.ndarray     # eps_0 * eps per element
+    cond: np.ndarray         # eps_0 eps / h per element, and the sum of each
+    cond_sum: np.ndarray     # interior row's two, cond[1:] + cond[:-1]
+    q_w: np.ndarray          # q * w per node
 
 
 def build_device_arrays(stack, mesh):
@@ -267,9 +286,12 @@ def build_device_arrays(stack, mesh):
     w[0] = 0.5 * h[0]
     w[-1] = 0.5 * h[-1]
     w[1:-1] = 0.5 * (h[:-1] + h[1:])
+    eps0_eps = constants.EPS_0 * eps_el
+    cond = eps0_eps / h
 
     return _DeviceArrays(
-        x=x, h=h, w=w, eps_el=eps_el,
+        x=x, h=h, w=w, eps_el=eps_el, eps0_eps=eps0_eps, cond=cond,
+        cond_sum=cond[1:] + cond[:-1], q_w=constants.Q_E * w,
         Nc=nc_layer[mesh.node_layer], Nv=nv_layer[mesh.node_layer],
         Ec0=ec_layer[mesh.node_layer], Ev0=ev_layer[mesh.node_layer],
         Nd=nd_n, Na=na_n,
@@ -311,14 +333,16 @@ def neutral_potential(arr, statistics="fermi"):
 
 def _poisson_residual(arr, phi, efn, efp, pair, phi_bc):
     """Residual at `phi` with the densities and the F' values behind it:
-    (r, n, p, F'_n, F'_p)."""
-    f_n, df_n = pair((efn - (arr.Ec0 - phi)) / arr.Vt)
-    f_p, df_p = pair(((arr.Ev0 - phi) - efp) / arr.Vt)
+    (r, n, p, F'_n, F'_p). Both carriers share one pair evaluation."""
+    eta = np.empty((2, phi.size))
+    np.subtract(efn, arr.Ec0 - phi, out=eta[0])
+    np.subtract(arr.Ev0 - phi, efp, out=eta[1])
+    (f_n, f_p), (df_n, df_p) = pair(eta / arr.Vt)
     n = arr.Nc * f_n
     p = arr.Nv * f_p
-    flux = constants.EPS_0 * arr.eps_el * np.diff(phi) / arr.h
+    flux = arr.eps0_eps * np.diff(phi) / arr.h
     r = np.empty_like(phi)
-    r[1:-1] = (flux[1:] - flux[:-1]) + constants.Q_E * arr.w[1:-1] * (
+    r[1:-1] = (flux[1:] - flux[:-1]) + arr.q_w[1:-1] * (
         p[1:-1] - n[1:-1] + arr.Nd[1:-1] - arr.Na[1:-1])
     r[0] = phi[0] - phi_bc[0]
     r[-1] = phi[-1] - phi_bc[1]
@@ -343,12 +367,15 @@ def _tridiag_solve(lower, diag, upper, rhs):
     return x
 
 
-def _solve_poisson(arr, efn, efp, phi_bc, phi0, statistics):
-    """Damped Newton iteration for the nonlinear Poisson problem.
+def _solve_poisson(arr, efn, efp, phi_bc, phi0, statistics, tolerance=None):
+    """Damped Newton iteration for the nonlinear Poisson problem, to an
+    update below `tolerance` (``NEWTON_TOLERANCE`` if None) thermal voltages.
 
-    Each trial potential gets one F/F' evaluation per carrier: the accepted
-    trial's F' builds the next Jacobian and its densities are returned.
+    Each trial potential gets one F/F' evaluation for both carriers: the
+    accepted trial's F' builds the next Jacobian and its densities are
+    returned.
     """
+    tolerance = NEWTON_TOLERANCE if tolerance is None else tolerance
     pair = _statistics(statistics)[2]
     phi = phi0.copy()
     phi[0], phi[-1] = phi_bc
@@ -357,10 +384,9 @@ def _solve_poisson(arr, efn, efp, phi_bc, phi0, statistics):
     scaled_update = np.inf
 
     # Dirichlet rows at both ends: unit diagonal, no coupling to the interior
-    cond = constants.EPS_0 * arr.eps_el / arr.h
-    upper = cond.copy()
+    upper = arr.cond.copy()
     upper[0] = 0.0
-    lower = cond.copy()
+    lower = arr.cond.copy()
     lower[-1] = 0.0
     diag = np.ones_like(phi)
 
@@ -369,8 +395,7 @@ def _solve_poisson(arr, efn, efp, phi_bc, phi0, statistics):
     for _ in range(NEWTON_MAX_ITERATIONS):
         dn = arr.Nc * df_n / arr.Vt
         dp = arr.Nv * df_p / arr.Vt
-        diag[1:-1] = -(cond[1:] + cond[:-1]) - constants.Q_E * arr.w[1:-1] * (
-            dp[1:-1] + dn[1:-1])
+        diag[1:-1] = -arr.cond_sum - arr.q_w[1:-1] * (dp[1:-1] + dn[1:-1])
         delta = _tridiag_solve(lower, diag, upper, -r)
 
         scaled_update = np.max(np.abs(delta)) / arr.Vt
@@ -383,7 +408,7 @@ def _solve_poisson(arr, efn, efp, phi_bc, phi0, statistics):
                 r_new, n, p, df_n, df_p = _poisson_residual(arr, trial, efn, efp, pair,
                                                             phi_bc)
                 rnorm_new = np.linalg.norm(r_new)
-            if rnorm_new <= rnorm or scaled_update < NEWTON_TOLERANCE:
+            if rnorm_new <= rnorm or scaled_update < tolerance:
                 break
             t *= 0.5
         else:
@@ -393,7 +418,7 @@ def _solve_poisson(arr, efn, efp, phi_bc, phi0, statistics):
         phi = trial
         r, rnorm = r_new, rnorm_new
         history.append(float(scaled_update))
-        if scaled_update < NEWTON_TOLERANCE:
+        if scaled_update < tolerance:
             converged = True
             break
 

@@ -23,7 +23,6 @@ no fine structure by construction.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -260,41 +259,16 @@ def synth_emission_map(lines, ladder, gate_V, wavelength_nm, linewidth_ueV=30.0,
     return EmissionMap(gate_V=gate_V, wavelength_nm=wavelength_nm, intensity=intensity)
 
 
-def _check(value, kind, where):
-    """Raise ValueError naming `where` (the file, then the field) unless the
-    JSON `value` is of `kind`: float (a finite number), str, [kind] (a list
-    of kind) or {key: kind} (an object whose keys ending in "?" may be
-    absent, or null where their kind is an object)."""
-    if isinstance(kind, dict):
-        _check(value, dict, where)
-        for key, sub in kind.items():
-            name = key.rstrip("?")
-            if name != key and value.get(name) is None and (
-                    name not in value or isinstance(sub, dict)):
-                continue
-            if name not in value:
-                raise ValueError(f"{where}: missing field {name!r}")
-            _check(value[name], sub, f"{where}: {name}")
-    elif isinstance(kind, list):
-        _check(value, list, where)
-        for i, item in enumerate(value):
-            _check(item, kind[0], f"{where}[{i}]")
-    elif (isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind)
-          or kind is float and not math.isfinite(value)):
-        noun = {float: "a finite number", str: "a string", list: "a list", dict: "an object"}
-        raise ValueError(f"{where} must be {noun[kind]}, got {value!r:.40}")
-
-
 def _load_json(path, bundled, schema):
     """The JSON file at `path` (bundled data file `bundled` if None), checked
-    against `schema` by `_check`."""
+    against `schema` by `dataio.check_json`."""
     name = bundled if path is None else str(path)
     source = resources.files("dotdiode.data").joinpath(bundled) if path is None else Path(path)
     try:
         doc = json.loads(source.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{name}: invalid JSON ({exc})") from None
-    _check(doc, schema, name)
+    dataio.check_json(doc, schema, name)
     return doc
 
 

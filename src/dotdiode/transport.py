@@ -29,6 +29,16 @@ the clip windows on the quasi-Fermi levels stay inside the map,
 convergence is still judged on the quasi-Fermi update of a single cycle,
 and the state a solve returns is always an unmixed cycle output.
 
+Electrons and holes go through a cycle together, as (2, N) rows: one
+inverse of F_1/2, one degeneracy update and one clip per window serve
+both. The Poisson stage is solved inexactly, after the forcing terms of
+Eisenstat & Walker (SIAM J. Sci. Comput. 17, 16 (1996)): to
+max(``NEWTON_TOLERANCE``, ``STAGE_FORCING`` q/kT), q being the previous
+cycle's quasi-Fermi update (the first cycle of a rung: to
+``NEWTON_TOLERANCE``). Only a cycle whose stage reached
+``NEWTON_TOLERANCE`` ends the iteration, so every reported potential is
+a fully converged Poisson solution.
+
 In one dimension the steady-state electron continuity equation integrates
 exactly: the element fluxes are one unknown plus the cumulative
 recombination / generation sources, and the Slotboom density
@@ -84,7 +94,8 @@ from numpy.linalg import LinAlgError
 from . import constants, dataio
 from .device import DOPED_CONTACT_THRESHOLD
 from .electrostatics import (
-    CONTINUATION_STEP, NonConvergenceError, build_device_arrays, carrier_densities,
+    CONTINUATION_STEP, NEWTON_TOLERANCE, NonConvergenceError, build_device_arrays,
+    carrier_densities,
     _fermi_half_pair, _solve_poisson, _tridiag_solve, _make_diagram, _statistics,
     quasi_fermi_split, _check_biases, _set_up, _walk,
 )
@@ -101,6 +112,8 @@ QF_DENSITY_FLOOR = 1e6              # cm^-3, QFL updates below this density
                                     # do not count towards convergence
 B_RADIATIVE = 1e-10                 # cm^3/s
 ANDERSON_DEPTH = 5                  # previous Gummel cycles mixed into each new one
+STAGE_FORCING = 1e-3                # a cycle's Poisson stage stops at this fraction of
+                                    # the previous cycle's quasi-Fermi update (in kT)
 
 
 def bernoulli(x):
@@ -167,20 +180,16 @@ def _degeneracy(eta, statistics):
     ln gamma = ln(F(eta)/e^eta) is 0 below eta = -30 and for Boltzmann
     statistics; the per-node damping F'(eta)/F(eta), clipped to [0.02, 1]
     (1 below eta = -30), keeps the lagged degeneracy fixed point contractive.
+    The pair is evaluated only where eta >= -30, in one call for any shape.
     """
     eta = np.asarray(eta, dtype=float)
-    if statistics == "boltzmann":
-        return np.zeros_like(eta), np.ones_like(eta)
-    safe = np.maximum(eta, -30.0)
-    f, df = _fermi_half_pair(safe)
-    ln_gamma = np.where(eta < -30.0, 0.0, np.log(f) - safe)
-    return ln_gamma, np.clip(df / f, 0.02, 1.0)
-
-
-def _driving_potentials(arr, phi, ln_gamma_n, ln_gamma_p):
-    w = phi - arr.Ec0 + arr.Vt * (np.log(arr.Nc) + ln_gamma_n)
-    v = -phi + arr.Ev0 + arr.Vt * (np.log(arr.Nv) + ln_gamma_p)
-    return w, v
+    ln_gamma, alpha = np.zeros_like(eta), np.ones_like(eta)
+    live = eta >= -30.0
+    if statistics != "boltzmann" and live.any():
+        f, df = _fermi_half_pair(eta[live])
+        ln_gamma[live] = np.log(f) - eta[live]
+        alpha[live] = np.clip(df / f, 0.02, 1.0)
+    return ln_gamma, alpha
 
 
 def _two_sided_profile(start, end, increments):
@@ -249,12 +258,19 @@ def _generation_profile(stack, mesh, rate):
 
 
 class _GummelWorkspace:
-    """Mesh-resolved arrays and iteration state shared across bias steps."""
+    """Mesh-resolved arrays and iteration state shared across bias steps.
+    Carrier arrays are (2, N), electrons then holes, as the state rows 1:3,
+    3:5 and 5:7; `sign_vt` is Vt for electrons and -Vt for holes."""
 
     def __init__(self, stack, mesh, arr, phi_neutral, generation, statistics):
         self.stack, self.mesh, self.arr, self.stats = stack, mesh, arr, statistics
         self.phi_neutral = phi_neutral
         self.inverse = _statistics(statistics)[3]
+        self.n_states = np.stack([arr.Nc, arr.Nv])
+        self.ln_states = np.log(self.n_states)
+        self.edges = np.stack([arr.Ec0, arr.Ev0])
+        self.sign_vt = np.array([[arr.Vt], [-arr.Vt]])
+        self.c_h = constants.Q_E * arr.mu_h_el * arr.Vt / arr.h
         zero = np.zeros(mesh.n_nodes)
         n_neutral, p_neutral = carrier_densities(arr, phi_neutral, zero, zero, statistics)
         self.n_bc = (n_neutral[0], n_neutral[-1])
@@ -267,24 +283,19 @@ class _GummelWorkspace:
         # freezing it there removes a slowly damped flutter mode at the
         # degenerate contacts. Elsewhere it relaxes with per-node damping.
         self.free_nodes = (arr.Nd + arr.Na) < DOPED_CONTACT_THRESHOLD
-        self.lng_n_neutral = _degeneracy(
-            self.inverse(np.maximum(n_neutral, 1e-30) / arr.Nc), statistics)[0]
-        self.lng_p_neutral = _degeneracy(
-            self.inverse(np.maximum(p_neutral, 1e-30) / arr.Nv), statistics)[0]
+        self.lng_neutral = self._ln_gamma(np.stack([n_neutral, p_neutral]))
+
+    def _ln_gamma(self, dens):
+        """ln gamma of both carriers at the densities `dens` (2, N)."""
+        return _degeneracy(self.inverse(np.maximum(dens, 1e-30) / self.n_states),
+                           self.stats)[0]
 
     def seed(self, efn, phi, n, p):
         """Iteration state at 0 V from the equilibrium Poisson solution."""
-        arr, stats = self.arr, self.stats
-        n = np.maximum(n, 1e-30)
-        p = np.maximum(p, 1e-30)
-        lng_n = np.where(self.free_nodes,
-                         _degeneracy(self.inverse(n / arr.Nc), stats)[0],
-                         self.lng_n_neutral)
-        lng_p = np.where(self.free_nodes,
-                         _degeneracy(self.inverse(p / arr.Nv), stats)[0],
-                         self.lng_p_neutral)
-        return np.stack([phi, efn, efn, lng_n, lng_p, np.log(n), np.log(p),
-                         np.zeros(self.mesh.n_nodes)])
+        dens = np.maximum(np.stack([n, p]), 1e-30)
+        lng = np.where(self.free_nodes, self._ln_gamma(dens), self.lng_neutral)
+        return np.concatenate([[phi, efn, efn], lng, np.log(dens),
+                               [np.zeros(self.mesh.n_nodes)]])
 
     def restep(self, old, x, bias):
         """Carry a state x converged at bias `old` to a nearby `bias` (x itself
@@ -298,58 +309,70 @@ class _GummelWorkspace:
                     if old != 0.0 else quasi_fermi_split(self.stack, self.mesh, bias))
         return out
 
-    def _continuity(self, phi, efn, efp, lng_n, lng_p, p, recomb, bias, cycles):
-        """Both continuity solves at a fixed potential: (n, p, eta_n, eta_p,
-        v, electron element flux), where eta inverts the statistics at each
-        density. Electrons integrate exactly. Holes, negligible for the
-        current but bounded under strong generation, take a local SG solve of
-        d/dx Jp = q (G + g_rad - B n p), an M-matrix with the loss B n p on the
-        diagonal and the mass-action back-generation g_rad explicit, capped at
-        the thermal rate; Dirichlet rows hold the contact densities. A
-        breakdown of either solve, or a density that ``inverse_fermi_half``
-        rejects (not finite, or beyond its range), raises NonConvergenceError
-        naming the bias and the temperature and carrying `cycles`."""
+    def _continuity(self, x, bias, cycles):
+        """Both continuity solves at the potential and degeneracy terms of
+        the state x: (densities, eta, v, electron element flux), where eta
+        inverts the statistics at the (2, N) densities and v is the hole
+        driving potential. Electrons integrate exactly. Holes, negligible for
+        the current but bounded under strong generation, take a local SG
+        solve of d/dx Jp = q (G + g_rad - B n p), an M-matrix with the loss
+        B n p on the diagonal and the mass-action back-generation g_rad
+        explicit, capped at the thermal rate; Dirichlet rows hold the contact
+        densities. A breakdown of either solve, or a density that
+        ``inverse_fermi_half`` rejects (not finite, or beyond its range),
+        raises NonConvergenceError naming the bias and the temperature and
+        carrying `cycles`."""
         arr = self.arr
-        w, v = _driving_potentials(arr, phi, lng_n, lng_p)
-        src = constants.Q_E * arr.w * (recomb - self.gen)
+        # driving potentials w = phi - Ec0 + kT (ln Nc + ln gamma_n) and
+        # v = -phi + Ev0 + kT (ln Nv + ln gamma_p); sign_vt / Vt is +1, -1
+        w, v = (self.sign_vt / arr.Vt * (x[0] - self.edges)
+                + arr.Vt * (self.ln_states + x[3:5]))
+        src = arr.q_w * (x[7] - self.gen)
         y = np.diff(v) / arr.Vt
         bp, bm = bernoulli(y), bernoulli(-y)
-        c = constants.Q_E * arr.mu_h_el * arr.Vt / arr.h
-        lower = -c * bm
+        lower = -self.c_h * bm
         lower[-1] = 0.0
-        upper = -c * bp
+        upper = -self.c_h * bp
         upper[0] = 0.0
+        dens = np.empty((2, v.size))
         try:
             n, jn_el = _electron_integral_solve(arr, w, src, self.n_bc)
-            n = np.maximum(n, 1e-30)
+            n = np.maximum(n, 1e-30, out=dens[0])
             loss = B_RADIATIVE * n
             g_rad = np.minimum(
-                loss * p * np.exp(np.clip((efp - efn) / arr.Vt, -500.0, 40.0)),
+                loss * np.exp(x[6]) * np.exp(np.clip((x[2] - x[1]) / arr.Vt, -500.0, 40.0)),
                 B_RADIATIVE * self.nisq)
             diag = np.ones(v.size)
-            diag[1:-1] = (c[1:] * bm[1:] + c[:-1] * bp[:-1]
-                          + constants.Q_E * arr.w[1:-1] * loss[1:-1])
-            rhs = constants.Q_E * arr.w * (self.gen + g_rad)
+            diag[1:-1] = (self.c_h[1:] * bm[1:] + self.c_h[:-1] * bp[:-1]
+                          + arr.q_w[1:-1] * loss[1:-1])
+            rhs = arr.q_w * (self.gen + g_rad)
             rhs[0], rhs[-1] = self.p_bc
-            p = np.maximum(_tridiag_solve(lower, diag, upper, rhs), 1e-30)
-            eta_n, eta_p = self.inverse(n / arr.Nc), self.inverse(p / arr.Nv)
+            np.maximum(_tridiag_solve(lower, diag, upper, rhs), 1e-30, out=dens[1])
+            eta = self.inverse(dens / self.n_states)
         except (ValueError, LinAlgError) as exc:
             raise NonConvergenceError(
                 f"transport solve broke down at V = {bias} V, "
                 f"T = {self.stack.temperature} K: {exc}", gummel_cycles=cycles) from None
-        return n, p, eta_n, eta_p, v, jn_el
+        return dens, eta, v, jn_el
 
     def iterate(self, x, bias, max_cycles, tolerance):
         """(state, cycles, last Poisson stage's |dphi|/Vt) of Anderson-mixed
         Gummel cycles from the state x at `bias`, the state a new array, the
-        unmixed output of the last cycle. Raises NonConvergenceError if the
-        quasi-Fermi update is not below `tolerance` within `max_cycles`."""
+        unmixed output of the last cycle. Raises NonConvergenceError unless,
+        within `max_cycles`, a cycle's quasi-Fermi update is below
+        `tolerance` and its Poisson stage reached ``NEWTON_TOLERANCE``."""
         arr, stats = self.arr, self.stats
         phi_bc = (self.phi_neutral[0], self.phi_neutral[-1] + bias)
 
         # maximum principle: quasi-Fermi levels stay between contact values
         ef_lo = min(0.0, -bias) - 0.1
         ef_hi = max(0.0, -bias) + 0.1
+        # Boltzmann-equivalent levels reproduce the continuity densities.
+        # Electron degeneracy shifts them below the physical levels by
+        # kT ln(gamma) (holes: above), so their guard windows extend 0.3 eV
+        # in those directions only.
+        eb_lo = np.array([[ef_lo - 0.3], [ef_lo - 0.05]])
+        eb_hi = np.array([[ef_hi + 0.05], [ef_hi + 0.3]])
 
         # Cycle inputs x and outputs g, one row each: phi, efn, efp, lng_n,
         # lng_p, ln n, ln p, recomb. The first five rows, with phi, efn and
@@ -365,57 +388,42 @@ class _GummelWorkspace:
         d_g = np.empty((ANDERSON_DEPTH, x.size))
         f_prev = None
         depth = slot = 0
+        stage_tolerance = NEWTON_TOLERANCE
 
         for cycles in range(1, max_cycles + 1):
-            phi, efn, efp, lng_n, lng_p = x[:5]
-            n, p, eta_raw_n, eta_raw_p, _, _ = self._continuity(
-                *x[:5], np.exp(x[6]), x[7], bias, cycles)
-            efn_t = np.clip((arr.Ec0 - phi) + arr.Vt * eta_raw_n, ef_lo, ef_hi)
-            efp_t = np.clip((arr.Ev0 - phi) - arr.Vt * eta_raw_p, ef_lo, ef_hi)
-            eta_n = (efn_t - arr.Ec0 + phi) / arr.Vt
-            eta_p = (arr.Ev0 - phi - efp_t) / arr.Vt
-            lng_n_t, alpha_n = _degeneracy(eta_n, stats)
-            lng_p_t, alpha_p = _degeneracy(eta_p, stats)
-            g[3] = np.clip(lng_n + alpha_n * self.free_nodes * (lng_n_t - lng_n),
-                           -60.0, 0.0)
-            g[4] = np.clip(lng_p + alpha_p * self.free_nodes * (lng_p_t - lng_p),
-                           -60.0, 0.0)
+            dens, eta_raw, _, _ = self._continuity(x, bias, cycles)
+            band = self.edges - x[0]
+            ef_t = np.clip(band + self.sign_vt * eta_raw, ef_lo, ef_hi)
+            lng_t, alpha = _degeneracy((ef_t - self.edges + x[0]) / self.sign_vt, stats)
+            g[3:5] = np.clip(x[3:5] + alpha * self.free_nodes * (lng_t - x[3:5]),
+                             -60.0, 0.0)
 
-            # Boltzmann-equivalent levels reproduce the continuity densities.
-            # Electron degeneracy shifts them below the physical levels by
-            # kT ln(gamma) (holes: above), so the guard windows extend
-            # 0.3 eV in those directions only.
-            efn_b = np.clip((arr.Ec0 - phi) + arr.Vt * np.log(n / arr.Nc),
-                            ef_lo - 0.3, ef_hi + 0.05)
-            efp_b = np.clip((arr.Ev0 - phi) - arr.Vt * np.log(p / arr.Nv),
-                            ef_lo - 0.05, ef_hi + 0.3)
             # The Gummel loop iterates in Boltzmann-equivalent quasi-Fermi
             # levels (the Poisson stage runs Boltzmann statistics); in those
             # variables the continuity <-> Poisson transfer has zero gain in
             # quasi-neutral regions regardless of degeneracy. The physical
             # Fermi-Dirac behaviour enters through the lagged degeneracy terms
             # lng_n/lng_p of the driving potentials.
-            phi_new, n, p, _, ok, newton_update = _solve_poisson(arr, efn_b, efp_b, phi_bc,
-                                                                 phi, "boltzmann")
+            ef_b = np.clip(band + self.sign_vt * np.log(dens / self.n_states), eb_lo, eb_hi)
+            phi_new, n, p, _, ok, newton_update = _solve_poisson(
+                arr, *ef_b, phi_bc, x[0], "boltzmann", stage_tolerance)
             if not ok:
                 raise NonConvergenceError(
                     f"Poisson stage failed inside Gummel cycle {cycles} at V = {bias} V",
                     gummel_cycles=cycles)
-            n = np.maximum(n, 1e-30)
-            p = np.maximum(p, 1e-30)
-            g[0], g[1], g[2] = phi_new, efn_t, efp_t
-            g[5], g[6] = np.log(n), np.log(p)
-            g[7] = B_RADIATIVE * n * p * (
-                1.0 - np.exp(np.clip((efp_t - efn_t) / arr.Vt, -500.0, 500.0)))
+            dens = np.maximum(np.stack([n, p]), 1e-30)
+            g[0], g[1:3], g[5:7] = phi_new, ef_t, np.log(dens)
+            g[7] = B_RADIATIVE * dens[0] * dens[1] * (
+                1.0 - np.exp(np.clip((ef_t[1] - ef_t[0]) / arr.Vt, -500.0, 500.0)))
 
             # a quasi-Fermi level only matters where its carrier is present
-            mask_n = n > QF_DENSITY_FLOOR
-            mask_p = p > QF_DENSITY_FLOOR
-            du_n = np.max(np.abs(efn_t - efn)[mask_n]) if np.any(mask_n) else 0.0
-            du_p = np.max(np.abs(efp_t - efp)[mask_p]) if np.any(mask_p) else 0.0
-            qf_update = max(du_n, du_p)
-            if qf_update < tolerance:
+            qf_update = np.max(np.abs(ef_t - x[1:3]), where=dens > QF_DENSITY_FLOOR,
+                               initial=0.0)
+            if qf_update < tolerance and newton_update < NEWTON_TOLERANCE:
                 break
+            # inexact Poisson stage: the next one is solved only as tightly
+            # as this cycle's quasi-Fermi update warrants
+            stage_tolerance = max(NEWTON_TOLERANCE, STAGE_FORCING * qf_update / arr.Vt)
 
             f = ((g[:5] - x[:5]) * scale).ravel()
             if f_prev is not None:
@@ -441,14 +449,9 @@ class _GummelWorkspace:
 
     def finalize(self, x, bias):
         """Final continuity pass; fluxes and densities for reporting."""
-        arr = self.arr
-        phi = x[0]
-        n, p, eta_n, eta_p, v, jn_el = self._continuity(*x[:5], np.exp(x[6]), x[7], bias,
-                                                         0)
-        jp_el = hole_flux(arr, v, p)
-        efn = (arr.Ec0 - phi) + arr.Vt * eta_n
-        efp = (arr.Ev0 - phi) - arr.Vt * eta_p
-        return n, p, efn, efp, jn_el + jp_el
+        (n, p), eta, v, jn_el = self._continuity(x, bias, 0)
+        efn, efp = self.edges - x[0] + self.sign_vt * eta
+        return n, p, efn, efp, jn_el + hole_flux(self.arr, v, p)
 
 
 def solve_drift_diffusion(stack, mesh, bias, generation=0.0, statistics="fermi"):

@@ -179,6 +179,22 @@ def test_bandedges_bad_device_schema(tmp_path):
     assert rc == EXIT_INPUT
 
 
+@pytest.mark.parametrize("layers, named", [
+    ([1], "layers[0] must be an object"),
+    ([{"material": ["InP"], "thickness_nm": 10.0}], "layers[0]: material must be a string"),
+    ([{"material": "InP", "thickness_nm": None}], "layers[0]: thickness_nm must be a finite"),
+    ([{"material": "InP", "thickness_nm": 10.0, "donor_cm3": {}}],
+     "layers[0]: donor_cm3 must be a finite"),
+], ids=["int-layer", "list-material", "null-thickness", "object-doping"])
+def test_mistyped_device_file_is_one_line_input_error(tmp_path, capsys, layers, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"layers": layers}))
+    rc = main(["bandedges", "--device", str(bad), "--bias", "0", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and f"bad.json: {named}" in err
+
+
 def test_iv_zero_width_range_single_point(tmp_path):
     rc = main(["iv", "--vmin", "0.3", "--vmax", "0.3", "--out", str(tmp_path)])
     assert rc == EXIT_OK
@@ -394,7 +410,7 @@ def test_bad_fit_input_is_one_line_input_error(tmp_path, capsys, what, columns, 
 
 
 _BUNDLED = {name: json.loads(resources.files("dotdiode.data").joinpath(name).read_text())
-            for name in ("reference_lines.json", "charge_ladder.json")}
+            for name in ("reference_lines.json", "charge_ladder.json", "device_fig1a.json")}
 
 
 def _edited(name, edit):
@@ -470,20 +486,22 @@ def _malformed_config(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=_malformed_config())
 def test_malformed_json_configuration_exits_0_or_1(tmp_path_factory, case):
-    """stark and synthmap on a malformed lines or ladder file never raise
-    (RuntimeWarnings are errors in this suite) and say at most one line."""
+    """stark and synthmap on a malformed lines or ladder file, and bandedges
+    on a malformed device file, never raise (RuntimeWarnings are errors in
+    this suite) and say at most one line. A device that parses may still
+    fail to converge (exit 2)."""
     name, text = case
     path = tmp_path_factory.mktemp("config") / name
     path.write_text(text)
-    commands = [["synthmap", "--nv", "5", "--nl", "51"]]
-    if name == "reference_lines.json":
-        commands.append(["stark", "--points", "5"])
+    commands = {"reference_lines.json": [["synthmap", "--nv", "5", "--nl", "51", "--lines"],
+                                         ["stark", "--points", "5", "--lines"]],
+                "charge_ladder.json": [["synthmap", "--nv", "5", "--nl", "51", "--ladder"]],
+                "device_fig1a.json": [["bandedges", "--bias", "0", "--device"]]}[name]
     for argv in commands:
-        option = "--lines" if name == "reference_lines.json" else "--ladder"
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            rc = main([*argv, option, str(path), "--out", str(path.parent / "o")])
-        assert rc in (EXIT_OK, EXIT_INPUT)
+            rc = main([*argv, str(path), "--out", str(path.parent / "o")])
+        assert rc in (EXIT_OK, EXIT_INPUT, EXIT_NONCONVERGED if "--device" in argv else EXIT_OK)
         assert len(err.getvalue().strip().splitlines()) <= 1, err.getvalue()
 
 

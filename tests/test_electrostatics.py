@@ -316,8 +316,8 @@ def test_sweep_command_builds_the_set_up_once(tmp_path, monkeypatch, reference_s
         calls["equilibrium"] += statistics == "fermi" and not efn.any()
         return real_poisson(arr, efn, efp, phi_bc, phi0, statistics)
 
-    def failing_poisson(arr, efn, efp, phi_bc, phi0, statistics):
-        out = real_poisson(arr, efn, efp, phi_bc, phi0, statistics)
+    def failing_poisson(arr, efn, efp, phi_bc, phi0, statistics, tolerance):
+        out = real_poisson(arr, efn, efp, phi_bc, phi0, statistics, tolerance)
         if abs(phi_bc[1] - phi_n[-1] - fail_at) < 1e-9:
             return out[:4] + (False,) + out[5:]
         return out

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from dotdiode.electrostatics import (
     _FD_COEF, fermi_half, fermi_half_deriv, inverse_fermi_half, _fermi_half_pair,
+    _nilsson_inverse,
 )
 
 
@@ -91,6 +92,48 @@ def test_inverse_scalar_matches_array_element():
     u = np.array([1e-5, 0.3, 1.0, 7.0, 250.0])
     for value, eta in zip(u, inverse_fermi_half(u)):
         assert inverse_fermi_half(float(value)) == pytest.approx(eta, rel=1e-13, abs=1e-13)
+
+
+def _inverse_reference(u):
+    """The inverse as a Newton loop on every value from Nilsson's start, to
+    a last step below 1e-13 of max(1, |eta|)."""
+    eta = _nilsson_inverse(np.asarray(u, dtype=float))
+    for _ in range(100):
+        f, df = _fermi_half_pair(eta)
+        limit = 5.0 + 0.1 * np.abs(eta)
+        step = np.clip((f - u) / df, -limit, limit)
+        eta = eta - step
+        if (np.abs(step) / np.maximum(1.0, np.abs(eta))).max() < 1e-13:
+            return eta
+    raise AssertionError("reference loop did not stop")
+
+
+def test_inverse_is_the_logarithm_in_the_boltzmann_tail():
+    u = np.exp(np.random.default_rng(5).uniform(-700.0, -30.0, 100_000))
+    u = np.concatenate([u, [np.exp(-30.0), np.nextafter(np.exp(-30.0), 0.0), 5e-324]])
+    assert np.array_equal(inverse_fermi_half(u), np.log(u))
+    # the reference Newton loop returns the same bits where it can run
+    assert np.array_equal(_inverse_reference(u[:100_000]), np.log(u[:100_000]))
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(min_value=1e-300, max_value=1e80), min_size=1, max_size=50))
+def test_inverse_agrees_with_the_tight_newton_loop(values):
+    u = np.array(values)
+    eta, ref = inverse_fermi_half(u), _inverse_reference(u)
+    assert np.all(np.abs(eta - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_inverse_of_stacked_rows_is_bit_identical_to_each_row():
+    # Nilsson's start is nearly exact in row 0 (one Newton step each) and
+    # about 0.01 off in row 1 (two or three steps each)
+    rng = np.random.default_rng(11)
+    u = np.exp(np.stack([np.where(rng.random(1628) < 0.5, rng.uniform(-30.0, -25.0, 1628),
+                                  rng.uniform(40.0, 184.0, 1628)),
+                         rng.uniform(-5.0, 0.0, 1628)]))
+    stacked = inverse_fermi_half(u)
+    assert np.array_equal(stacked[0], inverse_fermi_half(u[0]))
+    assert np.array_equal(stacked[1], inverse_fermi_half(u[1]))
 
 
 def test_pair_matches_public_kernels():

@@ -162,13 +162,22 @@ def test_mid_branch_failure_marks_only_its_point(reference_stack, reference_mesh
     drop = phi_neutral[-1] - phi_neutral[0]
     real = transport._solve_poisson
 
-    def fail_at_0p6(arr, efn, efp, phi_bc, phi0, statistics):
-        out = real(arr, efn, efp, phi_bc, phi0, statistics)
+    def fail_at_0p6(arr, efn, efp, phi_bc, phi0, statistics, tolerance):
+        out = real(arr, efn, efp, phi_bc, phi0, statistics, tolerance)
         if abs(phi_bc[1] - phi_bc[0] - drop - 0.6) < 1e-9:
             return out[:4] + (False,) + out[5:]
         return out
 
+    real_iterate = transport._GummelWorkspace.iterate
+    cycles = {}                 # cycles of each converged rung, by bias
+
+    def counted(self, x, bias, max_cycles, tolerance):
+        out = real_iterate(self, x, bias, max_cycles, tolerance)
+        cycles[round(bias, 9)] = out[1]
+        return out
+
     monkeypatch.setattr(transport, "_solve_poisson", fail_at_0p6)
+    monkeypatch.setattr(transport._GummelWorkspace, "iterate", counted)
     rungs = _record_rungs(monkeypatch)
     biases = [0.6, -0.3, 0.0, 0.9, 0.3]
     curve = iv_sweep(reference_stack, reference_mesh, biases)
@@ -181,7 +190,8 @@ def test_mid_branch_failure_marks_only_its_point(reference_stack, reference_mesh
     assert not failed.converged and math.isnan(failed.current_density)
     # the 0.45 V and 0.525 V rungs converge; each 0.6 V attempt fails in its
     # first cycle
-    assert failed.gummel_iterations == 26
+    assert 0.6 not in cycles
+    assert failed.gummel_iterations == cycles[0.45] + cycles[0.525] + 2
     assert all(pt.converged and math.isfinite(pt.current_density) for pt in rest)
 
 
@@ -242,8 +252,8 @@ def test_gummel_failure_carries_the_running_cycle_count(reference_stack, referen
     real = transport._solve_poisson
     inner = []
 
-    def fail_from_call_40(arr, efn, efp, phi_bc, phi0, statistics):
-        out = real(arr, efn, efp, phi_bc, phi0, statistics)
+    def fail_from_call_40(arr, efn, efp, phi_bc, phi0, statistics, tolerance):
+        out = real(arr, efn, efp, phi_bc, phi0, statistics, tolerance)
         if statistics == "boltzmann":        # the Poisson stage of a Gummel cycle
             inner.append(None)
             if len(inner) >= 40:
@@ -297,6 +307,40 @@ def test_default_dark_sweep_cycle_budget(reference_stack, reference_mesh):
     assert sum(pt.gummel_iterations for pt in curve.points) <= 255
 
 
+def test_every_swept_diagram_reports_a_converged_poisson_stage(reference_stack,
+                                                               reference_mesh):
+    # a Gummel cycle's Poisson stage may stop early, at a tolerance set by the
+    # previous cycle's quasi-Fermi update; the cycle that ends a point may not
+    for biases, generation in ((DEFAULT_GRID, 0.0), ([0.0, 0.5, 1.0, 1.5, 2.0], 1e22)):
+        swept = list(transport._iv_sweep(reference_stack, reference_mesh, biases,
+                                         generation, "fermi"))
+        assert sorted(bias for bias, _ in swept) == sorted(biases)
+        for _, (diagram, point) in swept:
+            assert point.converged
+            assert 0.0 <= diagram.newton_update < electrostatics.NEWTON_TOLERANCE
+
+
+def test_a_loosely_solved_poisson_stage_never_ends_a_point(reference_stack, reference_mesh,
+                                                          monkeypatch):
+    # every stage solved to a looser tolerance claims an update just above
+    # NEWTON_TOLERANCE, so only a cycle whose stage ran to the full
+    # tolerance may end the point
+    real = transport._solve_poisson
+    loose = []
+
+    def stop_loose(arr, efn, efp, phi_bc, phi0, statistics, tolerance):
+        out = real(arr, efn, efp, phi_bc, phi0, statistics, tolerance)
+        if tolerance > electrostatics.NEWTON_TOLERANCE:
+            loose.append(tolerance)
+            return out[:5] + (max(out[5], 2.0 * electrostatics.NEWTON_TOLERANCE),)
+        return out
+
+    monkeypatch.setattr(transport, "_solve_poisson", stop_loose)
+    diagram, pt = solve_drift_diffusion(reference_stack, reference_mesh, 0.5)
+    assert pt.converged and loose
+    assert diagram.newton_update < electrostatics.NEWTON_TOLERANCE
+
+
 @pytest.mark.parametrize("temperature", [55.0, 77.0, 120.0])
 def test_cryogenic_sweep_converges_at_every_bias(reference_stack, temperature):
     # with 0.125 V rungs, no retry and unconverged rungs carried on, 1 V
@@ -326,8 +370,8 @@ def test_a_rung_that_failed_is_not_solved_again(reference_stack, reference_mesh,
     drop = np.diff(electrostatics.neutral_potential(arr, "fermi")[[0, -1]])[0]
     real = transport._solve_poisson
 
-    def fail_below_0p3(arr, efn, efp, phi_bc, phi0, statistics):
-        out = real(arr, efn, efp, phi_bc, phi0, statistics)
+    def fail_below_0p3(arr, efn, efp, phi_bc, phi0, statistics, tolerance):
+        out = real(arr, efn, efp, phi_bc, phi0, statistics, tolerance)
         if statistics == "boltzmann" and 0.0 < phi_bc[1] - phi_bc[0] - drop < 0.3:
             return out[:4] + (False,) + out[5:]
         return out
