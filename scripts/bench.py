@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two states of the repository on every BENCHMARK.json workload.
 
-    python3 scripts/bench.py --pr 17 [--base HEAD] [--head .] [--pairs 10]
+    python3 scripts/bench.py --pr LABEL [--base HEAD] [--head .] [--pairs 10]
                              [--seconds 10] [--seed 1701] [--tier1]
 
 Each side is exported into its own temporary directory: a commit by
@@ -142,13 +142,11 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--workload", action="append", help="only these workloads")
     parser.add_argument("--tier1", action="store_true", help="time the tier-1 tests too")
     args = parser.parse_args(argv)
 
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in contract["workloads"]
-                 if not args.workload or w["name"] in args.workload]
+    workloads = [w["name"] for w in contract["workloads"]]
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         trees = {side: Path(tmp) / side for side in ("base", "head")}
         revs = {side: export(rev, trees[side])
