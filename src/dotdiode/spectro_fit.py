@@ -33,12 +33,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfcx
 
 from . import constants
 
-# scipy.optimize is imported inside the functions that use it: it is about a
-# third of the import time of the CLI, whose solver commands never need it.
+# scipy.optimize and scipy.special are imported inside the functions that
+# use them: scipy.optimize is about a third of the import time of the CLI,
+# whose solver commands never need either.
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
@@ -444,6 +444,7 @@ def antibunching_dip(tau_ns, tau_c_ns, irf_sigma_ns):
     if irf_sigma_ns == 0.0:
         out = np.exp(-t / tau_c_ns)
         return out if out.ndim else float(out)
+    from scipy.special import erfcx
     a = irf_sigma_ns / (math.sqrt(2.0) * tau_c_ns)
     with np.errstate(over="ignore"):    # b and b*b reach inf only where exp(-b*b) is 0
         b = t / (math.sqrt(2.0) * irf_sigma_ns)

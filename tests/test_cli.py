@@ -877,6 +877,16 @@ def test_cli_import_does_not_load_scipy_optimize():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_does_not_load_scipy_special():
+    """Only the g2 model needs scipy.special (erfcx); it is imported there."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dotdiode.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True, env=_fresh_interpreter_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_synthmap_matches_golden(tmp_path):
     rc = main(["synthmap", "--seed", "42", "--vmin", "0.85", "--vmax", "1.35",
                "--nv", "11", "--lmin", "1529", "--lmax", "1539", "--nl", "201",

@@ -291,12 +291,13 @@ def test_band_sweep_rejects_a_bad_bias_before_solving(reference_stack, reference
     (["bandedges", "--bias", "-2", "--bias", "-0.5", "--bias", "0", "--bias", "0.5",
       "--bias", "1.0", "--bias", "2"], None, 0),
     (["iv"], None, 0),
-    (["iv", "--vmin", "-0.3", "--vmax", "0.9", "--step", "0.3"], 0.6, 2),
+    (["iv", "--vmin", "-0.3", "--vmax", "0.9", "--step", "0.3", "--generation", "1e22"], 0.6, 2),
 ], ids=["bandedges", "iv", "iv-failed-point"])
 def test_sweep_command_builds_the_set_up_once(tmp_path, monkeypatch, reference_stack,
                                               reference_mesh, argv, fail_at, code):
     """One device set-up and one Fermi equilibrium per command, also when a
-    point fails mid-branch (`fail_at`: the Gummel Poisson stage fails there)."""
+    point fails mid-branch (`fail_at`: the Poisson stage of the Gummel rung,
+    which solves under generation, fails there)."""
     from dotdiode import transport
     phi_n = neutral_potential(build_device_arrays(reference_stack, reference_mesh))
     calls = {"build_device_arrays": 0, "neutral_potential": 0, "equilibrium": 0}
