@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Print the dark-transport temperature table of ROADMAP item 4.
+"""Print the transport temperature tables of ROADMAP item 4.
 
     python3 scripts/temperature_table.py
 
 For each temperature of the table (4 to 400 K) the reference stack is
 swept over 0, 0.5 and 1 V, and at 77 K and 150 K over the 13 biases of a
-default ``dotdiode iv``. Every sweep runs with warnings raised as errors.
+default ``dotdiode iv``. A last table sweeps 0, 0.5 and 1 V under a
+generation of 1e22 cm^-3 s^-1 at 40 to 300 K. Every sweep runs with
+warnings raised as errors.
 A row gives each point as converged (Y) or failed (N) with the iterations
 ``IVPoint.gummel_iterations`` reports for it, and the sweep's wall time; a
 sweep that raises prints the exception instead.
@@ -31,9 +33,11 @@ TEMPERATURES = (4, 7, 15, 20, 30, 40, 55, 77, 90, 120, 150, 180, 230, 300, 350, 
 SHORT = (0.0, 0.5, 1.0)
 DEFAULT = tuple(-1.0 + 0.25 * k for k in range(13))
 DEFAULT_AT = (77, 150)
+LIT_AT = (40, 60, 77, 120, 150, 300)
+LIT_GENERATION = 1e22       # cm^-3 s^-1
 
 
-def sweep(temperature, biases):
+def sweep(temperature, biases, generation=0.0):
     """One table cell: the points as 'Y12' / 'N3' and the wall time."""
     stack = dataclasses.replace(load_reference_stack(), temperature=float(temperature))
     mesh = build_mesh(stack)
@@ -41,7 +45,7 @@ def sweep(temperature, biases):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            curve = iv_sweep(stack, mesh, list(biases))
+            curve = iv_sweep(stack, mesh, list(biases), generation)
     except Exception as exc:            # noqa: BLE001 - the table reports it
         return f"raises {type(exc).__name__}: {exc}", time.perf_counter() - start
     cells = " ".join(f"{'Y' if pt.converged else 'N'}{pt.gummel_iterations}"
@@ -60,6 +64,12 @@ def main():
     print("|---|---|---|")
     for temperature in DEFAULT_AT:
         cells, seconds = sweep(temperature, DEFAULT)
+        print(f"| {temperature} | {cells} | {seconds:.2f} |", flush=True)
+    print()
+    print(f"| T (K) | 0 / 0.5 / 1 V at generation {LIT_GENERATION:g} | s |")
+    print("|---|---|---|")
+    for temperature in LIT_AT:
+        cells, seconds = sweep(temperature, SHORT, LIT_GENERATION)
         print(f"| {temperature} | {cells} | {seconds:.2f} |", flush=True)
 
 

@@ -145,8 +145,8 @@ def cmd_stark(args):
         print("stark: vmax must exceed vmin", file=sys.stderr)
         return EXIT_INPUT
     volts = np.linspace(args.vmin, args.vmax, args.points)
-    out = _outdir(args)
     fields = field_lever_arm(volts, args.di)
+    out = _outdir(args)
     dataio.write_table(out / "stark_wavelengths.csv",
                        [volts, *(stark_wavelength(line, fields) for line in lines)],
                        ["gate_V", *(f"lambda_{line.species}_nm" for line in lines)],

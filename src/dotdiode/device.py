@@ -230,12 +230,12 @@ def build_mesh(stack, max_spacing=2.0, fine_spacing=0.125, refine_width=10.0):
     1 meV (checked by a mesh-halving test); the heavily doped contact
     junctions set the fine spacing, their Debye length being ~1.5 nm.
     """
-    if max_spacing <= 0 or fine_spacing <= 0:
-        raise MeshOptionError("spacings must be positive")
+    if not (0 < max_spacing < np.inf and 0 < fine_spacing < np.inf):
+        raise MeshOptionError("spacings must be finite and positive")
     if fine_spacing > max_spacing:
         raise MeshOptionError("fine_spacing must not exceed max_spacing")
-    if refine_width < 0:
-        raise MeshOptionError("refine_width must be non-negative")
+    if not 0 <= refine_width < np.inf:
+        raise MeshOptionError("refine_width must be finite and non-negative")
 
     edges = stack.boundaries_nm()
     nodes = [0.0]

@@ -21,14 +21,15 @@ their rung solve to one walk (``_walk``). It solves 0 V first, from the
 sweep's origin state, then each distinct bias once, outward from 0 V on
 either side. From a side's last converged rung u, bias v is reached in
 n = ceil(|v - u| / ``CONTINUATION_STEP``) equal rungs, the last exactly v
-(``_bias_ladder``). A rung starts from the secant through the side's last
-two converged rungs (``_secant``; Allgower & Georg, *Numerical
-Continuation Methods*, Springer 1990), or from the last one. A rung that
-fails is retried once, from the last converged rung at half the step; a
-second failure fails its bias, and the next bias continues from the last
-converged rung. A rung that has failed from the same converged rungs
-before fails its bias at once. If 0 V fails, both sides start from the
-origin. ``solve_bias`` and ``solve_equilibrium`` are one-bias sweeps.
+(``_bias_ladder``). A rung solve gets its bias and a start state: the
+secant through the side's last two converged rungs (``_secant``; Allgower
+& Georg, *Numerical Continuation Methods*, Springer 1990), or the side's
+one converged state. A rung that fails is retried once, from the last
+converged rung at half the step; a second failure fails its bias, and the
+next bias continues from the last converged rung. A rung that has failed
+from the same converged rungs before fails its bias at once. If 0 V fails,
+both sides start from the origin. ``solve_bias`` and ``solve_equilibrium``
+are one-bias sweeps.
 
 The F_half implementation is the Bednarczyk analytic approximation of the
 complete Fermi-Dirac integral of order 1/2, normalized so F_half(eta) ->
@@ -509,14 +510,14 @@ def _secant(a, b, v):
 def _walk(biases, origin, solve, step):
     """(bias, result) for each distinct bias as it is solved, by the walk of
     the module docstring from the state `origin` at 0 V in rungs of at most
-    `step` volts. solve(v, (u, x), final) solves the rung at v from x, solved
-    at u or predicted at v (u = v), `final` when v is a bias; it returns the
-    converged state and the bias's result, or None and a NonConvergenceError.
+    `step` volts. solve(v, x, final) solves the rung at v from the start
+    state x, `final` when v is a bias; it returns the converged state and the
+    bias's result, or None and a NonConvergenceError.
     """
     order = sorted(set(biases))
     if not order:
         return
-    x, result = solve(0.0, (0.0, origin), 0.0 in order)
+    x, result = solve(0.0, origin, 0.0 in order)
     yield from ((bias, result) for bias in order if bias == 0.0)
     zero = [(0.0, origin if x is None else x)]
     for branch in ([b for b in order if b > 0.0], [b for b in order[::-1] if b < 0.0]):
@@ -527,7 +528,7 @@ def _walk(biases, origin, solve, step):
                 v = rungs.pop(0)
                 key = (v, v == bias)
                 if key not in failed:
-                    start = (v, _secant(*side, v)) if len(side) == 2 else side[-1]
+                    start = _secant(*side, v) if len(side) == 2 else side[-1][1]
                     x, result = solve(v, start, key[1])
                     if x is not None:
                         side, failed = [side[-1], (v, x)], {}
@@ -564,7 +565,7 @@ def _sweep(stack, mesh, biases, statistics):
     arr, phi_n, solve = _set_up(stack, mesh, statistics)
 
     def rung(v, start, final):
-        efn, phi, n, p, history, ok, update = solve(v, start[1])
+        efn, phi, n, p, history, ok, update = solve(v, start)
         if not ok:
             return None, NonConvergenceError(
                 f"Poisson solve at V = {v:.4f} V did not converge in "
@@ -578,6 +579,6 @@ def _sweep(stack, mesh, biases, statistics):
 
 def field_lever_arm(bias, d_i_nm):
     """Mean field V/d_i in kV/cm for an intrinsic region of d_i nanometres."""
-    if d_i_nm <= 0:
-        raise ValueError("intrinsic thickness must be positive")
+    if not 0.0 < d_i_nm < math.inf:
+        raise ValueError(f"intrinsic thickness must be finite and positive, not {d_i_nm} nm")
     return bias * 1.0e4 / d_i_nm

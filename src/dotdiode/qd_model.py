@@ -247,6 +247,8 @@ def synth_emission_map(lines, ladder, gate_V, wavelength_nm, linewidth_ueV=30.0,
         raise ValueError("gate and wavelength grids must be non-empty")
     if np.any(np.diff(gate_V) <= 0) or np.any(np.diff(wavelength_nm) <= 0):
         raise ValueError("grids must be strictly increasing")
+    if not 0.0 < linewidth_ueV < np.inf:
+        raise ValueError(f"linewidth must be finite and positive, not {linewidth_ueV} ueV")
     background = background or BackgroundModel()
 
     intensity = np.empty((wavelength_nm.size, gate_V.size),

@@ -80,9 +80,9 @@ majority carrier then holds to machine precision by construction, and
 zero bias with zero net sources yields an exactly zero flux (detailed
 balance). Holes, which carry negligible current here but must stay
 bounded under strong generation, use a conventional tridiagonal SG solve
-with the recombination loss implicit. Both rungs report a point from this
-pass: the Gummel loop's last cycle, and the Newton rung's final pass at its
-solution.
+with the recombination loss implicit (``_hole_solve``). Both rungs report a
+point from this pass: the Gummel loop's last cycle, and the Newton rung's
+final pass at its solution.
 
 Direct radiative recombination with a single constant coefficient is the
 only recombination channel, written in its quasi-Fermi form
@@ -95,17 +95,17 @@ generation rate in the undoped layers models above-band illumination
 phenomenologically.
 
 ``iv_sweep`` hands the walk of the ``electrostatics`` module docstring the
-Newton rung in the dark and the Gummel rung under generation. The Gummel
-state is one (8, N) array of the cycle map's rows (potential, quasi-Fermi
-levels, degeneracy terms, ln n, ln p, recombination rate), seeded by the
-0 V Poisson solution, which the secant predictor extrapolates directly. A
-Gummel rung carries a state solved at another bias to its own (``restep``)
-and iterates to the loose ``QF_TOLERANCE_CONTINUATION`` within
+Newton rung in the dark or the Gummel rung under generation; both answer
+iterate(x, bias, final) from the walk's start state x. The Gummel state is
+one (8, N) array of the cycle map's rows (potential, quasi-Fermi levels,
+degeneracy terms, ln n, ln p, recombination rate), seeded by the 0 V
+Poisson solution, which the secant predictor extrapolates directly. A
+Gummel rung iterates to the loose ``QF_TOLERANCE_CONTINUATION`` within
 ``MAX_GUMMEL_CONTINUATION`` cycles before a bias of the sweep, and to
-``QF_TOLERANCE`` within ``MAX_GUMMEL`` at it. A point counts the
-iterations run since the previous point, Newton steps or Gummel cycles,
-in ``IVPoint.gummel_iterations``. ``solve_drift_diffusion`` is a one-bias
-sweep.
+``QF_TOLERANCE`` within ``MAX_GUMMEL`` at it; a Newton rung always to its
+full tolerances. A point counts the iterations run since the previous
+point, Newton steps or Gummel cycles, in ``IVPoint.gummel_iterations``.
+``solve_drift_diffusion`` is a one-bias sweep.
 
 Sign convention: reported currents are positive when a positive gate
 voltage drives conventional current through the device (resistor-like IV
@@ -135,7 +135,7 @@ from .electrostatics import (
     build_device_arrays,
     carrier_densities,
     _fermi_half_pair, _solve_poisson, _tridiag_solve, _make_diagram, _statistics,
-    quasi_fermi_split, _check_biases, _set_up, _walk,
+    _check_biases, _set_up, _walk,
 )
 # perfbench/test_perfbench.py checks that its tracer wraps these bindings
 from .electrostatics import fermi_half, solve_bias  # noqa: F401
@@ -288,6 +288,26 @@ def hole_flux(arr, v, p):
     return c * bernoulli(-y) * np.exp((v[:-1] - vref) / arr.Vt) * (u[:-1] - u[1:])
 
 
+def _hole_solve(arr, c_h, y, loss, rhs, p_ends):
+    """(p, B(y), B(-y)) of the SG solve of d/dx Jp = q (source - loss p), an
+    M-matrix: `c_h` is q mu_h kT / h, y the hole driving-potential steps over
+    kT, `rhs` the source times q w (its ends become `p_ends`, the Dirichlet
+    rows' contact densities). Raises as ``_tridiag_solve`` does."""
+    bp, bm = bernoulli(y), bernoulli(-y)
+    lower, upper = -c_h * bm, -c_h * bp
+    lower[-1] = upper[0] = 0.0
+    diag = np.ones(y.size + 1)
+    diag[1:-1] = c_h[1:] * bm[1:] + c_h[:-1] * bp[:-1] + arr.q_w[1:-1] * loss[1:-1]
+    rhs[[0, -1]] = p_ends
+    return _tridiag_solve(lower, diag, upper, rhs), bp, bm
+
+
+def _broke_down(stack, bias, exc, iterations):
+    """NonConvergenceError for a rung that broke down with `exc` at `bias`."""
+    return NonConvergenceError(f"transport solve broke down at V = {bias} V, "
+                               f"T = {stack.temperature} K: {exc}", gummel_cycles=iterations)
+
+
 def _generation_profile(stack, mesh, rate):
     """Uniform generation confined to the undoped (background-doped) layers."""
     undoped = np.array([l.donor_cm3 + l.acceptor_cm3 < DOPED_CONTACT_THRESHOLD
@@ -301,7 +321,7 @@ class _GummelWorkspace:
     3:5 and 5:7; `sign_vt` is Vt for electrons and -Vt for holes."""
 
     def __init__(self, stack, mesh, arr, phi_neutral, generation, statistics):
-        self.stack, self.mesh, self.arr, self.stats = stack, mesh, arr, statistics
+        self.stack, self.arr, self.stats = stack, arr, statistics
         self.phi_neutral = phi_neutral
         self.inverse = _statistics(statistics)[3]
         self.n_states = np.stack([arr.Nc, arr.Nv])
@@ -309,8 +329,7 @@ class _GummelWorkspace:
         self.edges = np.stack([arr.Ec0, arr.Ev0])
         self.sign_vt = np.array([[arr.Vt], [-arr.Vt]])
         self.c_h = constants.Q_E * arr.mu_h_el * arr.Vt / arr.h
-        zero = np.zeros(mesh.n_nodes)
-        n_neutral, p_neutral = carrier_densities(arr, phi_neutral, zero, zero, statistics)
+        n_neutral, p_neutral = carrier_densities(arr, phi_neutral, 0.0, 0.0, statistics)
         self.n_bc = (n_neutral[0], n_neutral[-1])
         self.p_bc = (p_neutral[0], p_neutral[-1])
         self.gen = _generation_profile(stack, mesh, generation)
@@ -333,73 +352,51 @@ class _GummelWorkspace:
         dens = np.maximum(np.stack([n, p]), 1e-30)
         lng = np.where(self.free_nodes, self._ln_gamma(dens), self.lng_neutral)
         return np.concatenate([[phi, efn, efn], lng, np.log(dens),
-                               [np.zeros(self.mesh.n_nodes)]])
-
-    def restep(self, old, x, bias):
-        """Carry a state x converged at bias `old` to a nearby `bias` (x itself
-        when the two are equal)."""
-        if old == bias:
-            return x
-        out = x.copy()
-        out[0, 0] = self.phi_neutral[0]
-        out[0, -1] = self.phi_neutral[-1] + bias
-        out[1:3] = (np.clip(x[1:3] * (bias / old), min(0.0, -bias), max(0.0, -bias))
-                    if old != 0.0 else quasi_fermi_split(self.stack, self.mesh, bias))
-        return out
+                               [np.zeros_like(phi)]])
 
     def _continuity(self, x, bias, cycles):
         """Both continuity solves at the potential and degeneracy terms of
         the state x: (densities, eta, v, electron element flux), where eta
         inverts the statistics at the (2, N) densities and v is the hole
-        driving potential. Electrons integrate exactly. Holes, negligible for
-        the current but bounded under strong generation, take a local SG
-        solve of d/dx Jp = q (G + g_rad - B n p), an M-matrix with the loss
-        B n p on the diagonal and the mass-action back-generation g_rad
-        explicit, capped at the thermal rate; Dirichlet rows hold the contact
-        densities. A breakdown of either solve, or a density that
-        ``inverse_fermi_half`` rejects (not finite, or beyond its range),
-        raises NonConvergenceError naming the bias and the temperature and
-        carrying `cycles`."""
+        driving potential. Electrons integrate exactly; holes take
+        ``_hole_solve`` with the source G + g_rad, the mass-action
+        back-generation g_rad explicit and capped at the thermal rate. A
+        breakdown of either solve, or a density that ``inverse_fermi_half``
+        rejects (not finite, or beyond its range), raises ``_broke_down``."""
         arr = self.arr
         # driving potentials w = phi - Ec0 + kT (ln Nc + ln gamma_n) and
         # v = -phi + Ev0 + kT (ln Nv + ln gamma_p); sign_vt / Vt is +1, -1
         w, v = (self.sign_vt / arr.Vt * (x[0] - self.edges)
                 + arr.Vt * (self.ln_states + x[3:5]))
         src = arr.q_w * (x[7] - self.gen)
-        y = np.diff(v) / arr.Vt
-        bp, bm = bernoulli(y), bernoulli(-y)
-        lower = -self.c_h * bm
-        lower[-1] = 0.0
-        upper = -self.c_h * bp
-        upper[0] = 0.0
         dens = np.empty((2, v.size))
         try:
             n, jn_el = _electron_integral_solve(arr, w, src, self.n_bc)
             n = np.maximum(n, 1e-30, out=dens[0])
             loss = B_RADIATIVE * n
-            g_rad = np.minimum(
-                loss * np.exp(x[6]) * np.exp(np.clip((x[2] - x[1]) / arr.Vt, -500.0, 40.0)),
-                B_RADIATIVE * self.nisq)
-            diag = np.ones(v.size)
-            diag[1:-1] = (self.c_h[1:] * bm[1:] + self.c_h[:-1] * bp[:-1]
-                          + arr.q_w[1:-1] * loss[1:-1])
-            rhs = arr.q_w * (self.gen + g_rad)
-            rhs[0], rhs[-1] = self.p_bc
-            np.maximum(_tridiag_solve(lower, diag, upper, rhs), 1e-30, out=dens[1])
+            # a product that overflows to inf is capped at the thermal rate
+            with np.errstate(over="ignore"):
+                g_rad = np.minimum(
+                    loss * np.exp(x[6]) * np.exp(np.clip((x[2] - x[1]) / arr.Vt, -500.0, 40.0)),
+                    B_RADIATIVE * self.nisq)
+            p = _hole_solve(arr, self.c_h, np.diff(v) / arr.Vt, loss,
+                            arr.q_w * (self.gen + g_rad), self.p_bc)[0]
+            np.maximum(p, 1e-30, out=dens[1])
             eta = self.inverse(dens / self.n_states)
         except (ValueError, LinAlgError) as exc:
-            raise NonConvergenceError(
-                f"transport solve broke down at V = {bias} V, "
-                f"T = {self.stack.temperature} K: {exc}", gummel_cycles=cycles) from None
+            raise _broke_down(self.stack, bias, exc, cycles) from None
         return dens, eta, v, jn_el
 
-    def iterate(self, x, bias, max_cycles, tolerance):
+    def iterate(self, x, bias, final):
         """(state, cycles, last Poisson stage's |dphi|/Vt) of Anderson-mixed
         Gummel cycles from the state x at `bias`, the state a new array, the
         unmixed output of the last cycle. Raises NonConvergenceError unless,
-        within `max_cycles`, a cycle's quasi-Fermi update is below
-        `tolerance` and its Poisson stage reached ``NEWTON_TOLERANCE``."""
+        within ``MAX_GUMMEL`` cycles, a cycle's quasi-Fermi update is below
+        ``QF_TOLERANCE`` and its Poisson stage reached ``NEWTON_TOLERANCE``;
+        a rung that is not `final` uses the continuation pair of limits."""
         arr, stats = self.arr, self.stats
+        max_cycles, tolerance = ((MAX_GUMMEL, QF_TOLERANCE) if final
+                                 else (MAX_GUMMEL_CONTINUATION, QF_TOLERANCE_CONTINUATION))
         phi_bc = (self.phi_neutral[0], self.phi_neutral[-1] + bias)
 
         # maximum principle: quasi-Fermi levels stay between contact values
@@ -446,9 +443,8 @@ class _GummelWorkspace:
             phi_new, n, p, _, ok, newton_update = _solve_poisson(
                 arr, *ef_b, phi_bc, x[0], "boltzmann", stage_tolerance)
             if not ok:
-                raise NonConvergenceError(
-                    f"Poisson stage failed inside Gummel cycle {cycles} at V = {bias} V",
-                    gummel_cycles=cycles)
+                raise _broke_down(self.stack, bias,
+                                  f"Poisson stage failed inside Gummel cycle {cycles}", cycles)
             dens = np.maximum(np.stack([n, p]), 1e-30)
             g[0], g[1:3], g[5:7] = phi_new, ef_t, np.log(dens)
             g[7] = B_RADIATIVE * dens[0] * dens[1] * (
@@ -529,7 +525,7 @@ class _NewtonWorkspace:
     and the element fluxes J (A/cm^2, the last entry unused).
     """
 
-    def __init__(self, stack, mesh, arr, phi_neutral, statistics):
+    def __init__(self, stack, arr, phi_neutral, statistics):
         self.stack, self.arr, self.phi_neutral = stack, arr, phi_neutral
         self.pair = _statistics(statistics)[2]
         self.fermi = statistics != "boltzmann"
@@ -539,8 +535,7 @@ class _NewtonWorkspace:
         self.w0 = np.log(self.n_states) + self.eta0
         self.c = np.stack([arr.mu_e_el, arr.mu_h_el]) * (constants.Q_E * vt / arr.h)
         self.nisq = arr.Nc * arr.Nv * np.exp(-(arr.Ec0 - arr.Ev0) / vt)
-        zero = np.zeros(mesh.n_nodes)
-        self.n_bc = tuple(carrier_densities(arr, phi_neutral, zero, zero, statistics)[0][[0, -1]])
+        self.n_bc = tuple(carrier_densities(arr, phi_neutral, 0.0, 0.0, statistics)[0][[0, -1]])
         self.doped = np.broadcast_to((arr.Nd + arr.Na) >= DOPED_CONTACT_THRESHOLD,
                                      self.eta0.shape)
         self.lng_base = np.where(self.doped, _degeneracy(self.eta0 + _SIGN * phi_neutral / vt,
@@ -553,7 +548,7 @@ class _NewtonWorkspace:
         self.layout = [(shift, e, u, _KL + _KU + e - u - 4 * shift, 4 * max(shift, 0) + u)
                        for shift in (0, 1, -1) for e in range(4) for u in range(4)
                        if -_KU <= e - u - 4 * shift <= _KL]
-        self.bc = None
+        self.unit = np.array([vt, vt, vt, _FLUX_UNIT])[:, None]   # of the scaled unknowns
 
     def _fermi_dirac(self, eta):
         """(F, F', ln gamma, d ln gamma / d eta) at eta (2, N) in the statistics
@@ -719,24 +714,23 @@ class _NewtonWorkspace:
         return step[:, 0].reshape(-1, 4).T
 
     @np.errstate(all="ignore")            # a state that overflows fails the checks
-    def iterate(self, x, bias):
+    def iterate(self, x, bias, final):
         """(state, Newton steps, last |dphi|/Vt) at `bias` from the state x.
 
         A step stops the rung once its potential update is below
         ``NEWTON_TOLERANCE`` thermal voltages and its quasi-Fermi update, where
         the carrier density exceeds ``QF_DENSITY_FLOOR``, is below
-        ``QF_TOLERANCE``. A step that changes eta by d is taken as
-        sign(d) ln(1 + |d|), which is d to second order and the density change
-        its linearisation predicts, e^d - 1 ~ d, at large d. It is then halved
-        until its simplified correction, in the same norm, is no longer than
-        itself (Deuflhard's natural monotonicity test). That correction,
+        ``QF_TOLERANCE``, `final` or not. A step that changes eta by d is taken
+        as sign(d) ln(1 + |d|), which is d to second order and the density
+        change its linearisation predicts, e^d - 1 ~ d, at large d. It is then
+        halved until its simplified correction, in the same norm, is no longer
+        than itself (Deuflhard's natural monotonicity test). That correction,
         once it meets both tolerances, is the rung's last step. Raises
-        NonConvergenceError, carrying the steps run, when 30 halvings fail,
-        the Jacobian breaks down, or ``NEWTON_MAX_ITERATIONS`` steps pass.
+        NonConvergenceError, carrying the steps run, when 30 halvings fail, the
+        Jacobian breaks down, or ``NEWTON_MAX_ITERATIONS`` steps pass.
         """
         vt = self.arr.Vt
-        unit = np.array([vt, vt, vt, _FLUX_UNIT])[:, None]
-        z = x[[2, 0, 1, 3]] / unit
+        z = x[[2, 0, 1, 3]] / self.unit
         # without generation the levels keep between their contact values
         # (maximum principle): a start and every iterate are held there, as
         # a level where its carrier is absent could otherwise run off
@@ -751,7 +745,7 @@ class _NewtonWorkspace:
             try:
                 dz = self._step(r, terms)
             except NonConvergenceError as exc:
-                raise self._broke_down(bias, exc, steps) from None
+                raise _broke_down(self.stack, bias, exc, steps) from None
             counted = self._counted(terms)
             update, done = self._small(dz, counted)
             size = np.linalg.norm(dz * counted)
@@ -762,15 +756,15 @@ class _NewtonWorkspace:
                 trial = z + t * dz
                 trial[[_P, _N]] = np.clip(trial[[_P, _N]], *window)
                 if done:
-                    return (trial * unit)[[1, 2, 0, 3]], steps, update
+                    return (trial * self.unit)[[1, 2, 0, 3]], steps, update
                 r_new, terms_new = self._residual(trial)
                 correction = self._correction(r_new)
                 if np.linalg.norm(correction * counted) <= size:
                     break
                 t *= 0.5
             else:
-                raise self._broke_down(bias, "no damped step reduced the Newton correction",
-                                       steps)
+                raise _broke_down(self.stack, bias,
+                                  "no damped step reduced the Newton correction", steps)
             z, r, terms = trial, r_new, terms_new
             # the simplified correction is the next step but for the
             # Jacobian; once it is below tolerance it ends the rung as that
@@ -779,7 +773,7 @@ class _NewtonWorkspace:
             if done and steps < NEWTON_MAX_ITERATIONS:
                 z += correction
                 z[[_P, _N]] = np.clip(z[[_P, _N]], *window)
-                return (z * unit)[[1, 2, 0, 3]], steps + 1, update
+                return (z * self.unit)[[1, 2, 0, 3]], steps + 1, update
         raise NonConvergenceError(f"Newton iteration did not converge in {steps} steps at "
                                   f"V = {bias} V, T = {self.stack.temperature} K",
                                   gummel_cycles=steps)
@@ -801,41 +795,29 @@ class _NewtonWorkspace:
                                                where=counted[[_P, _N]] > 0, initial=0.0))
         return update, update < NEWTON_TOLERANCE and qf_update < QF_TOLERANCE
 
-    def _broke_down(self, bias, exc, steps):
-        return NonConvergenceError(f"transport solve broke down at V = {bias} V, "
-                                   f"T = {self.stack.temperature} K: {exc}", gummel_cycles=steps)
-
     @np.errstate(all="ignore")            # a state that overflows fails the checks
     def finalize(self, x, bias):
         """(n, p, efn, efp, electron plus hole element flux) at the state x,
         from the final continuity pass of the Gummel loop: the exact electron
-        integral at the state's driving potential and recombination, and the
-        linear hole SG solve at its potential and electrons. Raises
+        integral at the state's driving potential and recombination, and
+        ``_hole_solve`` at its potential and electrons. Raises
         NonConvergenceError if the current is not finite (at a few kelvin,
         exp(w/kT) leaves the float range)."""
         arr, vt = self.arr, self.arr.Vt
-        unit = np.array([vt, vt, vt, _FLUX_UNIT])[:, None]
-        (n, p), _, _, x_w, _, _, gg, lng = self._residual(x[[2, 0, 1, 3]] / unit)[1]
+        (n, p), _, _, x_w, _, _, gg, lng = self._residual(x[[2, 0, 1, 3]] / self.unit)[1]
         w = vt * (self.w0[0] + lng[0]) + x[0]
-        y = x_w[1]
-        bp, bm = bernoulli(y), bernoulli(-y)
-        lower, upper = -self.c[1] * bm, -self.c[1] * bp
-        lower[-1] = upper[0] = 0.0
         loss = B_RADIATIVE * n
-        diag = np.ones_like(n)
-        diag[1:-1] = (self.c[1, 1:] * bm[1:] + self.c[1, :-1] * bp[:-1]
-                      + arr.q_w[1:-1] * loss[1:-1])
-        rhs = arr.q_w * B_RADIATIVE * gg
-        rhs[[0, -1]] = p[[0, -1]]
         try:
-            p = np.maximum(_tridiag_solve(lower, diag, upper, rhs), 0.0)
+            p, bp, bm = _hole_solve(arr, self.c[1], x_w[1], loss, arr.q_w * B_RADIATIVE * gg,
+                                    p[[0, -1]])
+            p = np.maximum(p, 0.0)
             _, j_el = _electron_integral_solve(arr, w, arr.q_w * (loss * p - B_RADIATIVE * gg),
                                                self.n_bc)
             j = j_el + self.c[1] * (bm * p[:-1] - bp * p[1:])
             if not np.all(np.isfinite(j)):
                 raise ValueError("the current is not finite")
         except (ValueError, LinAlgError) as exc:
-            raise self._broke_down(bias, exc, 0) from None
+            raise _broke_down(self.stack, bias, exc, 0) from None
         return n, p, x[1], x[2], j
 
 
@@ -870,10 +852,11 @@ def iv_sweep(stack, mesh, biases, generation=0.0, statistics="fermi"):
     """IV curve over `biases`, returned in the given order.
 
     Raises ValueError, before anything is solved, naming the first bias
-    that is not finite or lies outside the +/-5 V sanity bound. Each
-    distinct bias is solved once (see the module docstring). A failed
-    point is recorded on its IVPoint (current NaN, the Gummel cycles
-    actually run) without aborting the sweep.
+    that is not finite or lies outside the +/-5 V sanity bound, or a
+    `generation` that is not finite and >= 0. Each distinct bias is solved
+    once (see the module docstring). A failed point is recorded on its
+    IVPoint (current NaN, the iterations actually run) without aborting
+    the sweep.
     """
     solved = {}
     for bias, result in _iv_sweep(stack, mesh, biases, generation, statistics):
@@ -887,6 +870,8 @@ def _iv_sweep(stack, mesh, biases, generation, statistics):
     """(bias, (BandDiagram, IVPoint) or NonConvergenceError) for each
     distinct bias, in the order they are solved."""
     _check_biases(biases)
+    if not 0.0 <= generation < math.inf:
+        raise ValueError(f"generation must be finite and >= 0, not {generation} cm^-3 s^-1")
     arr, phi_n, solve = _set_up(stack, mesh, statistics)
     efn, phi_eq, n, p, history, ok, update = solve(0.0, phi_n)
     if not ok:
@@ -896,25 +881,17 @@ def _iv_sweep(stack, mesh, biases, generation, statistics):
         yield from ((bias, exc) for bias in sorted(set(biases)))
         return
     if generation == 0.0:
-        ws = _NewtonWorkspace(stack, mesh, arr, phi_n, statistics)
+        ws = _NewtonWorkspace(stack, arr, phi_n, statistics)
         origin = ws.seed(phi_eq)
-
-        def advance(v, start, final):
-            return ws.iterate(start[1], v)
     else:
         ws = _GummelWorkspace(stack, mesh, arr, phi_n, generation, statistics)
         origin = ws.seed(efn, phi_eq, n, p)
-
-        def advance(v, start, final):
-            limits = ((MAX_GUMMEL, QF_TOLERANCE) if final
-                      else (MAX_GUMMEL_CONTINUATION, QF_TOLERANCE_CONTINUATION))
-            return ws.iterate(ws.restep(*start, v), v, *limits)
     spent = 0                   # iterations run since the last point was solved
 
-    def rung(v, start, final):
+    def rung(v, x, final):
         nonlocal spent
         try:
-            x, cycles, update = advance(v, start, final)
+            x, cycles, update = ws.iterate(x, v, final)
             spent += cycles
             if not final:
                 return x, None

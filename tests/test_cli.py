@@ -225,6 +225,28 @@ def test_iv_rejects_a_bad_sweep_range_with_one_line(tmp_path, capsys, bad):
     assert not (tmp_path / "iv.csv").exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["stark", "--di", "nan"], "intrinsic thickness"),
+    (["stark", "--di", "inf"], "intrinsic thickness"),
+    (["synthmap", "--di", "nan"], "intrinsic thickness"),
+    (["synthmap", "--linewidth", "nan"], "linewidth"),
+    (["synthmap", "--linewidth", "-5"], "linewidth"),
+    (["iv", "--generation", "nan"], "generation"),
+    (["iv", "--generation", "inf"], "generation"),
+    (["iv", "--generation", "-1e22"], "generation"),
+    (["bandedges", "--bias", "0", "--max-spacing", "nan"], "spacings"),
+    (["bandedges", "--bias", "0", "--refine-width", "inf"], "refine_width"),
+], ids=["stark-di-nan", "stark-di-inf", "synthmap-di-nan", "synthmap-linewidth-nan",
+        "synthmap-linewidth-negative", "iv-generation-nan", "iv-generation-inf",
+        "iv-generation-negative", "bandedges-spacing-nan", "bandedges-refine-inf"])
+def test_a_bad_number_is_rejected_where_it_enters(tmp_path, capsys, argv, named):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and named in err and "must be finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("vmin, named", [("1e308", "1e+308"), ("6", "6.0"),
                                           ("1e300", "1e+300")],
                          ids=["overflowing-ladder", "beyond-5V", "huge-ladder"])

@@ -145,9 +145,9 @@ def _record_rungs(monkeypatch):
     real = transport._walk
 
     def recording(biases, origin, solve, step):
-        def rung(v, start, final):
+        def rung(v, x, final):
             rungs.append((v, final))
-            return solve(v, start, final)
+            return solve(v, x, final)
         return real(biases, origin, rung, step)
 
     monkeypatch.setattr(transport, "_walk", recording)
@@ -172,12 +172,12 @@ def _record_newton_rungs(monkeypatch, failing=lambda bias: False, attempted=None
         attempted[-1] += 1
         return real_step(self, r, terms)
 
-    def iterate(self, x, bias):
+    def iterate(self, x, bias, final):
         fail.append(failing(bias))
         if attempted is not None:
             attempted.append(0)
         try:
-            out = real_iterate(self, x, bias)
+            out = real_iterate(self, x, bias, final)
         except NonConvergenceError as exc:
             rungs.append((bias, exc.gummel_cycles))
             raise
@@ -234,8 +234,8 @@ def test_mid_branch_failure_marks_only_its_point(reference_stack, reference_mesh
     real_iterate = transport._GummelWorkspace.iterate
     cycles = {}                 # cycles of each converged rung, by bias
 
-    def counted(self, x, bias, max_cycles, tolerance):
-        out = real_iterate(self, x, bias, max_cycles, tolerance)
+    def counted(self, x, bias, final):
+        out = real_iterate(self, x, bias, final)
         cycles[round(bias, 9)] = out[1]
         return out
 
@@ -330,8 +330,8 @@ def test_gummel_failure_carries_the_running_cycle_count(reference_stack, referen
     real_iterate = transport._GummelWorkspace.iterate
     cycles = []                 # cycles of each converged rung, in order
 
-    def counted(self, x, bias, max_cycles, tolerance):
-        out = real_iterate(self, x, bias, max_cycles, tolerance)
+    def counted(self, x, bias, final):
+        out = real_iterate(self, x, bias, final)
         cycles.append(out[1])
         return out
 
@@ -461,6 +461,30 @@ def test_cryogenic_sweep_converges_at_every_bias(reference_stack, temperature):
     assert all(pt.converged and math.isfinite(pt.current_density) for pt in curve.points)
 
 
+def test_an_overflowing_back_generation_is_capped_without_a_warning(
+        reference_stack, reference_mesh, monkeypatch):
+    # ln p = 800 overflows exp in the back-generation rate of the hole solve;
+    # its cap takes that inf to the thermal rate B ni^2
+    arr, phi_neutral, solve = electrostatics._set_up(reference_stack, reference_mesh, "fermi")
+    efn, phi, n, p, *_ = solve(0.0, phi_neutral)
+    ws = transport._GummelWorkspace(reference_stack, reference_mesh, arr, phi_neutral, 1e22,
+                                    "fermi")
+    x = ws.seed(efn, phi, n, p)
+    x[6] = 800.0
+    sources, real = [], transport._hole_solve
+
+    def recording(arr, c_h, y, loss, rhs, p_ends):
+        sources.append(rhs.copy())
+        return real(arr, c_h, y, loss, rhs, p_ends)
+
+    monkeypatch.setattr(transport, "_hole_solve", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ws._continuity(x, 0.0, 1)
+    (rhs,) = sources            # q w (G + g_rad), taken before the contact rows are set
+    np.testing.assert_array_equal(rhs, arr.q_w * (ws.gen + transport.B_RADIATIVE * ws.nisq))
+
+
 def test_unconverged_point_is_written_as_failed(tmp_path, monkeypatch):
     # three Gummel cycles cannot reach 1e-8 V at 0.5 V: the point is failed,
     # with the cycles it ran, not a current from an unconverged state
@@ -530,10 +554,8 @@ def test_newton_and_gummel_rungs_agree_on_the_dark_sweep(reference_stack, refere
     ws = transport._GummelWorkspace(reference_stack, reference_mesh, arr, phi_neutral, 0.0,
                                     "fermi")
 
-    def rung(v, start, final):
-        limits = ((transport.MAX_GUMMEL, transport.QF_TOLERANCE) if final else
-                  (transport.MAX_GUMMEL_CONTINUATION, transport.QF_TOLERANCE_CONTINUATION))
-        x, _, _ = ws.iterate(ws.restep(*start, v), v, *limits)
+    def rung(v, x, final):
+        x, _, _ = ws.iterate(x, v, final)
         return x, -float(np.mean(ws.finalize(x, v)[-1])) if final else None
 
     gummel = dict(electrostatics._walk(DEFAULT_GRID, ws.seed(efn, phi, n, p), rung,
@@ -551,7 +573,7 @@ def test_newton_jacobian_matches_difference_quotients(reference_stack, reference
     # taken as it stands, so their slopes are the exact +-1 and are left out
     arr, phi_neutral, solve = electrostatics._set_up(reference_stack, reference_mesh, "fermi")
     phi = solve(0.0, phi_neutral)[1]
-    ws = transport._NewtonWorkspace(reference_stack, reference_mesh, arr, phi_neutral, "fermi")
+    ws = transport._NewtonWorkspace(reference_stack, arr, phi_neutral, "fermi")
     rng = np.random.default_rng(0)
     bias, vt, nodes = 0.3, arr.Vt, reference_mesh.n_nodes
     ws.bc = np.array([[0.0, -bias], [phi_neutral[0], phi_neutral[-1] + bias],
