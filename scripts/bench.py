@@ -14,8 +14,9 @@ runs first alternates from pair to pair.
 
 The result goes to ``BENCH_<pr>.json`` at the repository root. Per
 workload and side it holds every run's end-to-end metrics, its
-``correct`` flag and failed ops, and the Gummel cycles of the IV points
-it solved; then the median and quartiles of each metric, the ratio of
+``correct`` flag and failed ops, and, as ``iterations``, the iterations
+of the IV points it solved: Newton steps in the dark, Gummel cycles under
+generation; then the median and quartiles of each metric, the ratio of
 the medians and the pairs the head side won. It also records the host,
 the line count of ``src/dotdiode`` on both sides and, with ``--tier1``,
 the wall time and summary of the tier-1 tests on the head side.
@@ -73,7 +74,8 @@ def line_count(tree):
 
 def run_workload(tree, workload, seed, seconds):
     """One `perfbench/run.py --trace 0` run in `tree`: its last output line
-    and the Gummel cycles of the IV points it solved."""
+    and the iterations of the IV points it solved (Newton steps in the dark,
+    Gummel cycles under generation)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -89,7 +91,7 @@ def run_workload(tree, workload, seed, seconds):
     detail = tree / "perfbench" / "_work" / f"{workload}.json"
     points = json.loads(detail.read_text()).get("iv_points", []) if detail.exists() else []
     if points:
-        run["gummel_cycles"] = sum(p[2] for p in points)
+        run["iterations"] = sum(p[2] for p in points)
     return run
 
 

@@ -37,17 +37,24 @@ EXIT_NONCONVERGED = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with two changes. A token such as -1e-3 is a negative number,
-    not an option name: argparse alone only takes -1 and -0.5 forms as
-    numbers. A usage error exits EXIT_INPUT with one line, since exit 2
+    """argparse with two changes. A token such as -1e-3 or -inf is a negative
+    number, not an option name: argparse alone only takes -1 and -0.5 forms
+    as numbers. A usage error exits EXIT_INPUT with one line, since exit 2
     means non-convergence here."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.exit(EXIT_INPUT, f"{self.prog}: {message}\n")
+
+
+def _require_finite(args, *names):
+    """Raise ValueError naming the first option of `names` that is not finite."""
+    for name in names:
+        if not math.isfinite(getattr(args, name)):
+            raise ValueError(f"{name} must be finite, not {getattr(args, name)}")
 
 
 def _outdir(args):
@@ -140,6 +147,7 @@ def cmd_iv(args):
 
 
 def cmd_stark(args):
+    _require_finite(args, "vmin", "vmax")
     lines = load_reference_lines(args.lines)
     if args.vmax <= args.vmin:
         print("stark: vmax must exceed vmin", file=sys.stderr)
@@ -161,6 +169,7 @@ def cmd_stark(args):
 
 
 def cmd_synthmap(args):
+    _require_finite(args, "vmin", "vmax", "lmin", "lmax")
     lines = load_reference_lines(args.lines)
     ladder = load_charge_ladder(args.ladder)
     gate = np.linspace(args.vmin, args.vmax, args.nv)
@@ -278,8 +287,8 @@ _FITTERS = {"peaks": _fit_peaks, "fss": _fit_fss, "power": _fit_power, "g2": _fi
 
 
 def cmd_fit(args):
-    out = _outdir(args)
     entries, columns, converged = _FITTERS[args.what](args)
+    out = _outdir(args)
     dataio.write_table(out / "fit_residuals.csv", list(columns.values()), list(columns))
     header = {**_report_header(args, f"fit {args.what}"), "inputs": ";".join(args.data)}
     dataio.write_report(out / "fit_report.txt", f"dotdiode fit report: {args.what}",

@@ -283,6 +283,8 @@ def fit_peaks(spectrum, n_peaks=1, snr_gate=5.0, shape="lorentzian"):
         raise ValueError("n_peaks must be at least 1")
     if shape not in _SHAPES:
         raise ValueError(f"unknown line shape {shape!r}")
+    if not math.isfinite(snr_gate):
+        raise ValueError(f"snr_gate must be finite, not {snr_gate}")
     x = spectrum.wavelength_nm
     y = spectrum.counts
     if x.size < max(8, 5 * n_peaks):

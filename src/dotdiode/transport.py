@@ -70,19 +70,20 @@ cycle's quasi-Fermi update (the first cycle of a rung: to
 ``NEWTON_TOLERANCE`` ends the iteration, so every reported potential is
 a fully converged Poisson solution.
 
-In one dimension the steady-state electron continuity equation integrates
-exactly: the element fluxes are one unknown plus the cumulative
-recombination / generation sources, and the Slotboom density
-s = n exp(-w/kT) follows by two-sided cumulative summation (each node
-anchored to the nearer contact, which preserves relative accuracy across
-the exp(V/kT) span of s at high bias). Discrete current continuity of the
-majority carrier then holds to machine precision by construction, and
-zero bias with zero net sources yields an exactly zero flux (detailed
-balance). Holes, which carry negligible current here but must stay
+The Newton rung reports the state it solved: its densities and levels, and
+as current its electron flux unknowns minus the Slotboom hole flux, which
+vanishes with the quasi-Fermi difference, so that zero bias gives rounding
+of flat levels, far below ``detailed_balance_floor``. The Gummel loop
+reports its last continuity pass. In one dimension the steady-state
+electron continuity equation integrates exactly: the element fluxes are
+one unknown plus the cumulative recombination / generation sources, and
+the Slotboom density s = n exp(-w/kT) follows by two-sided cumulative
+summation (each node anchored to the nearer contact, which preserves
+relative accuracy across the exp(V/kT) span of s at high bias). Discrete
+current continuity of the electrons then holds to machine precision by
+construction. Holes, which carry negligible current here but must stay
 bounded under strong generation, use a conventional tridiagonal SG solve
-with the recombination loss implicit (``_hole_solve``). Both rungs report a
-point from this pass: the Gummel loop's last cycle, and the Newton rung's
-final pass at its solution.
+with the recombination loss implicit (``_hole_solve``).
 
 Direct radiative recombination with a single constant coefficient is the
 only recombination channel, written in its quasi-Fermi form
@@ -289,7 +290,7 @@ def hole_flux(arr, v, p):
 
 
 def _hole_solve(arr, c_h, y, loss, rhs, p_ends):
-    """(p, B(y), B(-y)) of the SG solve of d/dx Jp = q (source - loss p), an
+    """p of the SG solve of d/dx Jp = q (source - loss p), an
     M-matrix: `c_h` is q mu_h kT / h, y the hole driving-potential steps over
     kT, `rhs` the source times q w (its ends become `p_ends`, the Dirichlet
     rows' contact densities). Raises as ``_tridiag_solve`` does."""
@@ -299,7 +300,7 @@ def _hole_solve(arr, c_h, y, loss, rhs, p_ends):
     diag = np.ones(y.size + 1)
     diag[1:-1] = c_h[1:] * bm[1:] + c_h[:-1] * bp[:-1] + arr.q_w[1:-1] * loss[1:-1]
     rhs[[0, -1]] = p_ends
-    return _tridiag_solve(lower, diag, upper, rhs), bp, bm
+    return _tridiag_solve(lower, diag, upper, rhs)
 
 
 def _broke_down(stack, bias, exc, iterations):
@@ -380,7 +381,7 @@ class _GummelWorkspace:
                     loss * np.exp(x[6]) * np.exp(np.clip((x[2] - x[1]) / arr.Vt, -500.0, 40.0)),
                     B_RADIATIVE * self.nisq)
             p = _hole_solve(arr, self.c_h, np.diff(v) / arr.Vt, loss,
-                            arr.q_w * (self.gen + g_rad), self.p_bc)[0]
+                            arr.q_w * (self.gen + g_rad), self.p_bc)
             np.maximum(p, 1e-30, out=dens[1])
             eta = self.inverse(dens / self.n_states)
         except (ValueError, LinAlgError) as exc:
@@ -535,7 +536,6 @@ class _NewtonWorkspace:
         self.w0 = np.log(self.n_states) + self.eta0
         self.c = np.stack([arr.mu_e_el, arr.mu_h_el]) * (constants.Q_E * vt / arr.h)
         self.nisq = arr.Nc * arr.Nv * np.exp(-(arr.Ec0 - arr.Ev0) / vt)
-        self.n_bc = tuple(carrier_densities(arr, phi_neutral, 0.0, 0.0, statistics)[0][[0, -1]])
         self.doped = np.broadcast_to((arr.Nd + arr.Na) >= DOPED_CONTACT_THRESHOLD,
                                      self.eta0.shape)
         self.lng_base = np.where(self.doped, _degeneracy(self.eta0 + _SIGN * phi_neutral / vt,
@@ -598,7 +598,7 @@ class _NewtonWorkspace:
 
     def _residual(self, z):
         """Residual (4, N) of the scaled unknowns z (4, N) and the terms its
-        Jacobian reuses."""
+        Jacobian and ``finalize`` reuse, the element fluxes (A/cm^2) last."""
         arr = self.arr
         eta = self.eta0 + _SIGN * (z[_PHI] + z[[_N, _P]])
         f, df, lng, dlng = self._fermi_dirac(eta)
@@ -618,7 +618,7 @@ class _NewtonWorkspace:
         r[_J, :-1] = flux[0] / _FLUX_UNIT - z[_J, :-1]
         r[_J, -1] = z[_J, -1]
         r[:_J, [0, -1]] = z[:_J, [0, -1]] - self.bc
-        return r, (dens, ddens, dlng, x, b_minus, em, gg, lng)
+        return r, (dens, ddens, dlng, x, b_minus, em, gg, flux)
 
     def _blocks(self, terms):
         """Diagonal, upper and lower 4 x 4 blocks (equation, unknown, node) of
@@ -795,29 +795,16 @@ class _NewtonWorkspace:
                                                where=counted[[_P, _N]] > 0, initial=0.0))
         return update, update < NEWTON_TOLERANCE and qf_update < QF_TOLERANCE
 
-    @np.errstate(all="ignore")            # a state that overflows fails the checks
+    @np.errstate(all="ignore")            # a state that overflows fails the check
     def finalize(self, x, bias):
-        """(n, p, efn, efp, electron plus hole element flux) at the state x,
-        from the final continuity pass of the Gummel loop: the exact electron
-        integral at the state's driving potential and recombination, and
-        ``_hole_solve`` at its potential and electrons. Raises
-        NonConvergenceError if the current is not finite (at a few kelvin,
-        exp(w/kT) leaves the float range)."""
-        arr, vt = self.arr, self.arr.Vt
-        (n, p), _, _, x_w, _, _, gg, lng = self._residual(x[[2, 0, 1, 3]] / self.unit)[1]
-        w = vt * (self.w0[0] + lng[0]) + x[0]
-        loss = B_RADIATIVE * n
-        try:
-            p, bp, bm = _hole_solve(arr, self.c[1], x_w[1], loss, arr.q_w * B_RADIATIVE * gg,
-                                    p[[0, -1]])
-            p = np.maximum(p, 0.0)
-            _, j_el = _electron_integral_solve(arr, w, arr.q_w * (loss * p - B_RADIATIVE * gg),
-                                               self.n_bc)
-            j = j_el + self.c[1] * (bm * p[:-1] - bp * p[1:])
-            if not np.all(np.isfinite(j)):
-                raise ValueError("the current is not finite")
-        except (ValueError, LinAlgError) as exc:
-            raise _broke_down(self.stack, bias, exc, 0) from None
+        """(n, p, efn, efp, electron plus hole element flux) of the state x:
+        the densities ``_residual`` computes there, the quasi-Fermi levels
+        x[1] and x[2], and the flux unknowns x[3] minus the Slotboom hole
+        flux. Raises NonConvergenceError if the current is not finite."""
+        (n, p), *_, flux = self._residual(x[[2, 0, 1, 3]] / self.unit)[1]
+        j = x[3, :-1] - flux[1]
+        if not np.all(np.isfinite(j)):
+            raise _broke_down(self.stack, bias, "the current is not finite", 0)
         return n, p, x[1], x[2], j
 
 
@@ -836,14 +823,15 @@ def solve_drift_diffusion(stack, mesh, bias, generation=0.0, statistics="fermi")
 
 
 def _current_scale(arr):
-    """q n_max mu_max kT/q / L, the natural current-density scale."""
+    """q max(N_D mu_e, N_A mu_h) kT/q / L, each density and mobility its
+    maximum over the stack: the natural current-density scale, 0 undoped."""
     L = arr.x[-1] - arr.x[0]
-    return (constants.Q_E * float(np.max(arr.Nd)) * float(np.max(arr.mu_e_el))
-            * arr.Vt / L)
+    return max(constants.Q_E * float(np.max(arr.Nd)) * float(np.max(arr.mu_e_el)) * arr.Vt / L,
+               constants.Q_E * float(np.max(arr.Na)) * float(np.max(arr.mu_h_el)) * arr.Vt / L)
 
 
 def detailed_balance_floor(stack, mesh, factor=1e-15):
-    """Zero-current floor: factor * q n_max mu_max (kT/q) / L."""
+    """Zero-current floor: factor times ``_current_scale``."""
     arr = build_device_arrays(stack, mesh)
     return factor * _current_scale(arr)
 

@@ -236,9 +236,19 @@ def test_iv_rejects_a_bad_sweep_range_with_one_line(tmp_path, capsys, bad):
     (["iv", "--generation", "-1e22"], "generation"),
     (["bandedges", "--bias", "0", "--max-spacing", "nan"], "spacings"),
     (["bandedges", "--bias", "0", "--refine-width", "inf"], "refine_width"),
+    (["stark", "--vmax", "inf"], "vmax must be finite, not inf"),
+    (["stark", "--vmin", "nan"], "vmin must be finite, not nan"),
+    (["stark", "--vmin", "-inf"], "vmin must be finite, not -inf"),
+    (["synthmap", "--lmin", "nan"], "lmin must be finite, not nan"),
+    (["synthmap", "--lmax", "inf"], "lmax must be finite, not inf"),
+    (["synthmap", "--vmax", "inf"], "vmax must be finite, not inf"),
+    (["fit", "peaks", "--data", str(GOLDEN / "fit_inputs" / "peaks3.csv"),
+      "--snr-gate", "nan"], "snr_gate must be finite, not nan"),
 ], ids=["stark-di-nan", "stark-di-inf", "synthmap-di-nan", "synthmap-linewidth-nan",
         "synthmap-linewidth-negative", "iv-generation-nan", "iv-generation-inf",
-        "iv-generation-negative", "bandedges-spacing-nan", "bandedges-refine-inf"])
+        "iv-generation-negative", "bandedges-spacing-nan", "bandedges-refine-inf",
+        "stark-vmax-inf", "stark-vmin-nan", "stark-vmin-minus-inf", "synthmap-lmin-nan",
+        "synthmap-lmax-inf", "synthmap-vmax-inf", "fit-peaks-snr-gate-nan"])
 def test_a_bad_number_is_rejected_where_it_enters(tmp_path, capsys, argv, named):
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == EXIT_INPUT

@@ -74,22 +74,27 @@ def test_degeneracy_terms_match_public_kernels():
     assert not ln_gamma_b.any() and np.all(alpha_b == 1.0)
 
 
-@pytest.fixture(scope="module")
-def slab():
-    stack = LayerStack(layers=(Layer("InP", 400.0, donor_cm3=1e16),))
+@pytest.fixture(scope="module", params=["donor", "acceptor"])
+def slab(request):
+    """A 400 nm InP slab doped 1e16 cm^-3 with donors or with acceptors."""
+    stack = LayerStack(layers=(Layer("InP", 400.0, **{f"{request.param}_cm3": 1e16}),))
     mesh = build_mesh(stack, 2.0, 0.5, 5.0)
-    return stack, mesh
+    return request.param, stack, mesh
 
 
 def test_ohmic_slab_matches_resistor_formula(slab):
-    stack, mesh = slab
+    # at zero bias the cancelling hole flux c (B(-y) p_i - B(y) p_i+1) of
+    # the acceptor slab leaves rounding of its majority holes above the floor
+    carrier, stack, mesh = slab
     bias = 0.005
-    _, pt = solve_drift_diffusion(stack, mesh, bias)
+    zero, pt = iv_sweep(stack, mesh, [0.0, bias]).points
     m = lookup_material("InP", 300.0)
-    mu = mobility_at(m.mobility_e, 1e16, 300.0, m.mobility_T_exponent)
+    params = m.mobility_e if carrier == "donor" else m.mobility_h
+    mu = mobility_at(params, 1e16, 300.0, m.mobility_T_exponent)
     analytic = Q_E * 1e16 * mu * bias / 400e-7
-    assert pt.converged
+    assert zero.converged and pt.converged
     assert pt.current_density == pytest.approx(analytic, rel=0.01)
+    assert abs(zero.current_density) < detailed_balance_floor(stack, mesh)
 
 
 def test_drift_diffusion_diagram_reports_the_last_newton_update(reference_stack,
@@ -643,6 +648,24 @@ def test_random_stacks_dark_iv_converges_or_fails_by_name(layers, biases):
                        np.max(conductance * arr.mu_h_el * diagram.p[:-1]))
             rounding = 16 * np.finfo(float).eps * term / abs(pt.current_density)
             assert pt.continuity_error < max(1e-6, rounding)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(temperature=st.floats(4.0, 400.0),
+       biases=st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]),
+                       min_size=2, max_size=3, unique=True))
+def test_dark_sweep_at_any_temperature_converges_or_fails_by_name(reference_stack,
+                                                                  temperature, biases):
+    """A dark sweep of the reference stack at 4-400 K gives each bias a
+    converged point with finite current or a failed point with NaN current;
+    it never raises and never warns."""
+    stack = dataclasses.replace(reference_stack, temperature=temperature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = iv_sweep(stack, build_mesh(stack), biases)
+    for pt in curve.points:
+        assert (math.isfinite(pt.current_density) if pt.converged
+                else math.isnan(pt.current_density)), (temperature, pt)
 
 
 def test_lit_sweep_cycle_budget(reference_stack, reference_mesh):
