@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the transport temperature tables of ROADMAP item 4.
+"""Print the transport temperature tables of ROADMAP item 10.
 
     python3 scripts/temperature_table.py
 
@@ -33,7 +33,7 @@ TEMPERATURES = (4, 7, 15, 20, 30, 40, 55, 77, 90, 120, 150, 180, 230, 300, 350, 
 SHORT = (0.0, 0.5, 1.0)
 DEFAULT = tuple(-1.0 + 0.25 * k for k in range(13))
 DEFAULT_AT = (77, 150)
-LIT_AT = (40, 60, 77, 120, 150, 300)
+LIT_AT = (40, 60, 77, 120, 150, 200, 230, 300)
 LIT_GENERATION = 1e22       # cm^-3 s^-1
 
 

@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 from .materials import lookup_material, band_offsets, mobility
 from .device import (Layer, LayerStack, parse_stack, serialize_stack,
                      build_mesh, doping_profile, load_reference_stack)
-from .electrostatics import (BandDiagram, fermi_half,
-                             solve_equilibrium, solve_bias, band_sweep,
+from .electrostatics import (BandDiagram, fermi_half, solve_bias, band_sweep,
                              field_lever_arm)
 from .transport import (IVPoint, IVCurve,
                         solve_drift_diffusion, iv_sweep)
@@ -23,8 +22,7 @@ __all__ = [
     "lookup_material", "band_offsets", "mobility",
     "Layer", "LayerStack", "parse_stack", "serialize_stack", "build_mesh",
     "doping_profile", "load_reference_stack",
-    "BandDiagram", "fermi_half", "solve_equilibrium",
-    "solve_bias", "band_sweep", "field_lever_arm",
+    "BandDiagram", "fermi_half", "solve_bias", "band_sweep", "field_lever_arm",
     "IVPoint", "IVCurve", "solve_drift_diffusion",
     "iv_sweep",
     "ExcitonLine", "FssModel", "ChargeLadder", "stark_energy",

@@ -35,6 +35,12 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NONCONVERGED = 2
 
+# Largest inputs a command accepts, each checked before anything is built;
+# the benchmark runs 40 biases and a 601 x 4001 map.
+MAX_IV_POINTS = 2001
+MAX_STARK_POINTS = 100_000
+MAX_MAP_CELLS = 10_000_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with two changes. A token such as -1e-3 or -inf is a negative
@@ -127,12 +133,14 @@ def cmd_iv(args):
     if args.vmax < args.vmin:
         print("iv: vmax must not be below vmin", file=sys.stderr)
         return EXIT_INPUT
+    single = args.vmax == args.vmin
+    n = 1 if single else int(round((args.vmax - args.vmin) / args.step)) + 1
+    if n > MAX_IV_POINTS:
+        print(f"iv: vmin {args.vmin} V to vmax {args.vmax} V in steps of {args.step} V "
+              f"give {n} bias points, above the cap of {MAX_IV_POINTS}", file=sys.stderr)
+        return EXIT_INPUT
     stack, mesh = _stack_and_mesh(args)
-    if args.vmax == args.vmin:
-        biases = [args.vmin]
-    else:
-        n = int(round((args.vmax - args.vmin) / args.step)) + 1
-        biases = [args.vmin + k * args.step for k in range(n)]
+    biases = [args.vmin] if single else [args.vmin + k * args.step for k in range(n)]
     curve = iv_sweep(stack, mesh, biases, args.generation, args.statistics)
     curve = dataclasses.replace(curve, device_area_cm2=args.area)
     out = _outdir(args)
@@ -151,6 +159,10 @@ def cmd_stark(args):
     lines = load_reference_lines(args.lines)
     if args.vmax <= args.vmin:
         print("stark: vmax must exceed vmin", file=sys.stderr)
+        return EXIT_INPUT
+    if args.points > MAX_STARK_POINTS:
+        print(f"stark: --points {args.points} is above the cap of {MAX_STARK_POINTS}",
+              file=sys.stderr)
         return EXIT_INPUT
     volts = np.linspace(args.vmin, args.vmax, args.points)
     fields = field_lever_arm(volts, args.di)
@@ -172,6 +184,10 @@ def cmd_synthmap(args):
     _require_finite(args, "vmin", "vmax", "lmin", "lmax")
     lines = load_reference_lines(args.lines)
     ladder = load_charge_ladder(args.ladder)
+    if args.nv * args.nl > MAX_MAP_CELLS:
+        print(f"synthmap: --nv {args.nv} by --nl {args.nl} gives {args.nv * args.nl} cells, "
+              f"above the cap of {MAX_MAP_CELLS}", file=sys.stderr)
+        return EXIT_INPUT
     gate = np.linspace(args.vmin, args.vmax, args.nv)
     lam = np.linspace(args.lmin, args.lmax, args.nl)
     background = BackgroundModel() if args.background else ZERO_BACKGROUND
@@ -379,6 +395,9 @@ def main(argv=None):
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"dotdiode {args.command}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"dotdiode {args.command}: out of memory: {exc or 'MemoryError'}", file=sys.stderr)
         return EXIT_INPUT
     except NonConvergenceError as exc:
         print(f"dotdiode {args.command}: {exc}", file=sys.stderr)

@@ -43,6 +43,7 @@ from . import dataio
 from .materials import T_MAX, lookup_material, UnknownMaterialError
 
 DOPED_CONTACT_THRESHOLD = 1.0e17  # cm^-3; layers at or above count as contacts
+MAX_MESH_NODES = 100_000          # 60x the reference mesh's 1,628 nodes
 _STACK_SCHEMA = {"name?": str, "temperature_K?": float, "layers": [{
     "material": str, "thickness_nm": float, "donor_cm3?": float, "acceptor_cm3?": float,
     "label?": str}]}
@@ -229,6 +230,8 @@ def build_mesh(stack, max_spacing=2.0, fine_spacing=0.125, refine_width=10.0):
     keep the band-edge discretization error of the reference diode below
     1 meV (checked by a mesh-halving test); the heavily doped contact
     junctions set the fine spacing, their Debye length being ~1.5 nm.
+    Raises MeshOptionError, before any node is placed, if the mesh would
+    have more than ``MAX_MESH_NODES`` nodes.
     """
     if not (0 < max_spacing < np.inf and 0 < fine_spacing < np.inf):
         raise MeshOptionError("spacings must be finite and positive")
@@ -238,7 +241,7 @@ def build_mesh(stack, max_spacing=2.0, fine_spacing=0.125, refine_width=10.0):
         raise MeshOptionError("refine_width must be finite and non-negative")
 
     edges = stack.boundaries_nm()
-    nodes = [0.0]
+    segments = []                       # (start, end, intervals), counted as floats
     for k in range(len(edges) - 1):
         x0, x1 = edges[k], edges[k + 1]
         cuts = sorted({x0, min(x0 + refine_width, x1), max(x1 - refine_width, x0), x1})
@@ -247,9 +250,16 @@ def build_mesh(stack, max_spacing=2.0, fine_spacing=0.125, refine_width=10.0):
                 continue
             near_boundary = (a < x0 + refine_width - 1e-12) or (b > x1 - refine_width + 1e-12)
             h = fine_spacing if near_boundary else max_spacing
-            nsub = max(1, int(np.ceil((b - a) / h - 1e-12)))
-            seg = np.linspace(a, b, nsub + 1)
-            nodes.extend(seg[1:].tolist())
+            segments.append((a, b, max(1.0, np.ceil((b - a) / h - 1e-12))))
+    count = 1.0 + sum(nsub for *_, nsub in segments)
+    if not count <= MAX_MESH_NODES:
+        raise MeshOptionError(
+            f"max_spacing {max_spacing} nm, fine_spacing {fine_spacing} nm and refine_width "
+            f"{refine_width} nm over the {stack.total_thickness_nm:g} nm stack give "
+            f"{count:.4g} mesh nodes, above the cap of {MAX_MESH_NODES}")
+    nodes = [0.0]
+    for a, b, nsub in segments:
+        nodes.extend(np.linspace(a, b, int(nsub) + 1)[1:].tolist())
     nodes = np.asarray(nodes)
 
     # boundary nodes must be exact, not linspace output

@@ -28,8 +28,7 @@ one converged state. A rung that fails is retried once, from the last
 converged rung at half the step; a second failure fails its bias, and the
 next bias continues from the last converged rung. A rung that has failed
 from the same converged rungs before fails its bias at once. If 0 V fails,
-both sides start from the origin. ``solve_bias`` and ``solve_equilibrium``
-are one-bias sweeps.
+both sides start from the origin. ``solve_bias`` is a one-bias sweep.
 
 The F_half implementation is the Bednarczyk analytic approximation of the
 complete Fermi-Dirac integral of order 1/2, normalized so F_half(eta) ->
@@ -446,14 +445,6 @@ def quasi_fermi_split(stack, mesh, bias):
     """Quasi-Fermi-level profile for the gated solve: 0 below mid-device,
     -bias at and above it."""
     return np.where(mesh.nodes < 0.5 * stack.total_thickness_nm, 0.0, -bias)
-
-
-def solve_equilibrium(stack, mesh, statistics="fermi"):
-    """Zero-bias band diagram (constant Fermi level at 0 eV).
-
-    `statistics` is "fermi" or "boltzmann".
-    """
-    return solve_bias(stack, mesh, 0.0, statistics)
 
 
 def solve_bias(stack, mesh, bias, statistics="fermi"):

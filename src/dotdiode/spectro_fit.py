@@ -334,7 +334,10 @@ def fit_peaks(spectrum, n_peaks=1, snr_gate=5.0, shape="lorentzian"):
 # ---------------------------------------------------------------------------
 # polarization series / fine structure
 
-def extract_fss(series, snr_gate=0.0):
+FSS_SNR_GATE = 0.0          # snr_gate of the per-angle peak fits of an FSS series
+
+
+def extract_fss(series):
     """Fine-structure splitting from a polarizer-angle series of spectra.
 
     Per-angle peak centers are fitted, converted to energy, and fitted to
@@ -353,7 +356,7 @@ def extract_fss(series, snr_gate=0.0):
     energies = np.empty(angles.size)
     missing = []
     for k, spec in enumerate(series):
-        accepted, discarded = fit_peaks(spec, n_peaks=1, snr_gate=snr_gate)
+        accepted, discarded = fit_peaks(spec, n_peaks=1, snr_gate=FSS_SNR_GATE)
         peaks = accepted or discarded
         peak = peaks[0]
         usable = (peak.converged and peak.amplitude > 0
@@ -526,8 +529,10 @@ def fit_g2(trace):
         flags={"tau_c_identifiable": bool(identifiable)})
 
 
-def calibrate_g2_instrument(g0, tau_c_ns, bin_width_ns, raw_minimum_target,
-                            sigma_bracket=(1e-3, 5.0)):
+IRF_SIGMA_BRACKET_NS = (1e-3, 5.0)     # irf_sigma range searched by the calibration
+
+
+def calibrate_g2_instrument(g0, tau_c_ns, bin_width_ns, raw_minimum_target):
     """IRF width whose noiseless binned minimum equals the target.
 
     1D root search in irf_sigma; the forward-simulated binned minimum is
@@ -538,7 +543,7 @@ def calibrate_g2_instrument(g0, tau_c_ns, bin_width_ns, raw_minimum_target,
     def raw_min(sig):
         return g2_model(0.0, g0, tau_c_ns, sig, bin_width_ns)
 
-    lo, hi = sigma_bracket
+    lo, hi = IRF_SIGMA_BRACKET_NS
     if not raw_min(lo) < raw_minimum_target < raw_min(hi):
         raise ValueError("raw-minimum target is outside the bracket's reach")
     return brentq(lambda s: raw_min(s) - raw_minimum_target, lo, hi, xtol=1e-12)

@@ -17,9 +17,9 @@ solution it gives (freeing it moves the dark current by 4 %).
 
 A dark sweep (``generation == 0``) solves Poisson and both continuity
 equations together, by Newton's method (``_NewtonWorkspace``). The
-unknowns are the potential and both quasi-Fermi levels over kT and the
-electron flux of each element; the Jacobian is one (4, 5)-banded system,
-row-equilibrated and solved by LAPACK ``dgbsv``. The flux unknowns, tied
+unknowns are E_Fp, phi and E_Fn over kT and the electron flux of each
+element, in band order; the Jacobian is one (4, 5)-banded system,
+row-equilibrated and factorised by LAPACK ``dgbtrf``. The flux unknowns, tied
 node to node by conservation, give the charge of a quantum-dot layer
 between two barriers from the current through them even when the
 barriers conduct 1e-40 of the dot. Each step evaluates F_1/2 once (no
@@ -97,10 +97,12 @@ phenomenologically.
 
 ``iv_sweep`` hands the walk of the ``electrostatics`` module docstring the
 Newton rung in the dark or the Gummel rung under generation; both answer
-iterate(x, bias, final) from the walk's start state x. The Gummel state is
-one (8, N) array of the cycle map's rows (potential, quasi-Fermi levels,
-degeneracy terms, ln n, ln p, recombination rate), seeded by the 0 V
-Poisson solution, which the secant predictor extrapolates directly. A
+iterate(x, bias, final) from the walk's start state x, and finalize(x,
+bias) with the potential, densities, levels and current of a solved state.
+The Gummel state is one (8, N) array of the cycle map's rows (potential,
+quasi-Fermi levels, degeneracy terms, ln n, ln p, recombination rate),
+seeded by the 0 V Poisson solution, which the secant predictor
+extrapolates directly. A
 Gummel rung iterates to the loose ``QF_TOLERANCE_CONTINUATION`` within
 ``MAX_GUMMEL_CONTINUATION`` cycles before a bias of the sweep, and to
 ``QF_TOLERANCE`` within ``MAX_GUMMEL`` at it; a Newton rung always to its
@@ -127,7 +129,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbsv, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import constants, dataio
 from .device import DOPED_CONTACT_THRESHOLD
@@ -151,6 +153,7 @@ QF_DENSITY_FLOOR = 1e6              # cm^-3, QFL updates below this density
                                     # do not count towards convergence
 B_RADIATIVE = 1e-10                 # cm^3/s
 ANDERSON_DEPTH = 5                  # previous Gummel cycles mixed into each new one
+DETAILED_BALANCE_FACTOR = 1e-15     # zero-current floor, of the current scale
 STAGE_FORCING = 1e-3                # a cycle's Poisson stage stops at this fraction of
                                     # the previous cycle's quasi-Fermi update (in kT)
 
@@ -483,10 +486,10 @@ class _GummelWorkspace:
         return g, cycles, newton_update
 
     def finalize(self, x, bias):
-        """Final continuity pass; fluxes and densities for reporting."""
+        """(phi, n, p, efn, efp, element flux) of the state x, by a final continuity pass."""
         (n, p), eta, v, jn_el = self._continuity(x, bias, 0)
         efn, efp = self.edges - x[0] + self.sign_vt * eta
-        return n, p, efn, efp, jn_el + hole_flux(self.arr, v, p)
+        return x[0], n, p, efn, efp, jn_el + hole_flux(self.arr, v, p)
 
 
 def _bernoulli_slope(x, b, b_minus):
@@ -522,8 +525,10 @@ class _NewtonWorkspace:
     to a barrier's conductance at 30 K keep their digits in the
     factorisation.
 
-    The state handed to the walk is one (4, N) array: phi, E_Fn, E_Fp (V)
-    and the element fluxes J (A/cm^2, the last entry unused).
+    The state handed to the walk is the unknowns in band order, one (4, N)
+    array: E_Fp, phi, E_Fn (V) and the element fluxes J (A/cm^2, the last
+    entry unused). ``_jacobian`` returns the Jacobian as one (equation,
+    neighbour, unknown, node) array, which ``_step`` scatters into the band.
     """
 
     def __init__(self, stack, arr, phi_neutral, statistics):
@@ -541,13 +546,14 @@ class _NewtonWorkspace:
         self.lng_base = np.where(self.doped, _degeneracy(self.eta0 + _SIGN * phi_neutral / vt,
                                                          statistics)[0], 0.0)
 
-        # Where the diagonal, upper and lower 4 x 4 blocks (equation e, unknown
-        # u, node) go in the LAPACK band of 2 kl + ku + 1 rows: each (e, u)
-        # inside the band fills every fourth place of one band row
-        self.ld = 2 * _KL + _KU + 1
-        self.layout = [(shift, e, u, _KL + _KU + e - u - 4 * shift, 4 * max(shift, 0) + u)
-                       for shift in (0, 1, -1) for e in range(4) for u in range(4)
-                       if -_KU <= e - u - 4 * shift <= _KL]
+        # entry [e, s, u, i] of ``_jacobian`` is A[r, c], r = 4 i + e and
+        # c = 4 (i + s - 1) + u, at band[kl + ku + r - c, c] of the LAPACK band
+        # flattened column by column; zeros outside matrix or band go to a spare slot
+        self.ld, size = 2 * _KL + _KU + 1, 4 * arr.x.size
+        e, s, u, i = np.indices((4, 3, 4, arr.x.size), sparse=True)
+        row, col = 4 * i + e, 4 * (i + s - 1) + u
+        inside = (col >= 0) & (col < size) & (row - col >= -_KU) & (row - col <= _KL)
+        self.index = np.where(inside, self.ld * col + _KL + _KU + row - col, self.ld * size)
         self.unit = np.array([vt, vt, vt, _FLUX_UNIT])[:, None]   # of the scaled unknowns
 
     def _fermi_dirac(self, eta):
@@ -578,9 +584,9 @@ class _NewtonWorkspace:
         self.bc = np.array([[0.0, 0.0], self.phi_neutral[[0, -1]], [0.0, 0.0]]) / vt
         r, terms = self._residual(z)
         for _ in range(NEWTON_MAX_ITERATIONS):
-            di, up, lo = self._blocks(terms)
+            lower, diag, upper = self._jacobian(terms)[_PHI, :, _PHI]
             try:
-                step = _tridiag_solve(lo[_PHI, _PHI], di[_PHI, _PHI], up[_PHI, _PHI], -r[_PHI])
+                step = _tridiag_solve(lower[1:], diag, upper[:-1], -r[_PHI])
             except (ValueError, LinAlgError):       # the 0 V rung fails on this state
                 break
             size = np.linalg.norm(r[_PHI])
@@ -594,7 +600,7 @@ class _NewtonWorkspace:
             z, r, terms = trial, r_new, terms_new
             if np.max(np.abs(step)) < NEWTON_TOLERANCE:
                 break
-        return (z * vt)[[1, 2, 0, 3]]
+        return z * vt
 
     def _residual(self, z):
         """Residual (4, N) of the scaled unknowns z (4, N) and the terms its
@@ -620,9 +626,10 @@ class _NewtonWorkspace:
         r[:_J, [0, -1]] = z[:_J, [0, -1]] - self.bc
         return r, (dens, ddens, dlng, x, b_minus, em, gg, flux)
 
-    def _blocks(self, terms):
-        """Diagonal, upper and lower 4 x 4 blocks (equation, unknown, node) of
-        the Jacobian at the terms ``_residual`` returned.
+    def _jacobian(self, terms):
+        """The Jacobian at the terms ``_residual`` returned, as one array
+        (equation, neighbour, unknown, node): entry [e, s, u, i] is the slope
+        of equation e at node i along unknown u at node i + s - 1.
 
         The recombination source of the electron conservation rows is taken
         as it stands, without its derivative: in the dark it is some 20
@@ -658,52 +665,44 @@ class _NewtonWorkspace:
         d_charge[_PHI] = -ddens[1] - ddens[0]
         d_charge[_N] = -ddens[0]
 
-        di = np.zeros((4, 4, n.size))
-        up, lo = np.zeros((4, 4, n.size - 1)), np.zeros((4, 4, n.size - 1))
-        up[_P], lo[_P] = to_right[1], -to_own[1]
-        di[_P, :, :-1] += to_own[1]
-        di[_P, :, 1:] -= to_right[1]
-        di[_P] -= d_rq_w
+        jac = np.zeros((4, 3, 4, n.size))
+        left, mid, right = jac[:, 0], jac[:, 1], jac[:, 2]
+        right[_P, :, :-1], left[_P, :, 1:] = to_right[1], -to_own[1]
+        mid[_P, :, :-1] += to_own[1]
+        mid[_P, :, 1:] -= to_right[1]
+        mid[_P] -= d_rq_w
         cv = arr.cond * arr.Vt
-        up[_PHI, _PHI] = lo[_PHI, _PHI] = cv
-        di[_PHI, _PHI, 1:-1] = -(cv[1:] + cv[:-1])
-        di[_PHI] += arr.q_w * d_charge
-        di[_N, _J] = 1.0
-        lo[_N, _J] = -1.0
-        up[_J] = to_right[0] / _FLUX_UNIT
-        di[_J, :, :-1] = to_own[0] / _FLUX_UNIT
-        di[_J, _J] = -1.0
+        right[_PHI, _PHI, :-1] = left[_PHI, _PHI, 1:] = cv
+        mid[_PHI, _PHI, 1:-1] = -(cv[1:] + cv[:-1])
+        mid[_PHI] += arr.q_w * d_charge
+        mid[_N, _J] = 1.0
+        left[_N, _J, 1:] = -1.0
+        right[_J, :, :-1] = to_right[0] / _FLUX_UNIT
+        mid[_J, :, :-1] = to_own[0] / _FLUX_UNIT
+        mid[_J, _J] = -1.0
         for end in (0, -1):                      # Dirichlet rows, and the unused J
-            di[:_J, :, end] = np.eye(4)[:_J]
-        di[_J, _J, -1] = 1.0
-        up[:_J, :, 0] = lo[:, :, -1] = 0.0
-        return di, up, lo
+            mid[:_J, :, end] = np.eye(4)[:_J]
+        mid[_J, _J, -1] = 1.0
+        right[:_J, :, 0] = left[:, :, -1] = 0.0
+        return jac
 
     def _step(self, r, terms):
-        """Newton step of the scaled unknowns for residual r, by one LAPACK
-        ``dgbsv`` on the row-equilibrated band; the factors stay for
-        ``_correction``. Raises NonConvergenceError if the Jacobian has a
-        row that is zero or not finite, or the step is not finite."""
-        di, up, lo = self._blocks(terms)
-        rowmax = np.abs(di).max(axis=1)
-        np.maximum(rowmax[:, :-1], np.abs(up).max(axis=1), out=rowmax[:, :-1])
-        np.maximum(rowmax[:, 1:], np.abs(lo).max(axis=1), out=rowmax[:, 1:])
-        scale = 1.0 / rowmax
+        """Newton step of the scaled unknowns for residual r: ``dgbtrf``
+        factorises the row-equilibrated band, and ``_correction`` takes the
+        step from the factors, which stay. Raises NonConvergenceError if the
+        Jacobian has a row that is zero or not finite, or the step is not finite."""
+        jac = self._jacobian(terms)
+        scale = 1.0 / np.abs(jac).max(axis=(1, 2))
         if not np.all(np.isfinite(scale)):
             raise NonConvergenceError("the Newton Jacobian has a zero or non-finite row")
-        band = np.zeros((self.ld, r.size), order="F")
-        blocks = {0: di * scale[:, None], 1: up * scale[:, None, :-1],
-                  -1: lo * scale[:, None, 1:]}
-        for shift, e, u, row, first in self.layout:
-            block = blocks[shift]
-            band[row, first::4][:block.shape[2]] = block[e, u]
-        self.scale = scale.T.ravel()
-        lu, piv, step, info = dgbsv(_KL, _KU, band, -(r.T.ravel() * self.scale)[:, None],
-                                    overwrite_ab=1, overwrite_b=1)
+        band = np.zeros(self.ld * r.size + 1)
+        band[self.index] = jac * scale[:, None, None]
+        lu, piv, info = dgbtrf(band[:-1].reshape(r.size, self.ld).T, _KL, _KU, overwrite_ab=1)
+        self.factors, self.scale = (lu, piv), scale.T.ravel()
+        step = self._correction(r)
         if info != 0 or not np.all(np.isfinite(step)):
             raise NonConvergenceError("the Newton step is singular or not finite")
-        self.factors = lu, piv
-        return step[:, 0].reshape(-1, 4).T
+        return step
 
     def _correction(self, r):
         """The step the last factorisation gives for residual r: Deuflhard's
@@ -730,7 +729,7 @@ class _NewtonWorkspace:
         Jacobian breaks down, or ``NEWTON_MAX_ITERATIONS`` steps pass.
         """
         vt = self.arr.Vt
-        z = x[[2, 0, 1, 3]] / self.unit
+        z = x / self.unit
         # without generation the levels keep between their contact values
         # (maximum principle): a start and every iterate are held there, as
         # a level where its carrier is absent could otherwise run off
@@ -756,7 +755,7 @@ class _NewtonWorkspace:
                 trial = z + t * dz
                 trial[[_P, _N]] = np.clip(trial[[_P, _N]], *window)
                 if done:
-                    return (trial * self.unit)[[1, 2, 0, 3]], steps, update
+                    return trial * self.unit, steps, update
                 r_new, terms_new = self._residual(trial)
                 correction = self._correction(r_new)
                 if np.linalg.norm(correction * counted) <= size:
@@ -773,7 +772,7 @@ class _NewtonWorkspace:
             if done and steps < NEWTON_MAX_ITERATIONS:
                 z += correction
                 z[[_P, _N]] = np.clip(z[[_P, _N]], *window)
-                return (z * self.unit)[[1, 2, 0, 3]], steps + 1, update
+                return z * self.unit, steps + 1, update
         raise NonConvergenceError(f"Newton iteration did not converge in {steps} steps at "
                                   f"V = {bias} V, T = {self.stack.temperature} K",
                                   gummel_cycles=steps)
@@ -797,15 +796,15 @@ class _NewtonWorkspace:
 
     @np.errstate(all="ignore")            # a state that overflows fails the check
     def finalize(self, x, bias):
-        """(n, p, efn, efp, electron plus hole element flux) of the state x:
-        the densities ``_residual`` computes there, the quasi-Fermi levels
-        x[1] and x[2], and the flux unknowns x[3] minus the Slotboom hole
-        flux. Raises NonConvergenceError if the current is not finite."""
-        (n, p), *_, flux = self._residual(x[[2, 0, 1, 3]] / self.unit)[1]
-        j = x[3, :-1] - flux[1]
+        """(phi, n, p, efn, efp, electron plus hole element flux) of the
+        state x: its potential and quasi-Fermi levels, the densities
+        ``_residual`` computes there, and the flux unknowns minus the Slotboom
+        hole flux. Raises NonConvergenceError if the current is not finite."""
+        (n, p), *_, flux = self._residual(x / self.unit)[1]
+        j = x[_J, :-1] - flux[1]
         if not np.all(np.isfinite(j)):
             raise _broke_down(self.stack, bias, "the current is not finite", 0)
-        return n, p, x[1], x[2], j
+        return x[_PHI], n, p, x[_N], x[_P], j
 
 
 def solve_drift_diffusion(stack, mesh, bias, generation=0.0, statistics="fermi"):
@@ -830,10 +829,9 @@ def _current_scale(arr):
                constants.Q_E * float(np.max(arr.Na)) * float(np.max(arr.mu_h_el)) * arr.Vt / L)
 
 
-def detailed_balance_floor(stack, mesh, factor=1e-15):
-    """Zero-current floor: factor times ``_current_scale``."""
-    arr = build_device_arrays(stack, mesh)
-    return factor * _current_scale(arr)
+def detailed_balance_floor(stack, mesh):
+    """Zero-current floor: ``DETAILED_BALANCE_FACTOR`` times ``_current_scale``."""
+    return DETAILED_BALANCE_FACTOR * _current_scale(build_device_arrays(stack, mesh))
 
 
 def iv_sweep(stack, mesh, biases, generation=0.0, statistics="fermi"):
@@ -883,7 +881,7 @@ def _iv_sweep(stack, mesh, biases, generation, statistics):
             spent += cycles
             if not final:
                 return x, None
-            n, p, efn, efp, j_el = ws.finalize(x, v)
+            phi, n, p, efn, efp, j_el = ws.finalize(x, v)
         except NonConvergenceError as exc:
             spent += exc.gummel_cycles
             return None, exc
@@ -891,10 +889,11 @@ def _iv_sweep(stack, mesh, biases, generation, statistics):
         j_total = -j_el
         j_mean = float(np.mean(j_total))
         # an undoped stack has no current scale, and a flat sweep point no current
-        scale = max(abs(j_mean), 1e-15 * _current_scale(arr), sys.float_info.min)
+        scale = max(abs(j_mean), DETAILED_BALANCE_FACTOR * _current_scale(arr),
+                    sys.float_info.min)
         continuity = (float(np.max(np.abs(np.diff(j_total))) / scale)
                       if j_total.size > 1 else 0.0)
-        return x, (_make_diagram(stack, mesh, arr, x[0], n, p, efn, efp, v, True, update),
+        return x, (_make_diagram(stack, mesh, arr, phi, n, p, efn, efp, v, True, update),
                    IVPoint(bias=v, current_density=j_mean, gummel_iterations=spent,
                            converged=True, continuity_error=continuity))
 

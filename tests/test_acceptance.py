@@ -14,8 +14,7 @@ from scipy.integrate import quad
 from dotdiode import dataio
 from dotdiode.constants import Q_E, thermal_voltage
 from dotdiode.device import Layer, LayerStack, build_mesh
-from dotdiode.electrostatics import (solve_equilibrium, solve_bias,
-                                     fermi_half, field_lever_arm)
+from dotdiode.electrostatics import solve_bias, fermi_half, field_lever_arm
 from dotdiode.materials import lookup_material, mobility_at
 from dotdiode.qd_model import (load_reference_lines, load_charge_ladder,
                                tuning_range, stark_wavelength, fss_at,
@@ -37,14 +36,14 @@ def test_criterion_01_electrostatics_oracles():
     t0 = time.time()
     slab = LayerStack(layers=(Layer("InP", 400.0, donor_cm3=1e16),))
     mesh = build_mesh(slab, 2.0, 0.5, 5.0)
-    flat = solve_equilibrium(slab, mesh)
+    flat = solve_bias(slab, mesh, 0.0)
     assert flat.converged
     assert np.ptp(flat.Ec) < 1e-5      # max |dEc| < 10 ueV
 
     junction = LayerStack(layers=(Layer("InP", 500.0, donor_cm3=1e18),
                                   Layer("InP", 500.0, donor_cm3=1e16)))
     jmesh = build_mesh(junction, 5.0, 0.5, 20.0)
-    bd = solve_equilibrium(junction, jmesh, "boltzmann")
+    bd = solve_bias(junction, jmesh, 0.0, "boltzmann")
     x = jmesh.nodes
     vbi = float(np.mean(bd.phi[x < 50.0]) - np.mean(bd.phi[x > 950.0]))
     analytic = thermal_voltage(300.0) * np.log(1e18 / 1e16)
@@ -59,8 +58,8 @@ def test_criterion_02_mesh_convergence(reference_stack):
     t0 = time.time()
     coarse = build_mesh(reference_stack)               # defaults
     fine = build_mesh(reference_stack, 1.0, 0.0625, 10.0)   # halved spacings
-    ec_coarse = solve_equilibrium(reference_stack, coarse).Ec
-    ec_fine = solve_equilibrium(reference_stack, fine).Ec
+    ec_coarse = solve_bias(reference_stack, coarse, 0.0).Ec
+    ec_fine = solve_bias(reference_stack, fine, 0.0).Ec
     interp = np.interp(coarse.nodes, fine.nodes, ec_fine)
     worst = float(np.max(np.abs(interp - ec_coarse)))
     runtime = time.time() - t0

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from importlib import resources
@@ -223,6 +224,40 @@ def test_iv_rejects_a_bad_sweep_range_with_one_line(tmp_path, capsys, bad):
     assert rc == EXIT_INPUT
     assert len(err.splitlines()) == 1 and err.startswith("iv: ")
     assert not (tmp_path / "iv.csv").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["iv", "--step", "1e-9"], "give 3000000001 bias points, above the cap of 2001"),
+    (["iv", "--max-spacing", "1e-3", "--fine-spacing", "1e-3"],
+     "611 nm stack give 6.11e+05 mesh nodes"),
+    (["bandedges", "--bias", "0", "--fine-spacing", "1e-6"], "above the cap of 100000"),
+    (["bandedges", "--bias", "0", "--device", "{huge}"], "1e+12 nm stack give 5e+11 mesh"),
+    (["stark", "--points", "1000000000"], "--points 1000000000 is above the cap"),
+    (["synthmap", "--nv", "100000", "--nl", "100000"], "gives 10000000000 cells, above"),
+], ids=["iv-points", "iv-mesh", "bandedges-fine-spacing", "bandedges-huge-layer",
+        "stark-points", "synthmap-cells"])
+def test_an_oversized_input_exits_1_with_one_line_before_allocating(tmp_path, capsys,
+                                                                   argv, named):
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"layers": [{"material": "InP", "thickness_nm": 1e12}]}))
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    rc = main([a.format(huge=huge) for a in argv] + ["--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert len(err.splitlines()) == 1 and named in err, err
+    assert not out.exists()
+
+
+def test_a_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def cmd_stark(args):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "cmd_stark", cmd_stark)
+    assert main(["stark", "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert capsys.readouterr().err.splitlines() == [
+        "dotdiode stark: out of memory: Unable to allocate 8.00 GiB for an array"]
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -11,7 +11,7 @@ from dotdiode.device import Layer, LayerStack, build_mesh, parse_stack
 from dotdiode import electrostatics
 from dotdiode.cli import main
 from dotdiode.electrostatics import (
-    NonConvergenceError, band_sweep, solve_equilibrium, solve_bias,
+    NonConvergenceError, band_sweep, solve_bias,
     field_lever_arm, build_device_arrays, carrier_densities, neutral_potential,
     _solve_poisson, _tridiag_solve,
 )
@@ -20,13 +20,13 @@ from dotdiode.materials import lookup_material, material_names
 
 @pytest.fixture(scope="module")
 def equilibrium(reference_stack, reference_mesh):
-    return solve_equilibrium(reference_stack, reference_mesh)
+    return solve_bias(reference_stack, reference_mesh, 0.0)
 
 
 def test_uniform_slab_flat_bands():
     stack = LayerStack(layers=(Layer("InP", 400.0, donor_cm3=1e16),))
     mesh = build_mesh(stack, 2.0, 0.5, 5.0)
-    bd = solve_equilibrium(stack, mesh)
+    bd = solve_bias(stack, mesh, 0.0)
     assert bd.converged
     assert np.ptp(bd.Ec) < 1e-5          # < 10 ueV band-edge variation
     assert np.max(np.abs(bd.n / 1e16 - 1.0)) < 1e-6
@@ -36,7 +36,7 @@ def test_junction_builtin_potential_nondegenerate_branch():
     stack = LayerStack(layers=(Layer("InP", 500.0, donor_cm3=1e18),
                                Layer("InP", 500.0, donor_cm3=1e16)))
     mesh = build_mesh(stack, 5.0, 0.5, 20.0)
-    bd = solve_equilibrium(stack, mesh, "boltzmann")
+    bd = solve_bias(stack, mesh, 0.0, "boltzmann")
     x = mesh.nodes
     vbi_solver = float(np.mean(bd.phi[x < 50.0]) - np.mean(bd.phi[x > 950.0]))
     vbi_analytic = thermal_voltage(300.0) * np.log(1e18 / 1e16)
@@ -123,7 +123,7 @@ def test_nonconvergence_reports_residual_history(reference_stack, reference_mesh
     monkeypatch.setattr(electrostatics, "NEWTON_MAX_ITERATIONS", 1)
     monkeypatch.setattr(electrostatics, "NEWTON_TOLERANCE", 1e-14)
     with pytest.raises(NonConvergenceError) as err:
-        solve_equilibrium(reference_stack, reference_mesh)
+        solve_bias(reference_stack, reference_mesh, 0.0)
     assert len(err.value.residual_history) >= 1
 
 

@@ -165,13 +165,13 @@ def _record_newton_rungs(monkeypatch, failing=lambda bias: False, attempted=None
     system at every step of a rung whose bias satisfies `failing`. The list
     `attempted`, if given, gets each rung's count of Newton steps begun (the
     calls that build a Jacobian)."""
-    real_dgbsv, real_iterate = transport.dgbsv, transport._NewtonWorkspace.iterate
+    real_dgbtrf, real_iterate = transport.dgbtrf, transport._NewtonWorkspace.iterate
     real_step = transport._NewtonWorkspace._step
     rungs, fail = [], []
 
-    def dgbsv(*args, **kwargs):
-        lu, piv, step, info = real_dgbsv(*args, **kwargs)
-        return lu, piv, step, 1 if fail[-1] else info
+    def dgbtrf(*args, **kwargs):
+        lu, piv, info = real_dgbtrf(*args, **kwargs)
+        return lu, piv, 1 if fail[-1] else info
 
     def step(self, r, terms):
         attempted[-1] += 1
@@ -189,7 +189,7 @@ def _record_newton_rungs(monkeypatch, failing=lambda bias: False, attempted=None
         rungs.append((bias, out[1]))
         return out
 
-    monkeypatch.setattr(transport, "dgbsv", dgbsv)
+    monkeypatch.setattr(transport, "dgbtrf", dgbtrf)
     monkeypatch.setattr(transport._NewtonWorkspace, "iterate", iterate)
     if attempted is not None:
         monkeypatch.setattr(transport._NewtonWorkspace, "_step", step)
@@ -590,10 +590,8 @@ def test_newton_jacobian_matches_difference_quotients(reference_stack, reference
     z[transport._P] = 0.5 * split + 0.1 * rng.standard_normal(nodes)
     z[transport._J] = 1e3 * rng.standard_normal(nodes)
 
-    di, up, lo = ws._blocks(ws._residual(z)[1])
-    rowmax = np.abs(di).max(axis=1)
-    rowmax[:, :-1] = np.maximum(rowmax[:, :-1], np.abs(up).max(axis=1))
-    rowmax[:, 1:] = np.maximum(rowmax[:, 1:], np.abs(lo).max(axis=1))
+    jac = ws._jacobian(ws._residual(z)[1])
+    rowmax = np.abs(jac).max(axis=(1, 2))
     for node in rng.integers(1, nodes - 1, size=12):
         for unknown in range(4):
             h = 1e-7 * max(abs(z[unknown, node]), 1.0)
@@ -601,12 +599,60 @@ def test_newton_jacobian_matches_difference_quotients(reference_stack, reference
             dz[unknown, node] = h
             quotient = (ws._residual(z + dz)[0] - ws._residual(z - dz)[0]) / (2.0 * h)
             column = np.zeros_like(z)
-            column[:, node] = di[:, unknown, node]
-            column[:, node - 1] = up[:, unknown, node - 1]
-            column[:, node + 1] = lo[:, unknown, node]
+            for s in range(3):      # the rows at node + 1 - s see the unknown as neighbour s
+                column[:, node + 1 - s] = jac[:, s, unknown, node + 1 - s]
             error = np.abs(quotient - column)[:, node - 1:node + 2] / rowmax[:, node - 1:node + 2]
             error[transport._N] = 0.0
             assert np.all(error * max(abs(z[unknown, node]), 1.0) < 1e-6), (node, unknown)
+
+
+def test_newton_band_holds_the_scaled_jacobian_and_its_step_solves_it(monkeypatch):
+    # on a small heterostructure (a few hundred unknowns), the band that
+    # _step hands to dgbtrf, read back as A[r, c] = band[kl + ku + r - c, c],
+    # is the matrix of _jacobian's definition ([e, s, u, i] at row 4 i + e,
+    # column 4 (i + s - 1) + u) times the row scale, and the step solves it
+    stack = LayerStack(layers=(Layer("InP", 30.0, donor_cm3=2e18),
+                               Layer("AlInAs_lattice_matched", 20.0), Layer("InAs", 1.0),
+                               Layer("InP", 20.0), Layer("InP", 30.0, donor_cm3=1e19)))
+    mesh = build_mesh(stack, 2.0, 0.5, 5.0)
+    arr, phi_neutral, solve = electrostatics._set_up(stack, mesh, "fermi")
+    ws = transport._NewtonWorkspace(stack, arr, phi_neutral, "fermi")
+    nodes, kl, ku = mesh.n_nodes, transport._KL, transport._KU
+    size = 4 * nodes
+    assert 200 < size < 1000
+    rng = np.random.default_rng(1)
+    z = ws.seed(solve(0.0, phi_neutral)[1]) / ws.unit
+    z[[transport._P, transport._N]] += 0.1 * rng.standard_normal((2, nodes))
+    z[transport._J] = 1e3 * rng.standard_normal(nodes)
+    r, terms = ws._residual(z)
+    bands, real_dgbtrf = [], transport.dgbtrf
+
+    def dgbtrf(ab, *args, **kwargs):
+        bands.append(ab.copy())
+        return real_dgbtrf(ab, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "dgbtrf", dgbtrf)
+    step = ws._step(r, terms)
+
+    (band,) = bands
+    assert band.shape == (2 * kl + ku + 1, size) and not band[:kl].any()
+    rows, cols = np.indices((size, size))
+    inside = (rows - cols >= -ku) & (rows - cols <= kl)
+    placed = np.zeros((size, size))
+    placed[inside] = band[(kl + ku + rows - cols)[inside], cols[inside]]
+
+    jac = ws._jacobian(terms)
+    scale = 1.0 / np.abs(jac).max(axis=(1, 2))
+    expected = np.zeros((size, size + 8))       # columns -4 ... size + 3
+    for e, s, u in np.ndindex(4, 3, 4):
+        node = np.arange(nodes)
+        expected[4 * node + e, 4 * (node + s) + u] = jac[e, s, u] * scale[e]
+    assert not expected[:, :4].any() and not expected[:, -4:].any()
+    np.testing.assert_array_equal(placed, expected[:, 4:-4])
+
+    solved = np.linalg.solve(placed, -(r * scale).T.ravel())
+    np.testing.assert_allclose(step.T.ravel(), solved, rtol=1e-9,
+                               atol=1e-12 * np.max(np.abs(solved)))
 
 
 _DOPING = st.one_of(st.just(0.0), st.floats(1e14, 1e19).map(lambda x: float(f"{x:.1e}")))
