@@ -63,6 +63,13 @@ def _require_finite(args, *names):
             raise ValueError(f"{name} must be finite, not {getattr(args, name)}")
 
 
+def _require_count(args, least, *names):
+    """Raise ValueError naming the first count option of `names` below `least`."""
+    for name in names:
+        if getattr(args, name) < least:
+            raise ValueError(f"--{name} must be at least {least}, not {getattr(args, name)}")
+
+
 def _outdir(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -156,6 +163,7 @@ def cmd_iv(args):
 
 def cmd_stark(args):
     _require_finite(args, "vmin", "vmax")
+    _require_count(args, 2, "points")
     lines = load_reference_lines(args.lines)
     if args.vmax <= args.vmin:
         print("stark: vmax must exceed vmin", file=sys.stderr)
@@ -182,6 +190,7 @@ def cmd_stark(args):
 
 def cmd_synthmap(args):
     _require_finite(args, "vmin", "vmax", "lmin", "lmax")
+    _require_count(args, 1, "nv", "nl")
     lines = load_reference_lines(args.lines)
     ladder = load_charge_ladder(args.ladder)
     if args.nv * args.nl > MAX_MAP_CELLS:

@@ -85,11 +85,11 @@ class NonConvergenceError(RuntimeError):
     """Newton iteration failed; carries the residual history."""
 
     def __init__(self, message, residual_history=None, last_bias=None,
-                 gummel_cycles=0):
+                 iterations=0):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
         self.last_bias = last_bias
-        self.gummel_cycles = gummel_cycles   # drift-diffusion cycles run before the failure
+        self.iterations = iterations   # drift-diffusion iterations run before the failure
 
 
 def _fermi_half_pair(eta):

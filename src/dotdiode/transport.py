@@ -26,11 +26,14 @@ barriers conduct 1e-40 of the dot. Each step evaluates F_1/2 once (no
 inverse) and is damped after Bank & Rose (Numer. Math. 37, 279 (1981)):
 an eta change d is taken as sign(d) ln(1 + |d|), and the step is halved
 until its simplified Newton correction is no longer than itself
-(Deuflhard's natural monotonicity test). A rung stops once the potential
-update is below ``NEWTON_TOLERANCE`` thermal voltages and the quasi-Fermi
-update, where the carrier density exceeds ``QF_DENSITY_FLOOR``, below
-``QF_TOLERANCE``; it fails after ``NEWTON_MAX_ITERATIONS`` steps or when
-no halving helps. The 0 V state is the Poisson solution at flat levels.
+(Deuflhard's natural monotonicity test). A rung has one exit: a step,
+from a fresh factorisation, whose potential update is below
+``NEWTON_TOLERANCE`` thermal voltages and whose quasi-Fermi update, where
+the carrier density exceeds ``QF_DENSITY_FLOOR``, is below
+``QF_TOLERANCE``; that step is taken whole. A rung fails after
+``NEWTON_MAX_ITERATIONS`` steps or when no halving helps. The 0 V rung
+starts from the Fermi-Dirac equilibrium potential at flat levels and zero
+flux, and solves the statistics of the rung from there.
 A rung's start and iterates keep their levels in the contact window,
 which without generation holds the solution (maximum principle); a level
 where its carrier is absent otherwise runs off.
@@ -212,7 +215,7 @@ class IVCurve:
             path, [self.biases(), j, i, np.abs(i),
                    [pt.gummel_iterations for pt in self.points],
                    [pt.converged for pt in self.points]],
-            ["bias_V", "J_Acm2", "I_A", "abs_I_A", "gummel_iterations", "converged"],
+            ["bias_V", "J_Acm2", "I_A", "abs_I_A", "iterations", "converged"],
             meta=base)
 
 
@@ -309,7 +312,7 @@ def _hole_solve(arr, c_h, y, loss, rhs, p_ends):
 def _broke_down(stack, bias, exc, iterations):
     """NonConvergenceError for a rung that broke down with `exc` at `bias`."""
     return NonConvergenceError(f"transport solve broke down at V = {bias} V, "
-                               f"T = {stack.temperature} K: {exc}", gummel_cycles=iterations)
+                               f"T = {stack.temperature} K: {exc}", iterations=iterations)
 
 
 def _generation_profile(stack, mesh, rate):
@@ -482,7 +485,7 @@ class _GummelWorkspace:
                     x[:] = g
         else:
             raise NonConvergenceError(f"Gummel iteration did not converge in {max_cycles} "
-                                      f"cycles at V = {bias} V", gummel_cycles=max_cycles)
+                                      f"cycles at V = {bias} V", iterations=max_cycles)
         return g, cycles, newton_update
 
     def finalize(self, x, bias):
@@ -570,37 +573,14 @@ class _NewtonWorkspace:
         np.copyto(df, f, where=self.doped)
         return f, df, lng, dlng
 
-    @np.errstate(all="ignore")            # a state that overflows fails the checks
-    def seed(self, phi):
+    @staticmethod
+    def seed(phi):
         """The 0 V state: flat quasi-Fermi levels, no current, and the
-        potential of these statistics, solved from the equilibrium potential
-        `phi` of Fermi-Dirac statistics by Newton steps on the potential alone
-        (halved until the Poisson residual does not grow, as in
-        ``_solve_poisson``). Where the two differ, at the edges of the doped
-        layers, the coupled iteration then starts at its own solution."""
-        vt = self.arr.Vt
-        z = np.zeros((4, phi.size))
-        z[_PHI] = phi / vt
-        self.bc = np.array([[0.0, 0.0], self.phi_neutral[[0, -1]], [0.0, 0.0]]) / vt
-        r, terms = self._residual(z)
-        for _ in range(NEWTON_MAX_ITERATIONS):
-            lower, diag, upper = self._jacobian(terms)[_PHI, :, _PHI]
-            try:
-                step = _tridiag_solve(lower[1:], diag, upper[:-1], -r[_PHI])
-            except (ValueError, LinAlgError):       # the 0 V rung fails on this state
-                break
-            size = np.linalg.norm(r[_PHI])
-            for _ in range(30):
-                trial = z.copy()
-                trial[_PHI] += step
-                r_new, terms_new = self._residual(trial)
-                if np.linalg.norm(r_new[_PHI]) <= size:
-                    break
-                step *= 0.5
-            z, r, terms = trial, r_new, terms_new
-            if np.max(np.abs(step)) < NEWTON_TOLERANCE:
-                break
-        return z * vt
+        Fermi-Dirac equilibrium potential `phi`, from which the 0 V rung
+        solves these statistics."""
+        x = np.zeros((4, phi.size))
+        x[_PHI] = phi
+        return x
 
     def _residual(self, z):
         """Residual (4, N) of the scaled unknowns z (4, N) and the terms its
@@ -716,31 +696,33 @@ class _NewtonWorkspace:
     def iterate(self, x, bias, final):
         """(state, Newton steps, last |dphi|/Vt) at `bias` from the state x.
 
-        A step stops the rung once its potential update is below
-        ``NEWTON_TOLERANCE`` thermal voltages and its quasi-Fermi update, where
-        the carrier density exceeds ``QF_DENSITY_FLOOR``, is below
-        ``QF_TOLERANCE``, `final` or not. A step that changes eta by d is taken
+        Each step is factorised afresh. A step that changes eta by d is taken
         as sign(d) ln(1 + |d|), which is d to second order and the density
-        change its linearisation predicts, e^d - 1 ~ d, at large d. It is then
+        change its linearisation predicts, e^d - 1 ~ d, at large d. The rung's
+        one exit is a step whose potential update is below
+        ``NEWTON_TOLERANCE`` thermal voltages and whose quasi-Fermi update,
+        where the carrier density exceeds ``QF_DENSITY_FLOOR``, is below
+        ``QF_TOLERANCE``, `final` or not: it is taken whole. Any other step is
         halved until its simplified correction, in the same norm, is no longer
-        than itself (Deuflhard's natural monotonicity test). That correction,
-        once it meets both tolerances, is the rung's last step. Raises
+        than itself (Deuflhard's natural monotonicity test). Raises
         NonConvergenceError, carrying the steps run, when 30 halvings fail, the
         Jacobian breaks down, or ``NEWTON_MAX_ITERATIONS`` steps pass.
         """
         vt = self.arr.Vt
-        z = x / self.unit
         # without generation the levels keep between their contact values
         # (maximum principle): a start and every iterate are held there, as
         # a level where its carrier is absent could otherwise run off
         window = min(0.0, -bias) / vt, max(0.0, -bias) / vt
-        z[[_P, _N]] = np.clip(z[[_P, _N]], *window)
+
+        def clipped(z):
+            z[[_P, _N]] = np.clip(z[[_P, _N]], *window)
+            return z
+
+        z = clipped(x / self.unit)
         self.bc = np.array([[0.0, -bias], [self.phi_neutral[0], self.phi_neutral[-1] + bias],
                             [0.0, -bias]]) / vt
         r, terms = self._residual(z)
-        steps = 0
-        while steps < NEWTON_MAX_ITERATIONS:
-            steps += 1
+        for steps in range(1, NEWTON_MAX_ITERATIONS + 1):
             try:
                 dz = self._step(r, terms)
             except NonConvergenceError as exc:
@@ -750,32 +732,22 @@ class _NewtonWorkspace:
             size = np.linalg.norm(dz * counted)
             deta = _SIGN * (dz[[_N, _P], 1:-1] + dz[_PHI, 1:-1])
             dz[[_N, _P], 1:-1] += _SIGN * (np.sign(deta) * np.log1p(np.abs(deta)) - deta)
+            if done:
+                return clipped(z + dz) * self.unit, steps, update
             t = 1.0
             for _ in range(30):
-                trial = z + t * dz
-                trial[[_P, _N]] = np.clip(trial[[_P, _N]], *window)
-                if done:
-                    return trial * self.unit, steps, update
+                trial = clipped(z + t * dz)
                 r_new, terms_new = self._residual(trial)
-                correction = self._correction(r_new)
-                if np.linalg.norm(correction * counted) <= size:
+                if np.linalg.norm(self._correction(r_new) * counted) <= size:
                     break
                 t *= 0.5
             else:
                 raise _broke_down(self.stack, bias,
                                   "no damped step reduced the Newton correction", steps)
             z, r, terms = trial, r_new, terms_new
-            # the simplified correction is the next step but for the
-            # Jacobian; once it is below tolerance it ends the rung as that
-            # step would (Deuflhard's termination), without a factorisation
-            update, done = self._small(correction, self._counted(terms))
-            if done and steps < NEWTON_MAX_ITERATIONS:
-                z += correction
-                z[[_P, _N]] = np.clip(z[[_P, _N]], *window)
-                return z * self.unit, steps + 1, update
         raise NonConvergenceError(f"Newton iteration did not converge in {steps} steps at "
                                   f"V = {bias} V, T = {self.stack.temperature} K",
-                                  gummel_cycles=steps)
+                                  iterations=steps)
 
     @staticmethod
     def _counted(terms):
@@ -848,7 +820,7 @@ def iv_sweep(stack, mesh, biases, generation=0.0, statistics="fermi"):
     for bias, result in _iv_sweep(stack, mesh, biases, generation, statistics):
         solved[bias] = result[1] if isinstance(result, tuple) else IVPoint(
             bias=bias, current_density=math.nan, converged=False,
-            gummel_iterations=result.gummel_cycles, continuity_error=math.nan)
+            gummel_iterations=result.iterations, continuity_error=math.nan)
     return IVCurve(points=tuple(solved[b] for b in biases), temperature=stack.temperature)
 
 
@@ -883,7 +855,7 @@ def _iv_sweep(stack, mesh, biases, generation, statistics):
                 return x, None
             phi, n, p, efn, efp, j_el = ws.finalize(x, v)
         except NonConvergenceError as exc:
-            spent += exc.gummel_cycles
+            spent += exc.iterations
             return None, exc
         # device sign convention: positive gate voltage -> positive current
         j_total = -j_el
@@ -899,6 +871,6 @@ def _iv_sweep(stack, mesh, biases, generation, statistics):
 
     for bias, result in _walk(biases, origin, rung, CONTINUATION_STEP):
         if isinstance(result, NonConvergenceError):
-            result.gummel_cycles = spent
+            result.iterations = spent
         yield bias, result
         spent = 0

@@ -202,7 +202,7 @@ def test_iv_zero_width_range_single_point(tmp_path):
     cols, meta = dataio.read_table(tmp_path / "iv.csv")
     assert cols["bias_V"].size == 1
     assert list(cols) == ["bias_V", "J_Acm2", "I_A", "abs_I_A",
-                          "gummel_iterations", "converged"]
+                          "iterations", "converged"]
     assert cols["abs_I_A"][0] == abs(cols["I_A"][0])
 
 
@@ -234,8 +234,14 @@ def test_iv_rejects_a_bad_sweep_range_with_one_line(tmp_path, capsys, bad):
     (["bandedges", "--bias", "0", "--device", "{huge}"], "1e+12 nm stack give 5e+11 mesh"),
     (["stark", "--points", "1000000000"], "--points 1000000000 is above the cap"),
     (["synthmap", "--nv", "100000", "--nl", "100000"], "gives 10000000000 cells, above"),
+    # counts below what a sweep or a map needs
+    (["stark", "--points", "0"], "--points must be at least 2, not 0"),
+    (["stark", "--points", "1"], "--points must be at least 2, not 1"),
+    (["synthmap", "--nv", "-3", "--nl", "-3"], "--nv must be at least 1, not -3"),
+    (["synthmap", "--nl", "0"], "--nl must be at least 1, not 0"),
 ], ids=["iv-points", "iv-mesh", "bandedges-fine-spacing", "bandedges-huge-layer",
-        "stark-points", "synthmap-cells"])
+        "stark-points", "synthmap-cells", "stark-no-points", "stark-one-point",
+        "synthmap-negative-counts", "synthmap-no-wavelengths"])
 def test_an_oversized_input_exits_1_with_one_line_before_allocating(tmp_path, capsys,
                                                                    argv, named):
     huge = tmp_path / "huge.json"
@@ -308,8 +314,8 @@ def test_iv_csv_records_cycles_and_convergence_but_no_seed(tmp_path):
     assert rc == EXIT_OK
     cols, meta = dataio.read_table(tmp_path / "iv" / "iv.csv")
     assert list(cols["converged"]) == [1.0, 1.0]
-    assert np.all(cols["gummel_iterations"] >= 1)
-    assert np.all(cols["gummel_iterations"] == np.round(cols["gummel_iterations"]))
+    assert np.all(cols["iterations"] >= 1)
+    assert np.all(cols["iterations"] == np.round(cols["iterations"]))
     assert "seed" not in meta
     rc = main(["synthmap", "--seed", "7", "--nv", "9", "--nl", "101",
                "--out", str(tmp_path / "map")])
