@@ -5,8 +5,9 @@ plus plain-text reports with a machine-readable key = value section.
 Every command is deterministic for a fixed configuration. Only
 ``synthmap`` draws random numbers: with ``--seed`` it Poisson-samples the
 counts, and it echoes the seed into its output. Exit codes: 0 success, 1
-input or configuration error (a usage error too, reported in one line), 2
-numerical non-convergence (never success on unconverged physics).
+input or configuration error (a usage error too, reported in one line that
+starts ``dotdiode <command>: ``), 2 numerical non-convergence (never
+success on unconverged physics).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .electrostatics import solve_bias  # noqa: F401
 from .transport import iv_sweep, MESA_AREA_CM2
 from .qd_model import (load_reference_lines, load_charge_ladder, tuning_range,
                        stark_wavelength, synth_emission_map, BackgroundModel,
-                       ZERO_BACKGROUND, LadderRangeError)
+                       ZERO_BACKGROUND)
 from . import spectro_fit as sf
 
 EXIT_OK = 0
@@ -94,8 +95,7 @@ def _band_file_name(bias):
 
 def cmd_bandedges(args):
     if not args.bias:
-        print("bandedges: at least one --bias is required", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("at least one --bias is required")
     stack, mesh = _stack_and_mesh(args)
     sweep = band_sweep(stack, mesh, args.bias, args.statistics)
     names = {}
@@ -103,9 +103,7 @@ def cmd_bandedges(args):
         name = _band_file_name(bias)
         other = names.setdefault(name, bias)
         if other != bias:
-            print(f"bandedges: biases {other} V and {bias} V share the file name {name}",
-                  file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"biases {other} V and {bias} V share the file name {name}")
     out = _outdir(args)
 
     solved = {}
@@ -131,21 +129,17 @@ def cmd_iv(args):
     # a finite point count with a finite step > 0 implies finite vmin and vmax
     if not (0.0 < args.step < math.inf
             and math.isfinite((args.vmax - args.vmin) / args.step)):
-        print("iv: vmin, vmax and step must be finite with step > 0 and a finite "
-              "point count", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("vmin, vmax and step must be finite with step > 0 and a finite "
+                         "point count")
     if not 0.0 < args.area < math.inf:
-        print("iv: area must be finite and > 0", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("area must be finite and > 0")
     if args.vmax < args.vmin:
-        print("iv: vmax must not be below vmin", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("vmax must not be below vmin")
     single = args.vmax == args.vmin
     n = 1 if single else int(round((args.vmax - args.vmin) / args.step)) + 1
     if n > MAX_IV_POINTS:
-        print(f"iv: vmin {args.vmin} V to vmax {args.vmax} V in steps of {args.step} V "
-              f"give {n} bias points, above the cap of {MAX_IV_POINTS}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"vmin {args.vmin} V to vmax {args.vmax} V in steps of {args.step} V "
+                         f"give {n} bias points, above the cap of {MAX_IV_POINTS}")
     stack, mesh = _stack_and_mesh(args)
     biases = [args.vmin] if single else [args.vmin + k * args.step for k in range(n)]
     curve = iv_sweep(stack, mesh, biases, args.generation, args.statistics)
@@ -166,12 +160,9 @@ def cmd_stark(args):
     _require_count(args, 2, "points")
     lines = load_reference_lines(args.lines)
     if args.vmax <= args.vmin:
-        print("stark: vmax must exceed vmin", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("vmax must exceed vmin")
     if args.points > MAX_STARK_POINTS:
-        print(f"stark: --points {args.points} is above the cap of {MAX_STARK_POINTS}",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"--points {args.points} is above the cap of {MAX_STARK_POINTS}")
     volts = np.linspace(args.vmin, args.vmax, args.points)
     fields = field_lever_arm(volts, args.di)
     out = _outdir(args)
@@ -194,20 +185,13 @@ def cmd_synthmap(args):
     lines = load_reference_lines(args.lines)
     ladder = load_charge_ladder(args.ladder)
     if args.nv * args.nl > MAX_MAP_CELLS:
-        print(f"synthmap: --nv {args.nv} by --nl {args.nl} gives {args.nv * args.nl} cells, "
-              f"above the cap of {MAX_MAP_CELLS}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"--nv {args.nv} by --nl {args.nl} gives {args.nv * args.nl} cells, "
+                         f"above the cap of {MAX_MAP_CELLS}")
     gate = np.linspace(args.vmin, args.vmax, args.nv)
     lam = np.linspace(args.lmin, args.lmax, args.nl)
     background = BackgroundModel() if args.background else ZERO_BACKGROUND
-    try:
-        emission = synth_emission_map(lines, ladder, gate, lam,
-                                      linewidth_ueV=args.linewidth,
-                                      background=background, seed=args.seed,
-                                      d_i_nm=args.di)
-    except LadderRangeError as exc:
-        print(f"synthmap: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    emission = synth_emission_map(lines, ladder, gate, lam, linewidth_ueV=args.linewidth,
+                                  background=background, seed=args.seed, d_i_nm=args.di)
     out = _outdir(args)
     emission.to_csv(out / "emission_map.csv", meta=_report_header(args, "synthmap"))
     return EXIT_OK

@@ -499,9 +499,10 @@ def _bernoulli_slope(x, b, b_minus):
     """B'(x) = B(x) (1 - B(-x)) / x from b = B(x) and b_minus = B(-x), by its
     series -1/2 + x/6 - x^3/180 for |x| < 1e-4, where bernoulli switches too."""
     small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
-    xc = np.where(small, x, 0.0)
-    return np.where(small, -0.5 + xc / 6.0 - xc ** 3 / 180.0, b * (1.0 - b_minus) / xs)
+    slope = b * (1.0 - b_minus) / np.where(small, 1.0, x)
+    xc = x[small]
+    slope[small] = -0.5 + xc / 6.0 - xc ** 3 / 180.0
+    return slope
 
 
 # The Newton rung's unknowns at node i sit at 4 i + (_P, _PHI, _N, _J) of the
@@ -509,6 +510,7 @@ def _bernoulli_slope(x, b, b_minus):
 # Poisson, electron conservation, electron flux of element i). In this order
 # every coupling lies within 4 places below and 5 above the diagonal.
 _P, _PHI, _N, _J = range(4)
+_QF = slice(_N, None, -2)                  # rows E_Fn, E_Fp: electrons, holes
 _KL, _KU = 4, 5
 _SIGN = np.array([[1.0], [-1.0]])          # electrons, holes
 _FLUX_UNIT = math.sqrt(sys.float_info.min)   # A/cm^2, unit of the flux unknowns
@@ -531,7 +533,8 @@ class _NewtonWorkspace:
     The state handed to the walk is the unknowns in band order, one (4, N)
     array: E_Fp, phi, E_Fn (V) and the element fluxes J (A/cm^2, the last
     entry unused). ``_jacobian`` returns the Jacobian as one (equation,
-    neighbour, unknown, node) array, which ``_step`` scatters into the band.
+    neighbour, unknown, node) array; ``_step`` scatters its ``slots``, the
+    (equation, neighbour, unknown) entries it can make nonzero, into the band.
     """
 
     def __init__(self, stack, arr, phi_neutral, statistics):
@@ -549,14 +552,22 @@ class _NewtonWorkspace:
         self.lng_base = np.where(self.doped, _degeneracy(self.eta0 + _SIGN * phi_neutral / vt,
                                                          statistics)[0], 0.0)
 
-        # entry [e, s, u, i] of ``_jacobian`` is A[r, c], r = 4 i + e and
-        # c = 4 (i + s - 1) + u, at band[kl + ku + r - c, c] of the LAPACK band
-        # flattened column by column; zeros outside matrix or band go to a spare slot
-        self.ld, size = 2 * _KL + _KU + 1, 4 * arr.x.size
-        e, s, u, i = np.indices((4, 3, 4, arr.x.size), sparse=True)
+        # the slots [e, s, u] (12 an equation) that ``_jacobian`` writes: at NaN
+        # terms each entry it computes is NaN, and only structural zeros stay 0
+        nan = np.full((2, arr.x.size), np.nan)
+        probe = self._jacobian((nan,) * 3 + (nan[:, 1:],) * 3 + (nan[0], None))
+        self.slots = np.flatnonzero(probe.any(axis=-1))
+        bounds = np.searchsorted(self.slots, 12 * np.arange(5))
+        self.rows = [slice(*bounds[e:e + 2]) for e in range(4)]    # each equation's slots
+        # slot [e, s, u] at node i is A[r, c], r = 4 i + e and c = 4 (i + s - 1) + u,
+        # at band[kl + ku + r - c, c] of the band flattened column by column (the
+        # ordering keeps r - c in it); c outside the matrix goes to a spare entry
+        self.ld, size, i = 2 * _KL + _KU + 1, 4 * arr.x.size, np.arange(arr.x.size)
+        e, s, u = (k[:, None] for k in np.unravel_index(self.slots, (4, 3, 4)))
         row, col = 4 * i + e, 4 * (i + s - 1) + u
-        inside = (col >= 0) & (col < size) & (row - col >= -_KU) & (row - col <= _KL)
-        self.index = np.where(inside, self.ld * col + _KL + _KU + row - col, self.ld * size)
+        self.index = np.where((col >= 0) & (col < size), self.ld * col + _KL + _KU + row - col,
+                              self.ld * size)
+        self.band = np.zeros(self.ld * size + 1)          # refilled and factorised each step
         self.unit = np.array([vt, vt, vt, _FLUX_UNIT])[:, None]   # of the scaled unknowns
 
     def _fermi_dirac(self, eta):
@@ -586,13 +597,13 @@ class _NewtonWorkspace:
         """Residual (4, N) of the scaled unknowns z (4, N) and the terms its
         Jacobian and ``finalize`` reuse, the element fluxes (A/cm^2) last."""
         arr = self.arr
-        eta = self.eta0 + _SIGN * (z[_PHI] + z[[_N, _P]])
+        eta = self.eta0 + _SIGN * (z[_PHI] + z[_QF])
         f, df, lng, dlng = self._fermi_dirac(eta)
         dens, ddens = self.n_states * f, self.n_states * df
         n, p = dens
         x = np.diff(self.w0 + _SIGN * z[_PHI] + lng, axis=1)
         b_minus = bernoulli(-x)
-        em = np.expm1(np.diff(_SIGN * z[[_N, _P]], axis=1))
+        em = np.expm1(np.diff(_SIGN * z[_QF], axis=1))
         flux = self.c * b_minus * dens[:, :-1] * em
         gg = self.nisq * np.exp(lng[0] + lng[1])
         rq_w = arr.q_w[1:-1] * B_RADIATIVE * (n * p - gg)[1:-1]
@@ -609,7 +620,9 @@ class _NewtonWorkspace:
     def _jacobian(self, terms):
         """The Jacobian at the terms ``_residual`` returned, as one array
         (equation, neighbour, unknown, node): entry [e, s, u, i] is the slope
-        of equation e at node i along unknown u at node i + s - 1.
+        of equation e at node i along unknown u at node i + s - 1. It writes
+        only the ``slots`` [e, s, u]; the rest are structural zeros, which
+        ``_step`` does not scatter.
 
         The recombination source of the electron conservation rows is taken
         as it stands, without its derivative: in the dark it is some 20
@@ -617,67 +630,59 @@ class _NewtonWorkspace:
         ``_FLUX_UNIT``, would outweigh the flux terms of those rows."""
         arr = self.arr
         dens, ddens, dlng, x, b_minus, em, gg, _ = terms
-        n, p = dens
-        # d/du of eta, ln gamma and w are nonzero for two unknowns per carrier:
-        # phi and E_Fn for electrons, E_Fp and phi for holes (signs _SIGN)
-        own = ([_PHI, _N], [_P, _PHI])
         # the flux of element i is c B(-x) m_i expm1(dsigma), m the density;
-        # its slopes along w_i+1 - w_i, sigma_i+1 - sigma_i and m_i
+        # its slopes along w_i+1 - w_i, sigma_i+1 - sigma_i (signs _SIGN) and m_i
+        cb = self.c * b_minus
         along_w = -self.c * _bernoulli_slope(-x, b_minus, b_minus - x) * dens[:, :-1] * em
-        along_sigma = self.c * b_minus * dens[:, :-1] * (em + 1.0)
-        along_m = self.c * b_minus * em
-        to_right, to_own = np.zeros((2, 4, n.size - 1)), np.zeros((2, 4, n.size - 1))
-        for k, sign in enumerate(_SIGN[:, 0]):
-            for u in own[k]:
-                d_w = sign * ((u == _PHI) + dlng[k])        # d w / du over kT
-                to_right[k, u] = along_w[k] * d_w[1:]
-                to_own[k, u] = sign * along_m[k] * ddens[k, :-1] - along_w[k] * d_w[:-1]
-            sigma = [_N, _P][k]
-            to_right[k, sigma] += sign * along_sigma[k]
-            to_own[k, sigma] -= sign * along_sigma[k]
-        d_rq_w = np.zeros((4, n.size))
-        for k, sign in enumerate(_SIGN[:, 0]):
-            for u in own[k]:
-                d_rq_w[u] += sign * (dens[1 - k] * ddens[k] - gg * dlng[k])
-        d_rq_w *= arr.q_w * B_RADIATIVE
-        d_charge = np.zeros((4, n.size))                    # d (p - n) / du
-        d_charge[_P] = -ddens[1]
-        d_charge[_PHI] = -ddens[1] - ddens[0]
-        d_charge[_N] = -ddens[0]
+        along_sigma = _SIGN * (cb * dens[:, :-1] * (em + 1.0))
+        along_m = _SIGN * cb * em
+        # eta, ln gamma and w move with a pair of unknowns, [phi, E_Fn] and [E_Fp,
+        # phi]; the flux slopes along it at node i + 1 and at node i (their
+        # quasi-Fermi entries [0, 1] and [1, 0] are rows 1:3 when flattened)
+        d_w = _SIGN[:, :, None] * (np.eye(2)[:, :, None] + dlng[:, None])   # d w / du over kT
+        to_right = along_w[:, None] * d_w[..., 1:]
+        to_own = (along_m * ddens[:, :-1])[:, None] - along_w[:, None] * d_w[..., :-1]
+        to_right.reshape(4, -1)[1:3] += along_sigma
+        to_own.reshape(4, -1)[1:3] -= along_sigma
+        # slopes of n p - gg (R / B) and of p - n along E_Fp, phi and E_Fn
+        d_np, d_charge = (np.stack([a[1], a[0] + a[1], a[0]])[:, 1:-1]
+                          for a in (_SIGN * (dens[::-1] * ddens - gg * dlng), -ddens))
 
-        jac = np.zeros((4, 3, 4, n.size))
-        left, mid, right = jac[:, 0], jac[:, 1], jac[:, 2]
-        right[_P, :, :-1], left[_P, :, 1:] = to_right[1], -to_own[1]
-        mid[_P, :, :-1] += to_own[1]
-        mid[_P, :, 1:] -= to_right[1]
-        mid[_P] -= d_rq_w
+        jac = np.zeros((4, 3, 4, dens.shape[1]))
+        # the hole, Poisson and electron conservation rows, Dirichlet at the ends
+        left, mid, right = (jac[:_J, s, :, 1:-1] for s in range(3))
+        right[_P, :_N] = to_right[1, :, 1:]
+        left[_P, :_N] = -to_own[1, :, :-1]
+        mid[_P, :_N] = to_own[1, :, 1:] - to_right[1, :, :-1]
+        mid[_P, :_J] -= d_np * (arr.q_w[1:-1] * B_RADIATIVE)
         cv = arr.cond * arr.Vt
-        right[_PHI, _PHI, :-1] = left[_PHI, _PHI, 1:] = cv
-        mid[_PHI, _PHI, 1:-1] = -(cv[1:] + cv[:-1])
-        mid[_PHI] += arr.q_w * d_charge
-        mid[_N, _J] = 1.0
-        left[_N, _J, 1:] = -1.0
-        right[_J, :, :-1] = to_right[0] / _FLUX_UNIT
-        mid[_J, :, :-1] = to_own[0] / _FLUX_UNIT
-        mid[_J, _J] = -1.0
-        for end in (0, -1):                      # Dirichlet rows, and the unused J
-            mid[:_J, :, end] = np.eye(4)[:_J]
-        mid[_J, _J, -1] = 1.0
-        right[:_J, :, 0] = left[:, :, -1] = 0.0
+        right[_PHI, _PHI], left[_PHI, _PHI] = cv[1:], cv[:-1]
+        mid[_PHI, :_J] = d_charge * arr.q_w[1:-1]
+        mid[_PHI, _PHI] -= cv[1:] + cv[:-1]
+        mid[_N, _J], left[_N, _J] = 1.0, -1.0
+        for end in (0, -1):
+            jac[:_J, 1, :_J, end] = np.eye(3)
+        # the electron flux rows, and the unused flux unknown's unit row
+        jac[_J, 2, _PHI:_J, :-1] = to_right[0] / _FLUX_UNIT
+        jac[_J, 1, _PHI:_J, :-1] = to_own[0] / _FLUX_UNIT
+        jac[_J, 1, _J, :-1], jac[_J, 1, _J, -1] = -1.0, 1.0
         return jac
 
     def _step(self, r, terms):
-        """Newton step of the scaled unknowns for residual r: ``dgbtrf``
-        factorises the row-equilibrated band, and ``_correction`` takes the
-        step from the factors, which stay. Raises NonConvergenceError if the
-        Jacobian has a row that is zero or not finite, or the step is not finite."""
-        jac = self._jacobian(terms)
-        scale = 1.0 / np.abs(jac).max(axis=(1, 2))
+        """Newton step of the scaled unknowns for residual r: the ``slots`` of
+        ``_jacobian``, each row divided by its largest magnitude, are scattered
+        into the zeroed band, which ``dgbtrf`` factorises in place; the step is
+        ``_correction``'s from those factors, which stay. Raises
+        NonConvergenceError if a row is zero or not finite, or the step is not finite."""
+        jac = self._jacobian(terms).reshape(-1, r.shape[1])[self.slots]
+        scale = 1.0 / np.stack([np.abs(jac[rows]).max(axis=0) for rows in self.rows])
         if not np.all(np.isfinite(scale)):
             raise NonConvergenceError("the Newton Jacobian has a zero or non-finite row")
-        band = np.zeros(self.ld * r.size + 1)
-        band[self.index] = jac * scale[:, None, None]
-        lu, piv, info = dgbtrf(band[:-1].reshape(r.size, self.ld).T, _KL, _KU, overwrite_ab=1)
+        for rows, row_scale in zip(self.rows, scale):
+            jac[rows] *= row_scale
+        self.band.fill(0.0)
+        self.band[self.index] = jac
+        lu, piv, info = dgbtrf(self.band[:-1].reshape(-1, self.ld).T, _KL, _KU, overwrite_ab=1)
         self.factors, self.scale = (lu, piv), scale.T.ravel()
         step = self._correction(r)
         if info != 0 or not np.all(np.isfinite(step)):
@@ -715,7 +720,7 @@ class _NewtonWorkspace:
         window = min(0.0, -bias) / vt, max(0.0, -bias) / vt
 
         def clipped(z):
-            z[[_P, _N]] = np.clip(z[[_P, _N]], *window)
+            np.clip(z[_QF], *window, out=z[_QF])
             return z
 
         z = clipped(x / self.unit)
@@ -727,11 +732,10 @@ class _NewtonWorkspace:
                 dz = self._step(r, terms)
             except NonConvergenceError as exc:
                 raise _broke_down(self.stack, bias, exc, steps) from None
-            counted = self._counted(terms)
-            update, done = self._small(dz, counted)
+            counted, update, done = self._measure(dz, terms[0])
             size = np.linalg.norm(dz * counted)
-            deta = _SIGN * (dz[[_N, _P], 1:-1] + dz[_PHI, 1:-1])
-            dz[[_N, _P], 1:-1] += _SIGN * (np.sign(deta) * np.log1p(np.abs(deta)) - deta)
+            deta = _SIGN * (dz[_QF, 1:-1] + dz[_PHI, 1:-1])
+            dz[_QF, 1:-1] += _SIGN * (np.sign(deta) * np.log1p(np.abs(deta)) - deta)
             if done:
                 return clipped(z + dz) * self.unit, steps, update
             t = 1.0
@@ -749,22 +753,18 @@ class _NewtonWorkspace:
                                   f"V = {bias} V, T = {self.stack.temperature} K",
                                   iterations=steps)
 
-    @staticmethod
-    def _counted(terms):
-        """1 where an update counts towards convergence: the potential, and a
-        quasi-Fermi level where its carrier density exceeds
-        ``QF_DENSITY_FLOOR``; 0 elsewhere and for the fluxes."""
-        counted = np.ones((4, terms[0].shape[1]))
-        counted[[_P, _N]] = terms[0][::-1] > QF_DENSITY_FLOOR
+    def _measure(self, dz, dens):
+        """(counted, largest |dphi|/Vt, whether the step dz meets both
+        tolerances) at densities `dens`: counted is 1 where an update counts
+        towards convergence, the potential and a quasi-Fermi level where its
+        carrier density exceeds ``QF_DENSITY_FLOOR``, and 0 elsewhere."""
+        counted = np.ones((4, dens.shape[1]))
+        counted[_QF] = dens > QF_DENSITY_FLOOR
         counted[_J] = 0.0
-        return counted
-
-    def _small(self, dz, counted):
-        """(largest |dphi|/Vt, whether the step dz meets both tolerances)."""
         update = float(np.max(np.abs(dz[_PHI])))
-        qf_update = self.arr.Vt * float(np.max(np.abs(dz[[_P, _N]]),
-                                               where=counted[[_P, _N]] > 0, initial=0.0))
-        return update, update < NEWTON_TOLERANCE and qf_update < QF_TOLERANCE
+        qf_update = self.arr.Vt * float(np.max(np.abs(dz[_QF]), where=counted[_QF] > 0,
+                                               initial=0.0))
+        return counted, update, update < NEWTON_TOLERANCE and qf_update < QF_TOLERANCE
 
     @np.errstate(all="ignore")            # a state that overflows fails the check
     def finalize(self, x, bias):

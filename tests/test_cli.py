@@ -222,8 +222,29 @@ def test_iv_rejects_a_bad_sweep_range_with_one_line(tmp_path, capsys, bad):
     rc = main(["iv", *bad, "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == EXIT_INPUT
-    assert len(err.splitlines()) == 1 and err.startswith("iv: ")
+    assert len(err.splitlines()) == 1 and err.startswith("dotdiode iv: ")
     assert not (tmp_path / "iv.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bandedges"],
+    ["bandedges", "--bias", "0.5", "--bias", "0.5001"],
+    ["iv", "--vmax", "-2"],
+    ["iv", "--area", "0"],
+    ["iv", "--step", "1e-9"],
+    ["stark", "--vmax", "0.5"],
+    ["stark", "--points", "1000000000"],
+    ["stark", "--points", "0"],
+    ["synthmap", "--nv", "100000", "--nl", "100000"],
+    ["synthmap", "--vmin", "-50"],
+], ids=["bandedges-no-bias", "bandedges-file-name", "iv-vmax-below-vmin", "iv-area",
+        "iv-points", "stark-vmax", "stark-points-cap", "stark-points", "synthmap-cells",
+        "synthmap-ladder"])
+def test_an_input_error_starts_with_the_command_it_rejected(tmp_path, capsys, argv):
+    rc = main(argv + ["--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert len(err.splitlines()) == 1 and err.startswith(f"dotdiode {argv[0]}: "), err
 
 
 @pytest.mark.parametrize("argv, named", [

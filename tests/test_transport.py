@@ -423,6 +423,31 @@ def test_default_dark_sweep_cycle_budget(reference_stack, reference_mesh):
     assert max(pt.gummel_iterations for pt in curve.points) <= 15
 
 
+# The default dark sweep's Newton steps per point and current densities, bit
+# for bit (its iv.csv prints them to 13 digits): a change of the Newton path,
+# or of the arithmetic under it, shows here
+DARK_STEPS = [6, 6, 6, 7, 6, 7, 6, 5, 5, 5, 5, 5, 5]
+DARK_J = [-107.74857199837328, -26.787583650494597, -3.8291766458589995, -0.3387268216907177,
+          4.111940290093903e-26, 0.2368839400056208, 2.175776024337664, 13.340028184498722,
+          58.13600075170007, 176.46744989936067, 406.4826347972201, 790.042966186594,
+          1380.950182908073]
+
+
+def test_default_dark_sweep_takes_its_pinned_steps_to_its_pinned_currents(
+        reference_stack, reference_mesh, monkeypatch):
+    factorisations, real_dgbtrf = [], transport.dgbtrf
+
+    def dgbtrf(*args, **kwargs):
+        factorisations.append(1)
+        return real_dgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "dgbtrf", dgbtrf)
+    curve = iv_sweep(reference_stack, reference_mesh, DEFAULT_GRID)
+    assert [pt.gummel_iterations for pt in curve.points] == DARK_STEPS
+    assert len(factorisations) == sum(DARK_STEPS) == 74
+    assert [pt.current_density for pt in curve.points] == DARK_J
+
+
 def test_every_swept_diagram_reports_a_converged_poisson_stage(reference_stack,
                                                                reference_mesh):
     # a Gummel cycle's Poisson stage may stop early, at a tolerance set by the
@@ -608,25 +633,57 @@ def test_newton_jacobian_matches_difference_quotients(reference_stack, reference
             assert np.all(error * max(abs(z[unknown, node]), 1.0) < 1e-6), (node, unknown)
 
 
-def test_newton_band_holds_the_scaled_jacobian_and_its_step_solves_it(monkeypatch):
+def _small_heterostructure():
+    """A dark heterostructure with a few hundred Newton unknowns."""
+    stack = LayerStack(layers=(Layer("InP", 30.0, donor_cm3=2e18),
+                               Layer("AlInAs_lattice_matched", 20.0), Layer("InAs", 1.0),
+                               Layer("InP", 20.0), Layer("InP", 30.0, donor_cm3=1e19)))
+    return stack, build_mesh(stack, 2.0, 0.5, 5.0)
+
+
+def _perturbed_newton_state(stack, mesh, statistics, rng, spread=0.1):
+    """A 0 V Newton workspace and a scaled state near its equilibrium: the
+    quasi-Fermi levels off by `spread` kT (normal), the fluxes random."""
+    arr, phi_neutral, solve = electrostatics._set_up(stack, mesh, statistics)
+    ws = transport._NewtonWorkspace(stack, arr, phi_neutral, statistics)
+    ws.bc = np.array([[0.0, 0.0], phi_neutral[[0, -1]], [0.0, 0.0]]) / arr.Vt
+    z = ws.seed(solve(0.0, phi_neutral)[1]) / ws.unit
+    z[[transport._P, transport._N]] += spread * rng.standard_normal((2, mesh.n_nodes))
+    z[transport._J] = 1e3 * rng.standard_normal(mesh.n_nodes)
+    return ws, z
+
+
+@pytest.mark.parametrize("statistics", ["fermi", "boltzmann"])
+@pytest.mark.parametrize("device", ["reference", "heterostructure"])
+def test_newton_jacobian_is_zero_outside_the_slots_step_scatters(reference_stack,
+                                                                reference_mesh,
+                                                                device, statistics):
+    # _step scatters only the (equation, neighbour, unknown) slots in
+    # ws.slots; at random states every other slot of _jacobian is exactly
+    # zero, and each scattered slot is nonzero at some node
+    stack, mesh = ((reference_stack, reference_mesh) if device == "reference"
+                   else _small_heterostructure())
+    rng = np.random.default_rng(2)
+    for spread in (0.1, 3.0):
+        ws, z = _perturbed_newton_state(stack, mesh, statistics, rng, spread)
+        z[transport._PHI] += spread * rng.standard_normal(mesh.n_nodes)
+        jac = ws._jacobian(ws._residual(z)[1]).reshape(48, -1)
+        assert not np.delete(jac, ws.slots, axis=0).any()
+        assert np.all(jac[ws.slots].any(axis=1))
+
+
+@pytest.mark.parametrize("statistics", ["fermi", "boltzmann"])
+def test_newton_band_holds_the_scaled_jacobian_and_its_step_solves_it(monkeypatch,
+                                                                       statistics):
     # on a small heterostructure (a few hundred unknowns), the band that
     # _step hands to dgbtrf, read back as A[r, c] = band[kl + ku + r - c, c],
     # is the matrix of _jacobian's definition ([e, s, u, i] at row 4 i + e,
     # column 4 (i + s - 1) + u) times the row scale, and the step solves it
-    stack = LayerStack(layers=(Layer("InP", 30.0, donor_cm3=2e18),
-                               Layer("AlInAs_lattice_matched", 20.0), Layer("InAs", 1.0),
-                               Layer("InP", 20.0), Layer("InP", 30.0, donor_cm3=1e19)))
-    mesh = build_mesh(stack, 2.0, 0.5, 5.0)
-    arr, phi_neutral, solve = electrostatics._set_up(stack, mesh, "fermi")
-    ws = transport._NewtonWorkspace(stack, arr, phi_neutral, "fermi")
+    stack, mesh = _small_heterostructure()
+    ws, z = _perturbed_newton_state(stack, mesh, statistics, np.random.default_rng(1))
     nodes, kl, ku = mesh.n_nodes, transport._KL, transport._KU
     size = 4 * nodes
     assert 200 < size < 1000
-    rng = np.random.default_rng(1)
-    ws.bc = np.array([[0.0, 0.0], phi_neutral[[0, -1]], [0.0, 0.0]]) / arr.Vt
-    z = ws.seed(solve(0.0, phi_neutral)[1]) / ws.unit
-    z[[transport._P, transport._N]] += 0.1 * rng.standard_normal((2, nodes))
-    z[transport._J] = 1e3 * rng.standard_normal(nodes)
     r, terms = ws._residual(z)
     bands, real_dgbtrf = [], transport.dgbtrf
 
