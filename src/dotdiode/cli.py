@@ -109,7 +109,7 @@ def cmd_bandedges(args):
     solved = {}
     for bias, diagram in sweep:
         if isinstance(diagram, NonConvergenceError):
-            print(f"bandedges: {diagram}", file=sys.stderr)
+            print(f"dotdiode bandedges: {diagram}", file=sys.stderr)
             solved[bias] = (float("nan"), False)
             continue
         diagram.to_csv(out / _band_file_name(bias))
@@ -150,9 +150,9 @@ def cmd_iv(args):
     curve.to_csv(out / "iv.csv", meta=meta)
     failed = [pt.bias for pt in curve.points if not pt.converged]
     if failed:
-        print(f"iv: no converged solution at {failed} V (T = {stack.temperature} K)",
-              file=sys.stderr)
-    return EXIT_NONCONVERGED if failed else EXIT_OK
+        raise NonConvergenceError(
+            f"no converged solution at {failed} V (T = {stack.temperature} K)")
+    return EXIT_OK
 
 
 def cmd_stark(args):
@@ -302,7 +302,9 @@ def cmd_fit(args):
     header = {**_report_header(args, f"fit {args.what}"), "inputs": ";".join(args.data)}
     dataio.write_report(out / "fit_report.txt", f"dotdiode fit report: {args.what}",
                         [("run", header), ("results", entries)])
-    return EXIT_OK if converged else EXIT_NONCONVERGED
+    if not converged:
+        raise NonConvergenceError(f"the {args.what} fit did not converge")
+    return EXIT_OK
 
 
 def build_parser():

@@ -51,23 +51,36 @@ for both carriers, on their stacked (2, N) arguments (one ``exp`` for
 Boltzmann statistics). The accepted trial's F' builds the next Jacobian
 and its densities are the ones returned, so nothing is evaluated twice at
 the same potential; eps_0 eps, q w and the Jacobian's coupling sums are
-device arrays, computed once. The tridiagonal Newton step calls
-LAPACK ``dgtsv`` directly, the routine ``scipy.linalg.solve_banded`` uses
-for this band structure, without its band matrix and argument wrapper.
+device arrays, computed once. The tridiagonal Newton step calls LAPACK
+``dgtsv`` directly, without ``scipy.linalg.solve_banded``'s band matrix and
+wrapper, from scipy's ``_flapack`` extension, loaded without ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
 
 import numpy as np
+import scipy    # the top-level package only: cheap, and on Windows it adds the DLL directory
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
 
 from . import constants, dataio
 from .device import doping_profile, element_profile
 from .materials import lookup_material
+
+# LAPACK (dgtsv here, dgbtrf and dgbtrs in transport) is loaded from scipy's _flapack file
+# in 4-10 ms; the scipy.linalg package would add 0.14-0.27 s (numpy.f2py, .testing, .ma).
+_LAPACK_DIR = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+_LAPACK_SPEC = PathFinder.find_spec("scipy.linalg._flapack", [_LAPACK_DIR])
+if _LAPACK_SPEC is None:
+    raise ImportError(f"scipy's LAPACK extension _flapack is not in {_LAPACK_DIR}")
+_flapack = importlib.util.module_from_spec(_LAPACK_SPEC)
+_LAPACK_SPEC.loader.exec_module(_flapack)
+dgtsv = _flapack.dgtsv
 
 _SQRT_PI = math.sqrt(math.pi)
 _FD_COEF = 3.0 * _SQRT_PI / 4.0
@@ -354,7 +367,7 @@ def _tridiag_solve(lower, diag, upper, rhs):
     `diag` and super-diagonal `upper` (A[i, i+1]).
 
     Calls LAPACK dgtsv, the routine ``scipy.linalg.solve_banded`` uses for
-    one sub- and one super-diagonal, without building its band matrix.
+    one sub- and one super-diagonal, without its band matrix or scipy.linalg.
     Like it, raises ValueError on non-finite input and LinAlgError on a
     singular matrix; the inputs are not modified.
     """

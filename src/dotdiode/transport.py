@@ -19,14 +19,14 @@ A dark sweep (``generation == 0``) solves Poisson and both continuity
 equations together, by Newton's method (``_NewtonWorkspace``). The
 unknowns are E_Fp, phi and E_Fn over kT and the electron flux of each
 element, in band order; the Jacobian is one (4, 5)-banded system,
-row-equilibrated and factorised by LAPACK ``dgbtrf``. The flux unknowns, tied
-node to node by conservation, give the charge of a quantum-dot layer
-between two barriers from the current through them even when the
-barriers conduct 1e-40 of the dot. Each step evaluates F_1/2 once (no
-inverse) and is damped after Bank & Rose (Numer. Math. 37, 279 (1981)):
-an eta change d is taken as sign(d) ln(1 + |d|), and the step is halved
-until its simplified Newton correction is no longer than itself
-(Deuflhard's natural monotonicity test). A rung has one exit: a step,
+row-equilibrated and factorised by LAPACK ``dgbtrf`` from scipy's ``_flapack``
+(see electrostatics). The flux unknowns, tied node to node by conservation,
+give the charge of a quantum-dot layer between two barriers from the current
+through them even when the barriers conduct 1e-40 of the dot. Each step
+evaluates F_1/2 once (no inverse) and is damped after Bank & Rose (Numer.
+Math. 37, 279 (1981)): an eta change d is taken as sign(d) ln(1 + |d|), and
+the step is halved until its simplified Newton correction is no longer than
+itself (Deuflhard's natural monotonicity test). A rung has one exit: a step,
 from a fresh factorisation, whose potential update is below
 ``NEWTON_TOLERANCE`` thermal voltages and whose quasi-Fermi update, where
 the carrier density exceeds ``QF_DENSITY_FLOOR``, is below
@@ -132,7 +132,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import constants, dataio
 from .device import DOPED_CONTACT_THRESHOLD
@@ -141,8 +140,9 @@ from .electrostatics import (
     build_device_arrays,
     carrier_densities,
     _fermi_half_pair, _solve_poisson, _tridiag_solve, _make_diagram, _statistics,
-    _check_biases, _set_up, _walk,
+    _check_biases, _set_up, _walk, _flapack,
 )
+dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 # perfbench/test_perfbench.py checks that its tracer wraps these bindings
 from .electrostatics import fermi_half, solve_bias  # noqa: F401
 
@@ -782,7 +782,7 @@ class _NewtonWorkspace:
 def solve_drift_diffusion(stack, mesh, bias, generation=0.0, statistics="fermi"):
     """Self-consistent drift-diffusion solve at one bias point: a one-bias
     `iv_sweep` that returns (BandDiagram, IVPoint) and raises its
-    NonConvergenceError, which carries the Gummel cycles run before it.
+    NonConvergenceError, whose `iterations` counts the steps or cycles run.
 
     `generation` [cm^-3 s^-1] is uniform in the undoped layers; `statistics`
     is "fermi" or "boltzmann".

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dotdiode
-from dotdiode import cli, dataio
+from dotdiode import cli, dataio, electrostatics
 from dotdiode.cli import build_parser, main, EXIT_OK, EXIT_INPUT, EXIT_NONCONVERGED
 from dotdiode import spectro_fit as sf
 
@@ -695,10 +695,30 @@ def test_iv_breakdown_exits_2_with_one_line_and_writes_the_csv(tmp_path, capsys,
                "--out", str(tmp_path / "o")])
     assert rc == EXIT_NONCONVERGED
     assert capsys.readouterr().err.splitlines() == [
-        f"iv: no converged solution at [0.0, 0.5] V (T = {float(temperature)} K)"]
+        f"dotdiode iv: no converged solution at [0.0, 0.5] V (T = {float(temperature)} K)"]
     cols, meta = dataio.read_table(tmp_path / "o" / "iv.csv")
     assert list(cols["converged"]) == [0.0, 0.0] and np.all(np.isnan(cols["J_Acm2"]))
     assert meta["all_converged"] == "False"
+
+
+def test_exit_2_lines_name_the_command(tmp_path, capsys, monkeypatch):
+    """Like an input error, each non-convergence line starts with
+    `dotdiode <command>: `, and the outputs are still written."""
+    monkeypatch.setattr(electrostatics, "NEWTON_MAX_ITERATIONS", 1)
+    assert main(["bandedges", "--bias", "0", "--bias", "0.5",
+                 "--out", str(tmp_path / "b")]) == EXIT_NONCONVERGED
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("dotdiode bandedges: ") for line in err)
+    assert (tmp_path / "b" / "bandedges_summary.csv").exists()
+
+    def unconverged_power_fit(args):
+        return {}, {"power_uW": np.ones(2), "intensity": np.ones(2)}, False
+
+    monkeypatch.setitem(cli._FITTERS, "power", unconverged_power_fit)
+    assert main(["fit", "power", "--data", "unused.csv",
+                 "--out", str(tmp_path / "f")]) == EXIT_NONCONVERGED
+    assert capsys.readouterr().err.splitlines() == ["dotdiode fit: the power fit did not converge"]
+    assert (tmp_path / "f" / "fit_report.txt").exists()
 
 
 @pytest.mark.parametrize("field", ["thickness_nm", "donor_cm3"])
@@ -960,25 +980,43 @@ def test_bandedges_writes_nothing_to_stderr(tmp_path):
     assert _bandedges_stderr(tmp_path, "--bias", "0.0") == ""
 
 
+def _cli_import_loads(module):
+    """Whether a fresh interpreter's `import dotdiode.cli` loads `module`."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, dotdiode.cli; print({module!r} in sys.modules)"],
+        capture_output=True, text=True, env=_fresh_interpreter_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip() == "True"
+
+
 def test_cli_import_does_not_load_scipy_optimize():
     """Only the fitters and the Stark calibration need scipy.optimize, so
     importing the CLI for bandedges or iv does not pay for it."""
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, dotdiode.cli; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, env=_fresh_interpreter_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert not _cli_import_loads("scipy.optimize")
 
 
 def test_cli_import_does_not_load_scipy_special():
     """Only the g2 model needs scipy.special (erfcx); it is imported there."""
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, dotdiode.cli; print('scipy.special' in sys.modules)"],
-        capture_output=True, text=True, env=_fresh_interpreter_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert not _cli_import_loads("scipy.special")
+
+
+def test_cli_import_does_not_load_scipy_linalg():
+    """LAPACK comes from scipy's _flapack extension file: the scipy.linalg
+    package's own imports (numpy.f2py, numpy.testing, ...) would about
+    double the start-up of every command."""
+    assert not _cli_import_loads("scipy.linalg")
+
+
+def test_a_missing_lapack_extension_fails_the_import_naming_its_directory(tmp_path):
+    (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    env = _fresh_interpreter_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+    proc = subprocess.run([sys.executable, "-c", "import dotdiode.cli"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == ("ImportError: scipy's LAPACK extension _flapack "
+                                            f"is not in {tmp_path / 'scipy' / 'linalg'}")
 
 
 def test_synthmap_matches_golden(tmp_path):

@@ -8,7 +8,7 @@ from scipy.linalg import solve_banded
 
 from dotdiode.constants import thermal_voltage
 from dotdiode.device import Layer, LayerStack, build_mesh, parse_stack
-from dotdiode import electrostatics
+from dotdiode import electrostatics, transport
 from dotdiode.cli import main
 from dotdiode.electrostatics import (
     NonConvergenceError, band_sweep, solve_bias,
@@ -395,6 +395,33 @@ def test_tridiag_solve_matches_solve_banded_bit_for_bit():
         x = _tridiag_solve(lower, diag, upper, rhs)
         assert np.array_equal(x, solve_banded((1, 1), ab, rhs))
         assert all(np.array_equal(a, b) for a, b in zip(inputs, (lower, diag, upper, rhs)))
+
+
+def test_loaded_lapack_matches_scipy_linalg_lapack_bit_for_bit():
+    """The routines loaded from scipy's _flapack file give what
+    scipy.linalg.lapack's give, bit for bit, also with scipy.linalg imported
+    in the same process, as a fit's scipy.optimize imports it."""
+    from scipy.linalg import lapack
+    rng = np.random.default_rng(7)
+    kl, ku, size = 4, 5, 64
+    ab = np.zeros((2 * kl + ku + 1, size))
+    ab[kl:] = rng.normal(size=(kl + ku + 1, size))
+    rhs = rng.normal(size=(size, 1))
+    solved = []
+    for trf, trs in ((transport.dgbtrf, transport.dgbtrs), (lapack.dgbtrf, lapack.dgbtrs)):
+        lu, piv, info = trf(ab.copy(), kl, ku)
+        x, info_trs = trs(lu, kl, ku, rhs, piv)
+        solved.append((lu, piv, x, info, info_trs))
+    assert all(np.array_equal(a, b) for a, b in zip(*solved))
+    assert solved[0][3:] == (0, 0)
+    row, col = np.indices((size, size))
+    dense = np.zeros((size, size))
+    inside = (row - col <= kl) & (col - row <= ku)
+    dense[inside] = ab[(kl + ku + row - col)[inside], col[inside]]
+    np.testing.assert_allclose(dense @ solved[0][2], rhs, atol=1e-9)
+    lower, diag, upper, b = _random_tridiagonal(rng, 33)
+    assert all(np.array_equal(x, y) for x, y in zip(electrostatics.dgtsv(lower, diag, upper, b),
+                                                    lapack.dgtsv(lower, diag, upper, b)))
 
 
 def test_tridiag_solve_rejects_nonfinite_input_and_singular_matrix():
