@@ -187,7 +187,10 @@ def write_table(path, columns, names, meta=None):
 
 
 def read_table(path):
-    """Read a CSV written by write_table: (columns dict, metadata dict)."""
+    """Read a CSV written by write_table: (columns dict, metadata dict).
+
+    Every data field is parsed as float64 (metadata values stay strings),
+    so an integer column beyond 2**53 reads back rounded to a float."""
     meta = {}
     names = None
     rows = []

@@ -226,10 +226,13 @@ def build_mesh(stack, max_spacing=2.0, fine_spacing=0.125, refine_width=10.0):
     """Generate a graded mesh for `stack` (all options in nm).
 
     Every layer boundary becomes a node. Intervals within `refine_width`
-    of a boundary use `fine_spacing`, the rest `max_spacing`. The defaults
-    keep the band-edge discretization error of the reference diode below
-    1 meV (checked by a mesh-halving test); the heavily doped contact
-    junctions set the fine spacing, their Debye length being ~1.5 nm.
+    of a boundary use `fine_spacing`, the rest `max_spacing`. On the
+    reference diode at 0 V, halving both default spacings once changes Ec
+    by at most 0.635 meV, which a mesh-halving test holds below 1 meV. The
+    error converges only at first order, so the defaults differ from a 16x
+    refined mesh by about 1.2 meV (at the n+/n++ doping step). The heavily
+    doped contact junctions set the fine spacing, their Debye length being
+    ~1.5 nm.
     Raises MeshOptionError, before any node is placed, if the mesh would
     have more than ``MAX_MESH_NODES`` nodes.
     """

@@ -3,25 +3,25 @@ resolved fine-structure extraction, power-law saturation fits,
 IRF-deconvolved photon-correlation fits and biexponential lifetime fits.
 
 Peak shapes default to Lorentzian (CW, lifetime-limited lines); Gaussian
-and Voigt profiles are selectable. Single-peak and multi-peak fits use
-Levenberg-Marquardt with data-driven initial guesses taken from the
+and Voigt profiles are selectable, and initial guesses come from the
 highest residual maxima. Fits never fail silently: results carry an
 explicit converged flag and discarded peaks are returned alongside
 accepted ones.
 
-Every nonlinear fit (peaks, g2, both lifetime models) runs through one
-weighted least-squares core, ``_weighted_fit``: reduced chi^2 = 2 cost /
-max(m - n, 1) for m points and n parameters, covariance chi^2 (J^T J)^+ at
-the final Jacobian J with singular values below 1e-12 of the largest dropped
-(a direction the data do not constrain adds nothing), and standard errors
-the square roots of its diagonal.
+Every nonlinear fit runs through one unbounded Levenberg-Marquardt (lm)
+core, ``_weighted_fit``: reduced chi^2 = 2 cost / max(m - n, 1) for m points
+and n parameters, covariance chi^2 (J^T J)^+ at the final Jacobian J with
+singular values below 1e-12 of the largest dropped (a direction the data do
+not constrain adds nothing), and standard errors the square roots of its
+diagonal. Time constants and scales are searched as logarithms, with no
+bounds (see fit_g2 and fit_lifetime for how their errors map back).
 
 The photon-correlation model is a single-exponential antibunching dip
 1 - (1 - g0) exp(-|tau|/tau_c) convolved with a Gaussian instrument
 response and box-averaged over the histogram bin; the analytic
 convolution is evaluated through scaled complementary error functions so
-it stays finite at large delay. Lifetime fits are biexponential with
-Poisson weights and always report the single-exponential comparison fit.
+it stays finite at large delay. Lifetime fits are biexponential, with the
+amplitudes projected out, and always report the single-exponential fit.
 
 Forward models double as synthetic-data generators, so every fitter can
 be validated by round trip against data it generated.
@@ -242,19 +242,22 @@ def _multi_lorentz_jacobian(x, params):
     return jac
 
 
-def _weighted_fit(residual, start, **options):
-    """scipy.optimize.least_squares on `residual` from `start` with
-    `options`: (result, covariance, standard errors, reduced chi^2), as the
-    module docstring defines them."""
-    from scipy.optimize import least_squares
-
-    res = least_squares(residual, start, **options)
-    m, n = res.jac.shape
-    chi2 = float(2.0 * res.cost / max(m - n, 1))
-    _, s, vt = np.linalg.svd(res.jac, full_matrices=False)
+def _covariance(jac, cost):
+    """(covariance, errors, reduced chi^2) at `jac` and `cost`, as defined above."""
+    m, n = jac.shape
+    chi2 = float(2.0 * cost / max(m - n, 1))
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
     s = np.where(s > s[0] * 1e-12, s, np.inf)
     cov = (vt.T / (s * s)) @ vt * chi2
-    return res, cov, np.sqrt(np.maximum(np.diag(cov), 0.0)), chi2
+    return cov, np.sqrt(np.maximum(np.diag(cov), 0.0)), chi2
+
+
+def _weighted_fit(residual, start, **options):
+    """scipy.optimize.least_squares, method "lm": the result, then its `_covariance`."""
+    from scipy.optimize import least_squares
+
+    res = least_squares(residual, start, method="lm", **options)
+    return (res, *_covariance(res.jac, res.cost))
 
 
 def _half_max_width(x, residual, i0, grid_step):
@@ -307,7 +310,7 @@ def fit_peaks(spectrum, n_peaks=1, snr_gate=5.0, shape="lorentzian"):
                 if shape == "lorentzian" else {})
     res, _, sigmas, _ = _weighted_fit(
         lambda theta: (_multi_peak_model(x, theta, shape) - y) / sigma,
-        np.asarray(params, dtype=float), method="lm", xtol=1e-12, ftol=1e-12, gtol=1e-12,
+        np.asarray(params, dtype=float), xtol=1e-12, ftol=1e-12, gtol=1e-12,
         max_nfev=20000, **analytic)
     converged = bool(res.success)
 
@@ -487,6 +490,11 @@ def fit_g2(trace):
     minimum of the normalized binned data and `g0_deconvolved` the fitted
     dip depth after undoing the instrument response and bin averaging.
     The model is in coincidence counts: the fit times the plateau.
+
+    lm fits (g0, ln tau_c, ln norm); the errors and covariance of tau_c and
+    norm map back as sigma = value * sigma_ln. g0 enters the model linearly
+    and has no box: one never binds on data the model describes, and where
+    it would, the boxed value is a misfit reported as converged.
     """
     tau = trace.delay_ns
     y_raw = trace.coincidences
@@ -508,11 +516,12 @@ def fit_g2(trace):
             f"trace spans {tau_max:.2f} ns, needs >= 5 correlation times")
 
     res, cov, err, reduced_chi2 = _weighted_fit(
-        lambda th: (g2_model(tau, th[0], th[1], trace.irf_sigma_ns, trace.bin_width_ns,
-                             th[2]) - y) / sigma,
-        [max(g0_raw, 0.0), tau_c0, 1.0], bounds=([-1.0, 1e-4, 0.1], [2.0, 1e4, 10.0]),
-        method="trf", xtol=1e-13, ftol=1e-13, max_nfev=5000)
-    g0_fit, tau_c_fit, norm_fit = res.x
+        lambda th: (g2_model(tau, th[0], np.exp(th[1]), trace.irf_sigma_ns,
+                             trace.bin_width_ns, np.exp(th[2])) - y) / sigma,
+        [max(g0_raw, 0.0), math.log(tau_c0), 0.0], xtol=1e-13, ftol=1e-13, max_nfev=5000)
+    g0_fit, tau_c_fit, norm_fit = res.x[0], *np.exp(res.x[1:])
+    scale = np.array([1.0, tau_c_fit, norm_fit])       # d(value) / d(fitted parameter)
+    cov, err = cov * np.outer(scale, scale), err * scale
     identifiable = (1.0 - g0_fit) > max(3.0 * err[0], 1e-3)
     if identifiable and tau_max < 5.0 * tau_c_fit:
         raise NormalizationError(
@@ -552,16 +561,48 @@ def calibrate_g2_instrument(g0, tau_c_ns, bin_width_ns, raw_minimum_target):
 # ---------------------------------------------------------------------------
 # lifetime
 
-def _biexp(t, a1, tau1, a2, tau2):
-    return a1 * np.exp(-t / tau1) + a2 * np.exp(-t / tau2)
+def _decays(t, y, w, log_tau):
+    """(tau, decays exp(-t / tau), amplitudes, model) at log_tau, clipped to
+    +/-600 where each decay is flat in it. The amplitudes are least squares
+    at weights `w` or, if one is negative, the better one-term fit, >= 0."""
+    tau = np.exp(np.clip(log_tau, -600.0, 600.0))
+    decay = np.exp(-t[:, None] / tau)
+    basis = decay * w[:, None]
+    amp = np.linalg.lstsq(basis, y * w, rcond=None)[0]
+    if np.any(amp < 0):
+        norm2 = np.sum(basis * basis, axis=0)
+        one = np.maximum(basis.T @ (y * w), 0.0) / norm2
+        amp = np.where(np.arange(amp.size) == np.argmax(one * one * norm2), one, 0.0)
+    return tau, decay, amp, decay @ amp
+
+
+def _decay_fit(t, y, log_tau):
+    """A_k exp(-t / tau_k), one term per start value in `log_tau`, fitted as
+    fit_lifetime says in two passes, weighted by sqrt(max(y, 1)) and then by
+    the first pass's model (data weights bias the constants low in sparse
+    tail bins): A, tau (increasing), model, success, `_covariance`."""
+    model = y
+    for _ in range(2):
+        w = 1.0 / np.sqrt(np.maximum(model, 1.0))
+        res = _weighted_fit(lambda lt: (_decays(t, y, w, lt)[3] - y) * w, log_tau,
+                            xtol=1e-11, ftol=1e-11)[0]
+        log_tau = np.sort(res.x)
+        tau, decay, amp, model = _decays(t, y, w, log_tau)
+    jac = np.stack([decay, decay * (t[:, None] / tau) * amp / tau], axis=2).reshape(t.size, -1)
+    return (amp, tau, model, bool(res.success), *_covariance(jac * w[:, None], res.cost))
 
 
 def fit_lifetime(trace):
     """Poisson-weighted biexponential decay fit with single-exp comparison.
 
-    principal_tau is the time constant of the larger-area component; when
-    the two constants agree within their joint uncertainty the fit
-    collapses to the single-exponential result (degenerate flag).
+    Both models are fitted by variable projection (Golub & Pereyra, SIAM J.
+    Numer. Anal. 10, 413 (1973)): lm searches ln tau alone, the amplitudes
+    being the non-negative weighted least-squares solution at each trial,
+    and the errors of (A1, tau1, A2, tau2) come from the full model's
+    analytic Jacobian. principal_tau is the time constant of the larger-area
+    component; the fit collapses to the single exponential (degenerate
+    flag) when the constants agree within their joint error, when one
+    component carries no area, or when one exponential fits as well.
     """
     t = trace.time_ns - trace.time_ns[0]
     y = trace.counts
@@ -571,73 +612,42 @@ def fit_lifetime(trace):
         raise InsufficientDecayError(
             f"peak/tail ratio {peak / max(tail, 1.0):.2f} is below 5")
 
-    sigma = np.sqrt(np.maximum(y, 1.0))
-    # tail estimate of the slow constant from the last positive decade
+    # tail estimate of the slow constant from the last positive decade, the
+    # slope taken in units of the trace span so that no time scale underflows
     pos = y > max(peak * 1e-4, 1.0)
-    t_pos, y_pos = t[pos], y[pos]
+    t_pos, y_pos = t[pos] / t[-1], y[pos]
     if t_pos.size < 2:
         raise InsufficientDecayError("only the peak bin lies within 4 decades of the peak")
     k = max(t_pos.size // 2, 2)
     slope = np.polyfit(t_pos[-k:], np.log(y_pos[-k:]), 1)[0]
-    tau_slow0 = -1.0 / slope if slope < 0 else t[-1] / 5.0
+    tau_slow0 = -t[-1] / slope if slope < 0 else t[-1] / 5.0
     tau_slow0 = min(max(tau_slow0, 1e-3), t[-1])
-    tau_min, tau_max = 1e-4, 1e4        # ns, the lifetime bounds of both fits
+    tau_min, tau_max = 1e-4, 1e4        # ns, the range of lifetimes the fit accepts
     if not (tau_min <= tau_slow0 / 5.0 and tau_slow0 <= tau_max):
         raise TimeScaleError(
             f"time_ns: start lifetimes {tau_slow0 / 5.0:.3g} and {tau_slow0:.3g} ns lie "
-            f"outside the fitted range {tau_min:g} to {tau_max:g} ns")
+            f"outside the range of lifetimes the fit accepts, {tau_min:g} to {tau_max:g} ns")
 
-    # Each fit runs twice, reweighted by its model (data-based Poisson weights
-    # bias the constants low in the sparse tail bins); the biexponential's
-    # second pass starts from its first, the single exponential's restarts.
-    options = {"method": "trf", "xtol": 1e-11, "ftol": 1e-11, "max_nfev": 400}
-    start = np.array([0.4 * peak, tau_slow0 / 5.0, 0.6 * peak, tau_slow0])
-    for _ in range(2):
-        res_bi, cov, err, chi2_bi = _weighted_fit(
-            lambda theta: (_biexp(t, *theta) - y) / sigma, start,
-            bounds=([0.0, tau_min, 0.0, tau_min], [np.inf, tau_max, np.inf, tau_max]),
-            **options)
-        start = res_bi.x
-        sigma = np.sqrt(np.maximum(_biexp(t, *res_bi.x), 1.0))
-    a1, tau1, a2, tau2 = res_bi.x
-    e_a1, e_t1, e_a2, e_t2 = err
-    if tau1 > tau2:
-        a1, tau1, a2, tau2 = a2, tau2, a1, tau1
-        e_a1, e_t1, e_a2, e_t2 = e_a2, e_t2, e_a1, e_t1
+    (a1, a2), (tau1, tau2), model, ok_bi, cov, err, chi2_bi = _decay_fit(
+        t, y, np.log([tau_slow0 / 5.0, tau_slow0]))
+    _, (single,), _, ok_single, _, _, chi2_single = _decay_fit(t, y, np.log([tau_slow0]))
 
-    s_sigma = np.sqrt(np.maximum(y, 1.0))
-    for _ in range(2):
-        res_s, _, _, chi2_single = _weighted_fit(
-            lambda theta: (theta[0] * np.exp(-t / theta[1]) - y) / s_sigma,
-            [peak, tau_slow0], bounds=([0.0, tau_min], [np.inf, tau_max]), **options)
-        s_sigma = np.sqrt(np.maximum(res_s.x[0] * np.exp(-t / res_s.x[1]), 1.0))
-
-    # degenerate when the constants overlap within their joint uncertainty,
-    # when one component carries no area, or when the single-exponential
-    # model describes the data equally well
     areas = (a1 * tau1, a2 * tau2)
     minor_fraction = min(areas) / max(sum(areas), 1e-300)
-    degenerate = (abs(tau2 - tau1) < (e_t1 + e_t2)
+    degenerate = (abs(tau2 - tau1) < (err[1] + err[3])
                   or minor_fraction < 1e-3
                   or chi2_single <= chi2_bi + 0.02)
-    if degenerate:
-        principal = float(res_s.x[1])
-    else:
-        principal = float(tau2 if a2 * tau2 >= a1 * tau1 else tau1)
+    principal = float(single if degenerate else tau2 if areas[1] >= areas[0] else tau1)
     if t[-1] < 5.0 * principal:
         raise InsufficientDecayError(
             f"trace spans {t[-1]:.2f} ns, needs >= 5 principal lifetimes")
 
+    names = ("A1", "tau1_ns", "A2", "tau2_ns")
     return FitResult(
-        parameters={"A1": float(a1), "tau1_ns": float(tau1),
-                    "A2": float(a2), "tau2_ns": float(tau2),
-                    "principal_tau_ns": principal,
-                    "single_tau_ns": float(res_s.x[1])},
-        uncertainties={"A1": float(e_a1), "tau1_ns": float(e_t1),
-                       "A2": float(e_a2), "tau2_ns": float(e_t2)},
-        covariance=cov, reduced_chi2=chi2_bi,
-        converged=bool(res_bi.success and res_s.success),
-        model=_biexp(t, a1, tau1, a2, tau2),
+        parameters={**dict(zip(names, map(float, (a1, tau1, a2, tau2)))),
+                    "principal_tau_ns": principal, "single_tau_ns": float(single)},
+        uncertainties=dict(zip(names, map(float, err))),
+        covariance=cov, reduced_chi2=chi2_bi, converged=ok_bi and ok_single, model=model,
         flags={"degenerate": bool(degenerate),
                "chi2_single": chi2_single, "chi2_biexp": chi2_bi})
 

@@ -404,6 +404,18 @@ def test_fit_lifetime_command(tmp_path):
     assert float(report["tau2_ns"]) == pytest.approx(2.2, abs=0.1)
 
 
+def test_fit_lifetime_converges_on_a_single_exponential(tmp_path):
+    """The biexponential's second component carries no area on one clean
+    exponential; that is a converged fit, not an exhausted budget."""
+    trace = sf.synth_decay_trace([(2.2, 1.0)], peak_counts=1000.0, seed=4002)
+    data = tmp_path / "decay.csv"
+    dataio.write_table(data, [trace.time_ns, trace.counts], ["time_ns", "counts"])
+    rc = main(["fit", "lifetime", "--data", str(data), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_OK
+    report = _read_report(tmp_path / "o" / "fit_report.txt")
+    assert float(report["principal_tau_ns"]) == pytest.approx(2.2, abs=0.1)
+
+
 def test_fit_power_command(tmp_path):
     p, i = sf.synth_power_series(0.88, np.geomspace(5, 360, 12))
     data = tmp_path / "power.csv"
@@ -483,13 +495,16 @@ _GOLDEN_DECAY, _ = dataio.read_table(GOLDEN / "fit_inputs" / "decay.csv")
                  id="spectrum-text-gate"),
     pytest.param("peaks", _SPECTRUM_COLUMNS, {"power_uW": "abc"},
                  "data.csv: metadata power_uW", id="spectrum-text-power"),
-    # start lifetimes outside the fixed 1e-4 to 1e4 ns bounds of fit_lifetime
+    # start lifetimes outside the 1e-4 to 1e4 ns range that fit_lifetime accepts
     pytest.param("lifetime", {"time_ns": _GOLDEN_DECAY["time_ns"] * 1e10,
                               "counts": _GOLDEN_DECAY["counts"]}, {}, "time_ns",
                  id="lifetime-time-scaled-1e10"),
     pytest.param("lifetime", {"time_ns": _GOLDEN_DECAY["time_ns"] * 1e-100,
                               "counts": _GOLDEN_DECAY["counts"]}, {}, "time_ns",
                  id="lifetime-time-scaled-1e-100"),
+    pytest.param("lifetime", {"time_ns": _GOLDEN_DECAY["time_ns"] * 1e-300,
+                              "counts": _GOLDEN_DECAY["counts"]}, {}, "time_ns",
+                 id="lifetime-time-scaled-1e-300"),
 ])
 def test_bad_fit_input_is_one_line_input_error(tmp_path, capsys, what, columns, meta, field):
     """Empty, non-finite or degenerate fit inputs stop where they enter the

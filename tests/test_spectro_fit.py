@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dotdiode.constants import HC_EV_NM
-from dotdiode import spectro_fit as sf
+from dotdiode import dataio, spectro_fit as sf
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +289,46 @@ def test_biexponential_round_trip_within_three_sigma():
     assert fit.flags["chi2_single"] > fit.flags["chi2_biexp"]
 
 
+def test_biexponential_fit_is_stationary_on_the_golden_decay():
+    """At the returned (A1, tau1, A2, tau2) the gradient J^T r of the full
+    four-parameter residual vanishes, at the second pass's weights: those of
+    the first pass's model, refitted here on the full model by scipy."""
+    from scipy.optimize import least_squares
+
+    cols, _ = dataio.read_table(GOLDEN / "fit_inputs" / "decay.csv")
+    t, y = cols["time_ns"] - cols["time_ns"][0], cols["counts"]
+    fit = sf.fit_lifetime(sf.DecayTrace(time_ns=cols["time_ns"], counts=y))
+    theta = np.array([fit.parameters[k] for k in ("A1", "tau1_ns", "A2", "tau2_ns")])
+
+    def model(theta):
+        a1, tau1, a2, tau2 = theta
+        return a1 * np.exp(-t / tau1) + a2 * np.exp(-t / tau2)
+
+    def jac(theta):
+        a1, tau1, a2, tau2 = theta
+        e1, e2 = np.exp(-t / tau1), np.exp(-t / tau2)
+        return np.column_stack([e1, a1 * t / tau1**2 * e1, e2, a2 * t / tau2**2 * e2])
+
+    sigma = np.sqrt(np.maximum(y, 1.0))
+    first = least_squares(lambda th: (model(th) - y) / sigma, theta,
+                          jac=lambda th: jac(th) / sigma[:, None], method="lm",
+                          xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    w = 1.0 / np.sqrt(np.maximum(model(first.x), 1.0))
+    r, j = (model(theta) - y) * w, jac(theta) * w[:, None]
+    assert np.linalg.norm(j.T @ r) < 1e-6 * np.linalg.norm(j) * np.linalg.norm(r)
+
+
+def test_decay_on_a_flat_background_fits_without_overflow():
+    """A constant background acts as a second decay of unbounded lifetime:
+    the search runs tau2 out to where ln tau is clipped, with no overflow
+    warning, and the fit converges and collapses to one exponential."""
+    trace = sf.synth_decay_trace([(2.2, 1.0)], peak_counts=500.0)
+    counts = np.random.default_rng(4).poisson(trace.counts + 3.0).astype(float)
+    fit = sf.fit_lifetime(sf.DecayTrace(time_ns=trace.time_ns, counts=counts))
+    assert fit.converged and fit.flags["degenerate"]
+    assert fit.parameters["tau2_ns"] > 1e100
+
+
 def test_flat_trace_raises_insufficient_decay():
     trace = sf.DecayTrace(time_ns=np.linspace(0.0, 20.0, 200),
                           counts=np.full(200, 400.0))
@@ -302,7 +346,7 @@ _LINEAR_DATA = _DESIGN @ [1.0, -2.0, 0.5] + 0.1 * _RNG.normal(size=40)
 
 def _linear_fit(design):
     return sf._weighted_fit(lambda theta: design @ theta - _LINEAR_DATA,
-                            np.zeros(design.shape[1]), jac=lambda theta: design, method="lm")
+                            np.zeros(design.shape[1]), jac=lambda theta: design)
 
 
 def test_core_covariance_of_a_full_rank_linear_fit_is_chi2_inv_normal_matrix():
@@ -378,6 +422,7 @@ def test_lifetime_coverage():
         trace = sf.synth_decay_trace([(2.2, 1.0)], peak_counts=1000.0,
                                      seed=4000 + seed)
         fit = sf.fit_lifetime(trace)
+        assert fit.converged, seed
         if abs(fit.parameters["principal_tau_ns"] - 2.2) < 0.1:
             hits += 1
     assert hits >= 95
