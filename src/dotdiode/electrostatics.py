@@ -58,6 +58,7 @@ wrapper, from scipy's ``_flapack`` extension, loaded without ``scipy.linalg``.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import os
@@ -72,14 +73,21 @@ from . import constants, dataio
 from .device import doping_profile, element_profile
 from .materials import lookup_material
 
-# LAPACK (dgtsv here, dgbtrf and dgbtrs in transport) is loaded from scipy's _flapack file
-# in 4-10 ms; the scipy.linalg package would add 0.14-0.27 s (numpy.f2py, .testing, .ma).
-_LAPACK_DIR = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-_LAPACK_SPEC = PathFinder.find_spec("scipy.linalg._flapack", [_LAPACK_DIR])
-if _LAPACK_SPEC is None:
-    raise ImportError(f"scipy's LAPACK extension _flapack is not in {_LAPACK_DIR}")
-_flapack = importlib.util.module_from_spec(_LAPACK_SPEC)
-_LAPACK_SPEC.loader.exec_module(_flapack)
+
+@functools.cache
+def _load_scipy_extension(package, name, kind):
+    """scipy's extension file `name` in scipy/`package`, loaded once, without the package."""
+    directory = os.path.join(os.path.dirname(scipy.__file__), package)
+    spec = PathFinder.find_spec(f"scipy.{package}.{name}", [directory])
+    if spec is None:
+        raise ImportError(f"scipy's {kind} extension {name} is not in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# LAPACK (dgtsv here, dgbtrf, dgbtrs in transport): 4-10 ms; scipy.linalg would add 0.14-0.27 s.
+_flapack = _load_scipy_extension("linalg", "_flapack", "LAPACK")
 dgtsv = _flapack.dgtsv
 
 _SQRT_PI = math.sqrt(math.pi)

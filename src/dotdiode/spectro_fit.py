@@ -35,10 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants
-
-# scipy.optimize and scipy.special are imported inside the functions that
-# use them: scipy.optimize is about a third of the import time of the CLI,
-# whose solver commands never need either.
+from .electrostatics import _load_scipy_extension    # MINPACK and erfcx, on first use
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
@@ -252,12 +249,32 @@ def _covariance(jac, cost):
     return cov, np.sqrt(np.maximum(np.diag(cov), 0.0)), chi2
 
 
-def _weighted_fit(residual, start, **options):
-    """scipy.optimize.least_squares, method "lm": the result, then its `_covariance`."""
-    from scipy.optimize import least_squares
+def _weighted_fit(residual, start, jac=None, xtol=1e-8, ftol=1e-8, gtol=1e-8, max_nfev=None):
+    """MINPACK's lmder (More, Lecture Notes in Math. 630, 105 (1978)), called and differenced
+    as least_squares(method="lm") does: x, cost 0.5 f.f, success and the Jacobian function."""
+    last = [None] * 3           # the point last evaluated, its residual and differenced Jacobian
 
-    res = least_squares(residual, start, method="lm", **options)
-    return (res, *_covariance(res.jac, res.cost))
+    def fun(x):
+        if not np.array_equal(x, last[0]):
+            last[:] = x.copy(), residual(x), None
+        return last[1]
+
+    def forward_difference(x):      # steps 2**-26 = sqrt(eps) relative; f0 as last evaluated
+        fun(x)
+        x0, f0, j0 = last
+        if j0 is None:
+            h = 2.0 ** -26 * np.where(x0 >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x0))
+            steps = np.where(np.eye(x0.size, dtype=bool), x0 + h, x0)
+            last[2] = np.array([residual(x1) - f0 for x1 in steps]).T / ((x0 + h) - x0)
+        return last[2]
+
+    x0 = np.array(start, dtype=float)
+    if not np.all(np.isfinite(fun(x0))):
+        raise ValueError("Residuals are not finite in the initial point.")
+    jac = jac or forward_difference
+    x, info, status = _load_scipy_extension("optimize", "_minpack", "MINPACK")._lmder(
+        fun, jac, x0, (), True, False, ftol, xtol, gtol, max_nfev or 100 * x0.size, 100.0, None)
+    return x, 0.5 * np.dot(info["fvec"], info["fvec"]), status in (1, 2, 3, 4), jac
 
 
 def _half_max_width(x, residual, i0, grid_step):
@@ -306,18 +323,17 @@ def fit_peaks(spectrum, n_peaks=1, snr_gate=5.0, shape="lorentzian"):
         residual = residual - _SHAPES[shape](x, x[i0], w0, amp0)
 
     sigma = np.sqrt(np.maximum(y, 1.0))
-    analytic = ({"jac": lambda theta: _multi_lorentz_jacobian(x, theta) / sigma[:, None]}
-                if shape == "lorentzian" else {})
-    res, _, sigmas, _ = _weighted_fit(
-        lambda theta: (_multi_peak_model(x, theta, shape) - y) / sigma,
-        np.asarray(params, dtype=float), xtol=1e-12, ftol=1e-12, gtol=1e-12,
-        max_nfev=20000, **analytic)
-    converged = bool(res.success)
+    fit, cost, converged, jac = _weighted_fit(
+        lambda theta: (_multi_peak_model(x, theta, shape) - y) / sigma, params,
+        (lambda theta: _multi_lorentz_jacobian(x, theta) / sigma[:, None])
+        if shape == "lorentzian" else None,
+        xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=20000)
+    sigmas = _covariance(jac(fit), cost)[1]
 
-    bg = res.x[0]
+    bg = fit[0]
     accepted, discarded = [], []
     for k in range(n_peaks):
-        amp, center, fwhm = res.x[1 + 3 * k: 4 + 3 * k]
+        amp, center, fwhm = fit[1 + 3 * k: 4 + 3 * k]
         fwhm = abs(fwhm)
         snr = amp / bg if bg > 0 else math.inf
         peak = PeakFit(
@@ -452,7 +468,7 @@ def antibunching_dip(tau_ns, tau_c_ns, irf_sigma_ns):
     if irf_sigma_ns == 0.0:
         out = np.exp(-t / tau_c_ns)
         return out if out.ndim else float(out)
-    from scipy.special import erfcx
+    erfcx = _load_scipy_extension("special", "_special_ufuncs", "special-function").erfcx
     a = irf_sigma_ns / (math.sqrt(2.0) * tau_c_ns)
     with np.errstate(over="ignore"):    # b and b*b reach inf only where exp(-b*b) is 0
         b = t / (math.sqrt(2.0) * irf_sigma_ns)
@@ -515,11 +531,12 @@ def fit_g2(trace):
         raise NormalizationError(
             f"trace spans {tau_max:.2f} ns, needs >= 5 correlation times")
 
-    res, cov, err, reduced_chi2 = _weighted_fit(
+    fit, cost, converged, jac = _weighted_fit(
         lambda th: (g2_model(tau, th[0], np.exp(th[1]), trace.irf_sigma_ns,
                              trace.bin_width_ns, np.exp(th[2])) - y) / sigma,
         [max(g0_raw, 0.0), math.log(tau_c0), 0.0], xtol=1e-13, ftol=1e-13, max_nfev=5000)
-    g0_fit, tau_c_fit, norm_fit = res.x[0], *np.exp(res.x[1:])
+    cov, err, reduced_chi2 = _covariance(jac(fit), cost)
+    g0_fit, tau_c_fit, norm_fit = fit[0], *np.exp(fit[1:])
     scale = np.array([1.0, tau_c_fit, norm_fit])       # d(value) / d(fitted parameter)
     cov, err = cov * np.outer(scale, scale), err * scale
     identifiable = (1.0 - g0_fit) > max(3.0 * err[0], 1e-3)
@@ -532,7 +549,7 @@ def fit_g2(trace):
                     "tau_c_ns": float(tau_c_fit), "norm": float(norm_fit)},
         uncertainties={"g0_deconvolved": float(err[0]),
                        "tau_c_ns": float(err[1]), "norm": float(err[2])},
-        covariance=cov, reduced_chi2=reduced_chi2, converged=bool(res.success),
+        covariance=cov, reduced_chi2=reduced_chi2, converged=converged,
         model=plateau * g2_model(tau, float(g0_fit), float(tau_c_fit), trace.irf_sigma_ns,
                                  trace.bin_width_ns, float(norm_fit)),
         flags={"tau_c_identifiable": bool(identifiable)})
@@ -584,12 +601,12 @@ def _decay_fit(t, y, log_tau):
     model = y
     for _ in range(2):
         w = 1.0 / np.sqrt(np.maximum(model, 1.0))
-        res = _weighted_fit(lambda lt: (_decays(t, y, w, lt)[3] - y) * w, log_tau,
-                            xtol=1e-11, ftol=1e-11)[0]
-        log_tau = np.sort(res.x)
+        log_tau, cost, converged, _ = _weighted_fit(
+            lambda lt: (_decays(t, y, w, lt)[3] - y) * w, log_tau, xtol=1e-11, ftol=1e-11)
+        log_tau = np.sort(log_tau)
         tau, decay, amp, model = _decays(t, y, w, log_tau)
     jac = np.stack([decay, decay * (t[:, None] / tau) * amp / tau], axis=2).reshape(t.size, -1)
-    return (amp, tau, model, bool(res.success), *_covariance(jac * w[:, None], res.cost))
+    return (amp, tau, model, converged, *_covariance(jac * w[:, None], cost))
 
 
 def fit_lifetime(trace):

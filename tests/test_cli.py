@@ -1034,6 +1034,48 @@ def test_a_missing_lapack_extension_fails_the_import_naming_its_directory(tmp_pa
                                             f"is not in {tmp_path / 'scipy' / 'linalg'}")
 
 
+def _run_main_in_fresh_interpreter(argv, env=None):
+    """A fresh interpreter's `main(argv)`; its stdout line is the exit code
+    and the scipy subpackages then in sys.modules."""
+    code = ("import sys; from dotdiode.cli import main; rc = main(%r); "
+            "print(rc, sorted({m.split('.')[1] for m in sys.modules if m.count('.') == 1 "
+            "and m.startswith('scipy.')}))" % (argv,))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env or _fresh_interpreter_env())
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "peaks", "--shape", "voigt", "--data", str(GOLDEN / "fit_inputs" / "voigt.csv")],
+    ["fit", "g2", "--data", _g2_reference_path()],
+    ["fit", "lifetime", "--data", str(GOLDEN / "fit_inputs" / "decay.csv")],
+], ids=["peaks-voigt", "g2", "lifetime"])
+def test_a_fit_process_loads_neither_scipy_optimize_nor_scipy_special(tmp_path, argv):
+    """A fit takes MINPACK and erfcx from scipy's extension files, as the
+    solvers take LAPACK: the two packages would add about 0.4 s to a fit."""
+    proc = _run_main_in_fresh_interpreter([*argv, "--out", str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    rc, _, loaded = proc.stdout.strip().partition(" ")
+    assert int(rc) == EXIT_OK
+    assert "optimize" not in loaded and "special" not in loaded, loaded
+
+
+def test_a_missing_minpack_extension_fails_a_fit_naming_its_directory(tmp_path):
+    """A scipy without optimize/_minpack still imports the CLI, whose LAPACK
+    stand-in here is a Python file; the first fit then names the directory."""
+    (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+    (tmp_path / "scipy" / "optimize").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    (tmp_path / "scipy" / "linalg" / "_flapack.py").write_text("dgtsv = dgbtrf = dgbtrs = None\n")
+    env = _fresh_interpreter_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+    proc = _run_main_in_fresh_interpreter(
+        ["fit", "peaks", "--data", str(GOLDEN / "fit_inputs" / "peaks3.csv"),
+         "--out", str(tmp_path / "o")], env)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == ("ImportError: scipy's MINPACK extension _minpack "
+                                            f"is not in {tmp_path / 'scipy' / 'optimize'}")
+
+
 def test_synthmap_matches_golden(tmp_path):
     rc = main(["synthmap", "--seed", "42", "--vmin", "0.85", "--vmax", "1.35",
                "--nv", "11", "--lmin", "1529", "--lmax", "1539", "--nl", "201",

@@ -400,7 +400,7 @@ def test_tridiag_solve_matches_solve_banded_bit_for_bit():
 def test_loaded_lapack_matches_scipy_linalg_lapack_bit_for_bit():
     """The routines loaded from scipy's _flapack file give what
     scipy.linalg.lapack's give, bit for bit, also with scipy.linalg imported
-    in the same process, as a fit's scipy.optimize imports it."""
+    in the same process, as a script that uses scipy beside dotdiode may."""
     from scipy.linalg import lapack
     rng = np.random.default_rng(7)
     kl, ku, size = 4, 5, 64

@@ -345,13 +345,14 @@ _LINEAR_DATA = _DESIGN @ [1.0, -2.0, 0.5] + 0.1 * _RNG.normal(size=40)
 
 
 def _linear_fit(design):
-    return sf._weighted_fit(lambda theta: design @ theta - _LINEAR_DATA,
-                            np.zeros(design.shape[1]), jac=lambda theta: design)
+    x, cost, _, jac = sf._weighted_fit(lambda theta: design @ theta - _LINEAR_DATA,
+                                       np.zeros(design.shape[1]), jac=lambda theta: design)
+    return (x, *sf._covariance(jac(x), cost))
 
 
 def test_core_covariance_of_a_full_rank_linear_fit_is_chi2_inv_normal_matrix():
-    res, cov, err, chi2 = _linear_fit(_DESIGN)
-    resid = _DESIGN @ res.x - _LINEAR_DATA
+    x, cov, err, chi2 = _linear_fit(_DESIGN)
+    resid = _DESIGN @ x - _LINEAR_DATA
     assert chi2 == pytest.approx(resid @ resid / (40 - 3), rel=1e-12)
     expected = chi2 * np.linalg.inv(_DESIGN.T @ _DESIGN)
     np.testing.assert_allclose(cov, expected, rtol=1e-12, atol=0.0)
@@ -370,6 +371,72 @@ def test_core_drops_the_null_direction_of_a_duplicated_column():
     np.testing.assert_allclose(np.diag(cov)[[0, 3]], full[0, 0] / 4.0, rtol=1e-9)
     difference = np.array([1.0, 0.0, 0.0, -1.0])
     assert abs(difference @ cov @ difference) < 1e-12 * np.trace(cov)
+
+
+def _peak_problem(shape, max_nfev=20000):
+    """fit_peaks' residual (and, for the Lorentzian, its Jacobian) on two
+    seeded lines, from start values a little off the truth."""
+    wl = np.linspace(1529.5, 1531.5, 401)
+    y = sf.synth_spectrum(wl, [(1530.3, 0.05, 300.0), (1530.9, 0.08, 150.0)],
+                          background=10.0, seed=3).counts
+    sigma = np.sqrt(np.maximum(y, 1.0))
+    jac = ((lambda th: sf._multi_lorentz_jacobian(wl, th) / sigma[:, None])
+           if shape == "lorentzian" else None)
+    return ((lambda th: (sf._multi_peak_model(wl, th, shape) - y) / sigma),
+            [10.0, 250.0, 1530.31, 0.06, 120.0, 1530.89, 0.07], jac,
+            {"xtol": 1e-12, "ftol": 1e-12, "gtol": 1e-12, "max_nfev": max_nfev})
+
+
+def _g2_problem():
+    """fit_g2's residual in (g0, ln tau_c, ln norm) on a seeded binned trace;
+    lm stops on the gradient test, right after a Jacobian at x."""
+    trace = sf.synth_g2_trace(0.2, 1.5, 0.3, 0.256, seed=7)
+    y = trace.coincidences / 1000.0
+    sigma = np.sqrt(np.maximum(trace.coincidences, 1.0)) / 1000.0
+    return ((lambda th: (sf.g2_model(trace.delay_ns, th[0], np.exp(th[1]), 0.3, 0.256,
+                                     np.exp(th[2])) - y) / sigma),
+            [0.3, 0.0, 0.0], None, {"xtol": 1e-13, "ftol": 1e-13, "max_nfev": 5000})
+
+
+_LM_PROBLEMS = {
+    "lorentzian-analytic": lambda: _peak_problem("lorentzian"),
+    "voigt-difference": lambda: _peak_problem("voigt"),
+    "voigt-out-of-budget": lambda: _peak_problem("voigt", max_nfev=3),
+    "g2-difference": _g2_problem,
+}
+
+
+@pytest.mark.parametrize("problem", _LM_PROBLEMS)
+def test_weighted_fit_matches_scipy_least_squares_lm_bit_for_bit(problem):
+    """_weighted_fit calls scipy's private MINPACK binding as
+    least_squares(method="lm") calls it, and differences and reuses residuals
+    as it does: x, cost, the final Jacobian and success agree bit for bit, with
+    as many residual evaluations, so a change to that private call or to
+    scipy's differencing shows here."""
+    from scipy.optimize import least_squares
+
+    residual, start, jac, options = _LM_PROBLEMS[problem]()
+    calls = []
+
+    def counted(theta):
+        calls.append(theta)
+        return residual(theta)
+
+    x, cost, success, jac_at = sf._weighted_fit(counted, start, jac, **options)
+    final_jac, evaluations = jac_at(x), len(calls)
+    ref = least_squares(counted, start, jac=jac or "2-point", method="lm", **options)
+    assert np.array_equal(x, ref.x)
+    assert cost == ref.cost
+    assert np.array_equal(final_jac, ref.jac)
+    assert success == ref.success == (problem != "voigt-out-of-budget")
+    assert evaluations == len(calls) - evaluations
+
+
+def test_loaded_erfcx_is_scipy_special_erfcx():
+    import scipy.special
+
+    loaded = sf._load_scipy_extension("special", "_special_ufuncs", "special-function")
+    assert loaded.erfcx is scipy.special.erfcx
 
 
 # ---------------------------------------------------------------------------
