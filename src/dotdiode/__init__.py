@@ -3,12 +3,11 @@
 __version__ = "0.1.0"
 
 from .materials import lookup_material, band_offsets, mobility
-from .device import (Layer, LayerStack, parse_stack, serialize_stack,
-                     build_mesh, doping_profile, load_reference_stack)
+from .device import (Layer, LayerStack, parse_stack, build_mesh, doping_profile,
+                     load_reference_stack)
 from .electrostatics import (BandDiagram, fermi_half, solve_bias, band_sweep,
                              field_lever_arm)
-from .transport import (IVPoint, IVCurve,
-                        solve_drift_diffusion, iv_sweep)
+from .transport import IVPoint, IVCurve, iv_sweep
 from .qd_model import (ExcitonLine, FssModel, ChargeLadder, stark_energy,
                        stark_wavelength, tuning_range, fss_at, occupancy_at,
                        synth_emission_map, load_reference_lines,
@@ -20,11 +19,10 @@ from .spectro_fit import (Spectrum, PeakFit, G2Trace, DecayTrace, FitResult,
 __all__ = [
     "__version__",
     "lookup_material", "band_offsets", "mobility",
-    "Layer", "LayerStack", "parse_stack", "serialize_stack", "build_mesh",
-    "doping_profile", "load_reference_stack",
+    "Layer", "LayerStack", "parse_stack", "build_mesh", "doping_profile",
+    "load_reference_stack",
     "BandDiagram", "fermi_half", "solve_bias", "band_sweep", "field_lever_arm",
-    "IVPoint", "IVCurve", "solve_drift_diffusion",
-    "iv_sweep",
+    "IVPoint", "IVCurve", "iv_sweep",
     "ExcitonLine", "FssModel", "ChargeLadder", "stark_energy",
     "stark_wavelength", "tuning_range", "fss_at", "occupancy_at",
     "synth_emission_map", "load_reference_lines", "load_charge_ladder",

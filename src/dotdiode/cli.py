@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, constants, dataio
-from .device import parse_stack, build_mesh, load_reference_stack
+from .device import build_mesh, load_reference_stack
 from .electrostatics import NonConvergenceError, band_sweep, field_lever_arm
 # perfbench/test_perfbench.py checks that its tracer wraps this binding
 from .electrostatics import solve_bias  # noqa: F401
@@ -78,7 +78,7 @@ def _outdir(args):
 
 
 def _stack_and_mesh(args):
-    stack = load_reference_stack() if args.device is None else parse_stack(args.device)
+    stack = load_reference_stack(args.device)
     return stack, build_mesh(stack, args.max_spacing, args.fine_spacing, args.refine_width)
 
 
@@ -318,7 +318,7 @@ def build_parser():
 
     solver = argparse.ArgumentParser(add_help=False)    # bandedges and iv only
     solver.add_argument("--device", default=None,
-                        help="device config JSON (default: bundled reference diode)")
+                        help="device config JSON file (default: bundled reference diode)")
     solver.add_argument("--max-spacing", type=float, default=2.0, dest="max_spacing")
     solver.add_argument("--fine-spacing", type=float, default=0.125, dest="fine_spacing")
     solver.add_argument("--refine-width", type=float, default=10.0, dest="refine_width")

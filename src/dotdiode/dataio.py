@@ -24,13 +24,17 @@ from a half-integer, rint rounds it as "%.12e" does. The values near a tie
 very small value are written by format_float itself, so the text is
 byte-identical to "%.12e" % x for every float.
 
-check_json checks a parsed JSON configuration (a device, lines or ladder
-file) against a small schema and names the file and field of a mismatch.
+load_json reads each JSON configuration (a device, lines or ladder file,
+bundled or the user's) and check_json checks it against a small schema,
+naming the file and field of a mismatch.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -252,6 +256,18 @@ def write_report(path, title, sections):
         lines += [f"{key} = {_text(value)}" for key, value in entries.items()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def load_json(path, bundled):
+    """(document, name) of the JSON file at `path`, or of the bundled data
+    file `bundled` if `path` is None; name is the file's name for messages.
+    Invalid JSON raises ValueError naming the file."""
+    name = bundled if path is None else str(path)
+    source = resources.files("dotdiode.data").joinpath(bundled) if path is None else Path(path)
+    try:
+        return json.loads(source.read_text()), name
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{name}: invalid JSON ({exc})") from None
 
 
 def check_json(value, kind, where):

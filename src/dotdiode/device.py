@@ -1,8 +1,9 @@
 """Device description, 1D mesh generation and doping/permittivity profiles.
 
 A device is an ordered stack of layers, substrate side first. Stacks load
-from JSON (schema below); the bundled ``device_fig1a.json`` is the golden
-reference input used throughout the test suite.
+from JSON (schema below) through ``load_reference_stack``, which reads the
+bundled ``device_fig1a.json``, the golden reference input used throughout
+the test suite, or a user file.
 
 JSON schema::
 
@@ -24,18 +25,15 @@ arithmetic on the layer table, so repeated builds are byte-identical and
 halving the spacings never moves boundary nodes.
 
 Profile conventions: quantities are piecewise constant per layer. Node
-arrays sample them with a substrate-side tie-break for doping at interface
-nodes and an adjacent-layer average for permittivity; the element arrays
-(one value per mesh interval, taken from the layer containing the interval)
-are the authoritative accounting, and integrate to the exact layer sheet
-densities.
+arrays hold only doping, sampled with a substrate-side tie-break at
+interface nodes; the element arrays (one value per mesh interval, taken
+from the layer containing the interval) carry the permittivity too, are the
+authoritative accounting, and integrate to the exact layer sheet densities.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict
-from importlib import resources
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,10 +100,11 @@ class LayerStack:
         edges = np.concatenate([[0.0], np.cumsum([l.thickness_nm for l in self.layers])])
         return edges
 
-    def contact_layer_indices(self, threshold=DOPED_CONTACT_THRESHOLD):
+    def contact_layer_indices(self):
         """Index ranges of the two contacts: the contiguous doped block at
-        each end of the stack (doped means total doping >= threshold)."""
-        doped = [l.donor_cm3 + l.acceptor_cm3 >= threshold for l in self.layers]
+        each end of the stack (doped means total doping >=
+        ``DOPED_CONTACT_THRESHOLD``)."""
+        doped = [l.donor_cm3 + l.acceptor_cm3 >= DOPED_CONTACT_THRESHOLD for l in self.layers]
         if not any(doped):
             return None
         first = doped.index(True)
@@ -118,9 +117,9 @@ class LayerStack:
             top_start -= 1
         return bottom_end, top_start
 
-    def intrinsic_thickness_nm(self, threshold=DOPED_CONTACT_THRESHOLD):
+    def intrinsic_thickness_nm(self):
         """Total thickness between the doped contact blocks (None if undoped)."""
-        contacts = self.contact_layer_indices(threshold)
+        contacts = self.contact_layer_indices()
         if contacts is None:
             return None
         bottom_end, top_start = contacts
@@ -129,41 +128,24 @@ class LayerStack:
         return float(sum(l.thickness_nm for l in self.layers[bottom_end + 1:top_start]))
 
 
-def parse_stack(source):
-    """Build a validated LayerStack from a JSON document.
+def parse_stack(doc, where="device"):
+    """Build a validated LayerStack from the parsed JSON document `doc`.
 
-    `source` may be a JSON string, a dict, or a path to a JSON file.
-    Schema violations raise SchemaError naming the file (or "device") and
-    the offending field, with its layer index.
+    Schema violations raise SchemaError naming `where` (the file) and the
+    offending field, with its layer index.
     """
-    where = "device"
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            where = text
-            with open(text, "r") as fh:
-                text = fh.read()
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from exc
     try:
         dataio.check_json(doc, _STACK_SCHEMA, where)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
     if not doc["layers"]:
-        raise SchemaError("'layers' list must not be empty")
+        raise SchemaError(f"{where}: 'layers' list must not be empty")
     temperature = doc.get("temperature_K", 300.0)
 
     layers = []
     for idx, entry in enumerate(doc["layers"]):
         try:
             lookup_material(entry["material"], temperature)
-        except UnknownMaterialError as exc:
-            raise SchemaError(f"layer {idx}: {exc.args[0]}") from exc
-        try:
             layers.append(Layer(
                 material=entry["material"],
                 thickness_nm=float(entry["thickness_nm"]),
@@ -171,26 +153,19 @@ def parse_stack(source):
                 acceptor_cm3=float(entry.get("acceptor_cm3", 0.0)),
                 label=entry.get("label", ""),
             ))
-        except ValueError as exc:
-            raise SchemaError(f"layer {idx}: {exc}") from exc
-    return LayerStack(layers=tuple(layers), temperature=float(temperature),
-                      name=doc.get("name", ""))
+        except (UnknownMaterialError, ValueError) as exc:
+            raise SchemaError(f"{where}: layer {idx}: {exc.args[0]}") from None
+    try:
+        return LayerStack(layers=tuple(layers), temperature=float(temperature),
+                          name=doc.get("name", ""))
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
-def serialize_stack(stack):
-    """Inverse of parse_stack: LayerStack -> JSON string (round-trips)."""
-    doc = {
-        "name": stack.name,
-        "temperature_K": stack.temperature,
-        "layers": [asdict(l) for l in stack.layers],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def load_reference_stack():
-    """The bundled reference diode configuration (device_fig1a.json)."""
-    text = resources.files("dotdiode.data").joinpath("device_fig1a.json").read_text()
-    return parse_stack(text)
+def load_reference_stack(path=None):
+    """The bundled reference diode configuration (device_fig1a.json), or the
+    device file at `path`. A malformed file raises ValueError naming it."""
+    return parse_stack(*dataio.load_json(path, "device_fig1a.json"))
 
 
 @dataclass(frozen=True)
@@ -200,13 +175,11 @@ class Mesh1D:
     `node_layer` assigns each node to a layer with the substrate-side
     tie-break at boundaries (a boundary node belongs to the layer below
     it); `element_layer` assigns each interval to its containing layer.
-    `interface_ids` are node indices of internal layer boundaries.
     """
 
     nodes: np.ndarray
     node_layer: np.ndarray
     element_layer: np.ndarray
-    interface_ids: np.ndarray
     stack_fingerprint: tuple = field(repr=False, default=())
 
     @property
@@ -266,21 +239,15 @@ def build_mesh(stack, max_spacing=2.0, fine_spacing=0.125, refine_width=10.0):
     nodes = np.asarray(nodes)
 
     # boundary nodes must be exact, not linspace output
-    interface_ids = []
-    for k, edge in enumerate(edges):
-        idx = int(np.argmin(np.abs(nodes - edge)))
-        nodes[idx] = edge
-        if 0 < k < len(edges) - 1:
-            interface_ids.append(idx)
+    for edge in edges:
+        nodes[np.argmin(np.abs(nodes - edge))] = edge
 
     node_layer = np.searchsorted(edges, nodes, side="left") - 1
     node_layer[0] = 0
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     element_layer = np.searchsorted(edges, mids, side="left") - 1
 
-    mesh = Mesh1D(nodes=nodes, node_layer=node_layer,
-                  element_layer=element_layer,
-                  interface_ids=np.asarray(interface_ids, dtype=int),
+    mesh = Mesh1D(nodes=nodes, node_layer=node_layer, element_layer=element_layer,
                   stack_fingerprint=_stack_fingerprint(stack))
     _check_mesh(mesh, stack, max_spacing, fine_spacing, refine_width)
     return mesh
@@ -315,21 +282,14 @@ def _layer_table(stack, mesh):
 
 
 def doping_profile(stack, mesh):
-    """Per-node (N_D, N_A, eps_r) arrays sampled from the layer table.
+    """Per-node (N_D, N_A) arrays sampled from the layer table.
 
-    Doping at interface nodes takes the substrate-side layer's value;
-    permittivity at interface nodes is the average of the two adjacent
-    layers. For exact integrals use element_profile, whose values
-    integrate to sum(thickness * density) per layer to < 1e-12 relative.
+    Doping at interface nodes takes the substrate-side layer's value. For
+    exact integrals use element_profile, whose values integrate to
+    sum(thickness * density) per layer to < 1e-12 relative.
     """
-    nd_layer, na_layer, eps_layer = _layer_table(stack, mesh)
-    nd = nd_layer[mesh.node_layer]
-    na = na_layer[mesh.node_layer]
-    eps = eps_layer[mesh.node_layer].astype(float)
-    for idx in mesh.interface_ids:
-        below = mesh.node_layer[idx]
-        eps[idx] = 0.5 * (eps_layer[below] + eps_layer[below + 1])
-    return nd, na, eps
+    nd_layer, na_layer, _ = _layer_table(stack, mesh)
+    return nd_layer[mesh.node_layer], na_layer[mesh.node_layer]
 
 
 def element_profile(stack, mesh):

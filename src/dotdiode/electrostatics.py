@@ -287,7 +287,7 @@ def build_device_arrays(stack, mesh):
 
     T = stack.temperature
     mats = [lookup_material(l.material, T) for l in stack.layers]
-    nd_n, na_n, _ = doping_profile(stack, mesh)
+    nd_n, na_n = doping_profile(stack, mesh)
     nd_el, na_el, eps_el = element_profile(stack, mesh)
 
     nc_layer = np.array([m.nc() for m in mats])
@@ -455,13 +455,6 @@ def _electric_field(x_cm, phi):
     return field
 
 
-def _make_diagram(stack, mesh, arr, phi, n, p, efn, efp, bias, converged, update):
-    return BandDiagram(
-        mesh=mesh, phi=phi, Ec=arr.Ec0 - phi, Ev=arr.Ev0 - phi, n=n, p=p,
-        field=_electric_field(arr.x, phi), efn=efn, efp=efp, bias=bias,
-        temperature=stack.temperature, converged=converged, newton_update=update)
-
-
 def quasi_fermi_split(stack, mesh, bias):
     """Quasi-Fermi-level profile for the gated solve: 0 below mid-device,
     -bias at and above it."""
@@ -519,12 +512,12 @@ def _secant(a, b, v):
     return x_b + t * (x_b - x_a)
 
 
-def _walk(biases, origin, solve, step):
+def _walk(biases, origin, solve):
     """(bias, result) for each distinct bias as it is solved, by the walk of
     the module docstring from the state `origin` at 0 V in rungs of at most
-    `step` volts. solve(v, x, final) solves the rung at v from the start
-    state x, `final` when v is a bias; it returns the converged state and the
-    bias's result, or None and a NonConvergenceError.
+    ``CONTINUATION_STEP`` volts. solve(v, x, final) solves the rung at v from
+    the start state x, `final` when v is a bias; it returns the converged
+    state and the bias's result, or None and a NonConvergenceError.
     """
     order = sorted(set(biases))
     if not order:
@@ -535,7 +528,7 @@ def _walk(biases, origin, solve, step):
     for branch in ([b for b in order if b > 0.0], [b for b in order[::-1] if b < 0.0]):
         side, failed = zero, {}     # the last two converged rungs; rungs failed from them
         for bias in branch:
-            rungs, retry = _bias_ladder(side[-1][0], bias, step), True
+            rungs, retry = _bias_ladder(side[-1][0], bias, CONTINUATION_STEP), True
             while rungs:
                 v = rungs.pop(0)
                 key = (v, v == bias)
@@ -583,10 +576,14 @@ def _sweep(stack, mesh, biases, statistics):
                 f"Poisson solve at V = {v:.4f} V did not converge in "
                 f"{NEWTON_MAX_ITERATIONS} iterations (last scaled update {update:.3e})",
                 history)
-        return phi, (_make_diagram(stack, mesh, arr, phi, n, p, efn, efn, v, True, update)
-                     if final else None)
+        if not final:
+            return phi, None
+        return phi, BandDiagram(
+            mesh=mesh, phi=phi, Ec=arr.Ec0 - phi, Ev=arr.Ev0 - phi, n=n, p=p,
+            field=_electric_field(arr.x, phi), efn=efn, efp=efn, bias=v,
+            temperature=stack.temperature, converged=True, newton_update=update)
 
-    yield from _walk(biases, phi_n, rung, CONTINUATION_STEP)
+    yield from _walk(biases, phi_n, rung)
 
 
 def field_lever_arm(bias, d_i_nm):

@@ -7,8 +7,8 @@ gate voltage through the lever arm F = V / d_i. The bundled reference
 lines are calibrated so that each species reproduces its measured tuning
 range over the 0.59-1.96 V sweep window with the parabola vertex pinned
 at the window's low edge (monotone red shift across the window); the
-calibration solves a 1D root problem whose oracle is a dense rescan of
-the resulting range.
+calibration finds the polarizability by a ``brentq`` root solve of the
+window's closed-form wavelength span.
 
 Charge occupancy versus gate voltage is empirical: an ordered ladder of
 region edges with an electron count and a set of active species per
@@ -22,10 +22,7 @@ no fine structure by construction.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -261,28 +258,16 @@ def synth_emission_map(lines, ladder, gate_V, wavelength_nm, linewidth_ueV=30.0,
     return EmissionMap(gate_V=gate_V, wavelength_nm=wavelength_nm, intensity=intensity)
 
 
-def _load_json(path, bundled, schema):
-    """The JSON file at `path` (bundled data file `bundled` if None), checked
-    against `schema` by `dataio.check_json`."""
-    name = bundled if path is None else str(path)
-    source = resources.files("dotdiode.data").joinpath(bundled) if path is None else Path(path)
-    try:
-        doc = json.loads(source.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{name}: invalid JSON ({exc})") from None
-    dataio.check_json(doc, schema, name)
-    return doc
-
-
 def load_reference_lines(path=None):
     """The bundled calibrated emission lines (or a user lines file). A
     missing or mistyped field raises ValueError naming the file and the
     field, with its record index."""
-    doc = _load_json(path, "reference_lines.json", {"lines": [{
+    doc, name = dataio.load_json(path, "reference_lines.json")
+    dataio.check_json(doc, {"lines": [{
         "species": str, "E0_eV": float, "dipole_enm": float, "polarizability_ueV": float,
         "relative_brightness?": float, "fss?": {
             "delta_ref_ueV": float, "slope_ueV_per_V": float, "V_ref": float,
-            "floor_ueV?": float}}]})
+            "floor_ueV?": float}}]}, name)
     return [ExcitonLine(
         species=rec["species"], E0_eV=rec["E0_eV"], dipole_enm=rec["dipole_enm"],
         polarizability_ueV=rec["polarizability_ueV"],
@@ -295,8 +280,9 @@ def load_reference_lines(path=None):
 def load_charge_ladder(path=None):
     """The bundled charge-state ladder (or a user ladder file). A missing or
     mistyped field raises ValueError naming the file and the field."""
-    doc = _load_json(path, "charge_ladder.json", {
-        "region_edges_V": [float], "occupancy": [float], "active_species": [[str]]})
+    doc, name = dataio.load_json(path, "charge_ladder.json")
+    dataio.check_json(doc, {
+        "region_edges_V": [float], "occupancy": [float], "active_species": [[str]]}, name)
     return ChargeLadder(region_edges=tuple(doc["region_edges_V"]),
                         occupancy=tuple(doc["occupancy"]),
                         active_species=tuple(tuple(s) for s in doc["active_species"]))

@@ -101,7 +101,7 @@ phenomenologically.
 ``iv_sweep`` hands the walk of the ``electrostatics`` module docstring the
 Newton rung in the dark or the Gummel rung under generation; both answer
 iterate(x, bias, final) from the walk's start state x, and finalize(x,
-bias) with the potential, densities, levels and current of a solved state.
+bias) with the element current of a solved state.
 The Gummel state is one (8, N) array of the cycle map's rows (potential,
 quasi-Fermi levels, degeneracy terms, ln n, ln p, recombination rate),
 seeded by the 0 V Poisson solution, which the secant predictor
@@ -111,7 +111,6 @@ Gummel rung iterates to the loose ``QF_TOLERANCE_CONTINUATION`` within
 ``QF_TOLERANCE`` within ``MAX_GUMMEL`` at it; a Newton rung always to its
 full tolerances. A point counts the iterations run since the previous
 point, Newton steps or Gummel cycles, in ``IVPoint.gummel_iterations``.
-``solve_drift_diffusion`` is a one-bias sweep.
 
 Sign convention: reported currents are positive when a positive gate
 voltage drives conventional current through the device (resistor-like IV
@@ -136,10 +135,10 @@ from numpy.linalg import LinAlgError
 from . import constants, dataio
 from .device import DOPED_CONTACT_THRESHOLD
 from .electrostatics import (
-    CONTINUATION_STEP, NEWTON_MAX_ITERATIONS, NEWTON_TOLERANCE, NonConvergenceError,
+    NEWTON_MAX_ITERATIONS, NEWTON_TOLERANCE, NonConvergenceError,
     build_device_arrays,
     carrier_densities,
-    _fermi_half_pair, _solve_poisson, _tridiag_solve, _make_diagram, _statistics,
+    _fermi_half_pair, _solve_poisson, _tridiag_solve, _statistics,
     _check_biases, _set_up, _walk, _flapack,
 )
 dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
@@ -185,9 +184,6 @@ class IVPoint:
     gummel_iterations: int
     converged: bool
     continuity_error: float     # max relative node-to-node flux variation
-
-    def current(self, area_cm2=MESA_AREA_CM2):
-        return self.current_density * area_cm2
 
 
 @dataclass(frozen=True)
@@ -395,12 +391,12 @@ class _GummelWorkspace:
         return dens, eta, v, jn_el
 
     def iterate(self, x, bias, final):
-        """(state, cycles, last Poisson stage's |dphi|/Vt) of Anderson-mixed
-        Gummel cycles from the state x at `bias`, the state a new array, the
-        unmixed output of the last cycle. Raises NonConvergenceError unless,
-        within ``MAX_GUMMEL`` cycles, a cycle's quasi-Fermi update is below
-        ``QF_TOLERANCE`` and its Poisson stage reached ``NEWTON_TOLERANCE``;
-        a rung that is not `final` uses the continuation pair of limits."""
+        """(state, cycles) of Anderson-mixed Gummel cycles from the state x at
+        `bias`, the state a new array, the unmixed output of the last cycle.
+        Raises NonConvergenceError unless, within ``MAX_GUMMEL`` cycles, a
+        cycle's quasi-Fermi update is below ``QF_TOLERANCE`` and its Poisson
+        stage reached ``NEWTON_TOLERANCE``; a rung that is not `final` uses the
+        continuation pair of limits."""
         arr, stats = self.arr, self.stats
         max_cycles, tolerance = ((MAX_GUMMEL, QF_TOLERANCE) if final
                                  else (MAX_GUMMEL_CONTINUATION, QF_TOLERANCE_CONTINUATION))
@@ -486,13 +482,12 @@ class _GummelWorkspace:
         else:
             raise NonConvergenceError(f"Gummel iteration did not converge in {max_cycles} "
                                       f"cycles at V = {bias} V", iterations=max_cycles)
-        return g, cycles, newton_update
+        return g, cycles
 
     def finalize(self, x, bias):
-        """(phi, n, p, efn, efp, element flux) of the state x, by a final continuity pass."""
-        (n, p), eta, v, jn_el = self._continuity(x, bias, 0)
-        efn, efp = self.edges - x[0] + self.sign_vt * eta
-        return x[0], n, p, efn, efp, jn_el + hole_flux(self.arr, v, p)
+        """Element flux of the state x, by a final continuity pass."""
+        (_, p), _, v, jn_el = self._continuity(x, bias, 0)
+        return jn_el + hole_flux(self.arr, v, p)
 
 
 def _bernoulli_slope(x, b, b_minus):
@@ -699,7 +694,7 @@ class _NewtonWorkspace:
 
     @np.errstate(all="ignore")            # a state that overflows fails the checks
     def iterate(self, x, bias, final):
-        """(state, Newton steps, last |dphi|/Vt) at `bias` from the state x.
+        """(state, Newton steps) at `bias` from the state x.
 
         Each step is factorised afresh. A step that changes eta by d is taken
         as sign(d) ln(1 + |d|), which is d to second order and the density
@@ -732,12 +727,12 @@ class _NewtonWorkspace:
                 dz = self._step(r, terms)
             except NonConvergenceError as exc:
                 raise _broke_down(self.stack, bias, exc, steps) from None
-            counted, update, done = self._measure(dz, terms[0])
+            counted, done = self._measure(dz, terms[0])
             size = np.linalg.norm(dz * counted)
             deta = _SIGN * (dz[_QF, 1:-1] + dz[_PHI, 1:-1])
             dz[_QF, 1:-1] += _SIGN * (np.sign(deta) * np.log1p(np.abs(deta)) - deta)
             if done:
-                return clipped(z + dz) * self.unit, steps, update
+                return clipped(z + dz) * self.unit, steps
             t = 1.0
             for _ in range(30):
                 trial = clipped(z + t * dz)
@@ -754,43 +749,28 @@ class _NewtonWorkspace:
                                   iterations=steps)
 
     def _measure(self, dz, dens):
-        """(counted, largest |dphi|/Vt, whether the step dz meets both
-        tolerances) at densities `dens`: counted is 1 where an update counts
-        towards convergence, the potential and a quasi-Fermi level where its
-        carrier density exceeds ``QF_DENSITY_FLOOR``, and 0 elsewhere."""
+        """(counted, whether the step dz meets both tolerances) at densities
+        `dens`: counted is 1 where an update counts towards convergence, the
+        potential and a quasi-Fermi level where its carrier density exceeds
+        ``QF_DENSITY_FLOOR``, and 0 elsewhere."""
         counted = np.ones((4, dens.shape[1]))
         counted[_QF] = dens > QF_DENSITY_FLOOR
         counted[_J] = 0.0
         update = float(np.max(np.abs(dz[_PHI])))
         qf_update = self.arr.Vt * float(np.max(np.abs(dz[_QF]), where=counted[_QF] > 0,
                                                initial=0.0))
-        return counted, update, update < NEWTON_TOLERANCE and qf_update < QF_TOLERANCE
+        return counted, update < NEWTON_TOLERANCE and qf_update < QF_TOLERANCE
 
     @np.errstate(all="ignore")            # a state that overflows fails the check
     def finalize(self, x, bias):
-        """(phi, n, p, efn, efp, electron plus hole element flux) of the
-        state x: its potential and quasi-Fermi levels, the densities
-        ``_residual`` computes there, and the flux unknowns minus the Slotboom
-        hole flux. Raises NonConvergenceError if the current is not finite."""
-        (n, p), *_, flux = self._residual(x / self.unit)[1]
+        """Electron plus hole element flux of the state x: the flux unknowns
+        minus the Slotboom hole flux ``_residual`` computes there. Raises
+        NonConvergenceError if the current is not finite."""
+        flux = self._residual(x / self.unit)[1][-1]
         j = x[_J, :-1] - flux[1]
         if not np.all(np.isfinite(j)):
             raise _broke_down(self.stack, bias, "the current is not finite", 0)
-        return x[_PHI], n, p, x[_N], x[_P], j
-
-
-def solve_drift_diffusion(stack, mesh, bias, generation=0.0, statistics="fermi"):
-    """Self-consistent drift-diffusion solve at one bias point: a one-bias
-    `iv_sweep` that returns (BandDiagram, IVPoint) and raises its
-    NonConvergenceError, whose `iterations` counts the steps or cycles run.
-
-    `generation` [cm^-3 s^-1] is uniform in the undoped layers; `statistics`
-    is "fermi" or "boltzmann".
-    """
-    ((_, result),) = _iv_sweep(stack, mesh, [bias], generation, statistics)
-    if isinstance(result, NonConvergenceError):
-        raise result
-    return result
+        return j
 
 
 def _current_scale(arr):
@@ -814,19 +794,21 @@ def iv_sweep(stack, mesh, biases, generation=0.0, statistics="fermi"):
     `generation` that is not finite and >= 0. Each distinct bias is solved
     once (see the module docstring). A failed point is recorded on its
     IVPoint (current NaN, the iterations actually run) without aborting
-    the sweep.
+    the sweep. `generation` [cm^-3 s^-1] is uniform in the undoped layers;
+    `statistics` is "fermi" or "boltzmann".
     """
     solved = {}
     for bias, result in _iv_sweep(stack, mesh, biases, generation, statistics):
-        solved[bias] = result[1] if isinstance(result, tuple) else IVPoint(
+        solved[bias] = result if isinstance(result, IVPoint) else IVPoint(
             bias=bias, current_density=math.nan, converged=False,
             gummel_iterations=result.iterations, continuity_error=math.nan)
     return IVCurve(points=tuple(solved[b] for b in biases), temperature=stack.temperature)
 
 
 def _iv_sweep(stack, mesh, biases, generation, statistics):
-    """(bias, (BandDiagram, IVPoint) or NonConvergenceError) for each
-    distinct bias, in the order they are solved."""
+    """(bias, IVPoint or NonConvergenceError) for each distinct bias, in
+    the order they are solved; the error's `iterations` counts the steps or
+    cycles run since the previous point."""
     _check_biases(biases)
     if not 0.0 <= generation < math.inf:
         raise ValueError(f"generation must be finite and >= 0, not {generation} cm^-3 s^-1")
@@ -849,11 +831,11 @@ def _iv_sweep(stack, mesh, biases, generation, statistics):
     def rung(v, x, final):
         nonlocal spent
         try:
-            x, cycles, update = ws.iterate(x, v, final)
+            x, cycles = ws.iterate(x, v, final)
             spent += cycles
             if not final:
                 return x, None
-            phi, n, p, efn, efp, j_el = ws.finalize(x, v)
+            j_el = ws.finalize(x, v)
         except NonConvergenceError as exc:
             spent += exc.iterations
             return None, exc
@@ -865,11 +847,10 @@ def _iv_sweep(stack, mesh, biases, generation, statistics):
                     sys.float_info.min)
         continuity = (float(np.max(np.abs(np.diff(j_total))) / scale)
                       if j_total.size > 1 else 0.0)
-        return x, (_make_diagram(stack, mesh, arr, phi, n, p, efn, efp, v, True, update),
-                   IVPoint(bias=v, current_density=j_mean, gummel_iterations=spent,
-                           converged=True, continuity_error=continuity))
+        return x, IVPoint(bias=v, current_density=j_mean, gummel_iterations=spent,
+                          converged=True, continuity_error=continuity)
 
-    for bias, result in _walk(biases, origin, rung, CONTINUATION_STEP):
+    for bias, result in _walk(biases, origin, rung):
         if isinstance(result, NonConvergenceError):
             result.iterations = spent
         yield bias, result

@@ -19,8 +19,7 @@ from dotdiode.materials import lookup_material, mobility_at
 from dotdiode.qd_model import (load_reference_lines, load_charge_ladder,
                                tuning_range, stark_wavelength, fss_at,
                                occupancy_at, synth_emission_map, ZERO_BACKGROUND)
-from dotdiode.transport import (solve_drift_diffusion, iv_sweep,
-                                detailed_balance_floor)
+from dotdiode.transport import iv_sweep, detailed_balance_floor
 from dotdiode import spectro_fit as sf
 from dotdiode.cli import main as cli_main
 
@@ -133,14 +132,14 @@ def test_criterion_04_fermi_integral_grid():
 def test_criterion_05_transport_properties(reference_stack, reference_mesh):
     slab = LayerStack(layers=(Layer("InP", 400.0, donor_cm3=1e16),))
     smesh = build_mesh(slab, 2.0, 0.5, 5.0)
-    _, ohmic = solve_drift_diffusion(slab, smesh, 0.005)
+    (ohmic,) = iv_sweep(slab, smesh, [0.005]).points
     m = lookup_material("InP", 300.0)
     mu = mobility_at(m.mobility_e, 1e16, 300.0, m.mobility_T_exponent)
     analytic = Q_E * 1e16 * mu * 0.005 / 400e-7
     assert ohmic.converged
     assert abs(ohmic.current_density / analytic - 1.0) < 0.01
 
-    _, dark = solve_drift_diffusion(reference_stack, reference_mesh, 0.0)
+    (dark,) = iv_sweep(reference_stack, reference_mesh, [0.0]).points
     floor = detailed_balance_floor(reference_stack, reference_mesh)
     assert dark.converged
     assert abs(dark.current_density) < floor

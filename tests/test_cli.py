@@ -546,6 +546,22 @@ def _edited(name, edit):
     pytest.param(["stark", "--lines", "{json}"], json.dumps(_BUNDLED["reference_lines.json"]
                                                            ["lines"]),
                  "bad.json must be an object", id="lines-top-level-list"),
+    pytest.param(["bandedges", "--bias", "0", "--device", "{json}"],
+                 json.dumps(_BUNDLED["device_fig1a.json"])[:200],
+                 "bad.json: invalid JSON", id="device-truncated"),
+    pytest.param(["bandedges", "--bias", "0", "--device", "{json}"],
+                 _edited("device_fig1a.json", lambda doc: doc["layers"].clear()),
+                 "bad.json: 'layers' list must not be empty", id="device-without-layers"),
+    pytest.param(["bandedges", "--bias", "0", "--device", "{json}"],
+                 _edited("device_fig1a.json",
+                         lambda doc: doc["layers"][0].update(thickness_nm=-1.0)),
+                 "bad.json: layer 0: layer thickness must be positive",
+                 id="device-negative-thickness"),
+    pytest.param(["bandedges", "--bias", "0", "--device", "{json}"],
+                 _edited("device_fig1a.json",
+                         lambda doc: doc["layers"][2].update(material="Kryptonite")),
+                 "bad.json: layer 2: unknown material 'Kryptonite'",
+                 id="device-unknown-material"),
 ])
 def test_unreadable_path_is_one_line_input_error(tmp_path, capsys, argv, text, named):
     """An input path that cannot be read, or a JSON configuration with a
@@ -683,7 +699,7 @@ def test_fit_on_malformed_csv_exits_0_1_or_2(tmp_path_factory, case):
         assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
 
 
-@pytest.mark.parametrize("temperature", [0, "300"])
+@pytest.mark.parametrize("temperature", [0, "300", 1000])
 def test_bad_device_temperature_is_input_error(tmp_path, capsys, temperature):
     doc = json.loads(resources.files("dotdiode.data")
                      .joinpath("device_fig1a.json").read_text())
@@ -695,7 +711,7 @@ def test_bad_device_temperature_is_input_error(tmp_path, capsys, temperature):
     assert rc == EXIT_INPUT
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    assert "temperature" in err
+    assert "cold.json: " in err and "temperature" in err
 
 
 @pytest.mark.parametrize("temperature", [10, 4, 20])
@@ -1020,6 +1036,17 @@ def test_cli_import_does_not_load_scipy_linalg():
     package's own imports (numpy.f2py, numpy.testing, ...) would about
     double the start-up of every command."""
     assert not _cli_import_loads("scipy.linalg")
+
+
+def test_star_import_binds_every_public_name():
+    """In a fresh interpreter, `from dotdiode import *` succeeds and binds
+    each name of `__all__`."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "from dotdiode import *; import dotdiode; "
+         "print([name for name in dotdiode.__all__ if name not in globals()])"],
+        capture_output=True, text=True, env=_fresh_interpreter_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_a_missing_lapack_extension_fails_the_import_naming_its_directory(tmp_path):

@@ -1,11 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from dotdiode.device import (
     Layer, LayerStack, Mesh1D, SchemaError, MeshOptionError,
-    ProfileConsistencyError, parse_stack, serialize_stack, build_mesh,
+    ProfileConsistencyError, parse_stack, build_mesh,
     doping_profile, element_profile, load_reference_stack,
 )
 
@@ -47,14 +45,6 @@ def test_two_layer_total_thickness_is_sum():
         {"material": "InP", "thickness_nm": 120.0},
         {"material": "InP", "thickness_nm": 80.0}]})
     assert stack.total_thickness_nm == 200.0
-
-
-def test_serialize_parse_round_trip(reference_stack):
-    doc = serialize_stack(reference_stack)
-    again = parse_stack(doc)
-    assert again == reference_stack
-    # and the serialized form is stable JSON
-    assert json.loads(doc)["layers"][0]["material"] == "InP"
 
 
 def test_uniform_layer_mesh_node_count():
@@ -111,7 +101,7 @@ def test_bad_mesh_options_rejected(reference_stack):
 
 
 def test_reference_doping_values(reference_stack, reference_mesh):
-    nd, na, eps = doping_profile(reference_stack, reference_mesh)
+    nd, na = doping_profile(reference_stack, reference_mesh)
     x = reference_mesh.nodes
     assert nd[np.argmin(np.abs(x - 150.0))] == 2.0e18      # bottom contact
     assert nd[np.argmin(np.abs(x - 355.0))] == 7.0e14      # lower barrier
@@ -119,20 +109,16 @@ def test_reference_doping_values(reference_stack, reference_mesh):
     assert np.all(na == 0.0)
 
 
-def test_interface_tie_break_and_permittivity_average(reference_stack, reference_mesh):
-    nd, _, eps = doping_profile(reference_stack, reference_mesh)
+def test_interface_node_takes_the_substrate_side_doping(reference_stack, reference_mesh):
+    nd, _ = doping_profile(reference_stack, reference_mesh)
     idx = int(np.flatnonzero(reference_mesh.nodes == 300.0)[0])
     assert nd[idx] == 2.0e18          # substrate side wins
-    # permittivity averages the two adjacent layers (both InP here)
-    assert eps[idx] == pytest.approx(12.5)
-    idx_b = int(np.flatnonzero(reference_mesh.nodes == 320.0)[0])
-    assert eps[idx_b] == pytest.approx(0.5 * (12.5 + 12.71))
 
 
 def test_undoped_layer_has_only_declared_background():
     stack = parse_stack({"layers": [{"material": "InP", "thickness_nm": 50.0}]})
     mesh = build_mesh(stack, 2.0, 1.0, 5.0)
-    nd, na, _ = doping_profile(stack, mesh)
+    nd, na = doping_profile(stack, mesh)
     assert np.all(nd == 0.0) and np.all(na == 0.0)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,7 @@ from dotdiode.device import Layer, LayerStack, build_mesh, parse_stack
 from dotdiode.materials import lookup_material, material_names, mobility_at
 from dotdiode.electrostatics import NonConvergenceError, fermi_half, fermi_half_deriv
 from dotdiode.transport import (
-    bernoulli, solve_drift_diffusion, iv_sweep,
-    detailed_balance_floor, _degeneracy,
+    bernoulli, iv_sweep, detailed_balance_floor, _degeneracy,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -97,15 +97,8 @@ def test_ohmic_slab_matches_resistor_formula(slab):
     assert abs(zero.current_density) < detailed_balance_floor(stack, mesh)
 
 
-def test_drift_diffusion_diagram_reports_the_last_newton_update(reference_stack,
-                                                                 reference_mesh):
-    diagram, pt = solve_drift_diffusion(reference_stack, reference_mesh, 0.5)
-    assert pt.converged
-    assert 0.0 <= diagram.newton_update < electrostatics.NEWTON_TOLERANCE
-
-
 def test_zero_bias_current_below_floor(reference_stack, reference_mesh):
-    _, pt = solve_drift_diffusion(reference_stack, reference_mesh, 0.0)
+    (pt,) = iv_sweep(reference_stack, reference_mesh, [0.0]).points
     floor = detailed_balance_floor(reference_stack, reference_mesh)
     assert pt.converged
     assert abs(pt.current_density) < floor
@@ -149,11 +142,11 @@ def _record_rungs(monkeypatch):
     rungs = []
     real = transport._walk
 
-    def recording(biases, origin, solve, step):
+    def recording(biases, origin, solve):
         def rung(v, x, final):
             rungs.append((v, final))
             return solve(v, x, final)
-        return real(biases, origin, rung, step)
+        return real(biases, origin, rung)
 
     monkeypatch.setattr(transport, "_walk", recording)
     return rungs
@@ -341,7 +334,7 @@ def test_gummel_failure_carries_the_running_cycle_count(reference_stack, referen
         return out
 
     monkeypatch.setattr(transport._GummelWorkspace, "iterate", counted)
-    solve_drift_diffusion(reference_stack, reference_mesh, 0.5, generation=1e22)
+    iv_sweep(reference_stack, reference_mesh, [0.5], generation=1e22)
     first = sum(cycles[:2])     # the 0 V and 0.25 V rungs
     real = transport._solve_poisson
     inner = []
@@ -355,23 +348,23 @@ def test_gummel_failure_carries_the_running_cycle_count(reference_stack, referen
         return out
 
     monkeypatch.setattr(transport, "_solve_poisson", fail_from_the_third_rung)
-    with pytest.raises(NonConvergenceError) as err:
-        solve_drift_diffusion(reference_stack, reference_mesh, 0.5, generation=1e22)
+    ((_, err),) = transport._iv_sweep(reference_stack, reference_mesh, [0.5], 1e22, "fermi")
     # 0 V and 0.25 V converge; 0.5 V fails in its first cycle, and so does the
     # first cycle of its retry from 0.25 V
-    assert err.value.iterations == first + 2 and err.value.last_bias == 0.25
+    assert isinstance(err, NonConvergenceError)
+    assert err.iterations == first + 2 and err.last_bias == 0.25
 
 
 def test_newton_failure_carries_the_running_step_count(reference_stack, reference_mesh,
                                                        monkeypatch):
     steps = _record_newton_rungs(monkeypatch, lambda bias: bias > 0.25)
-    with pytest.raises(NonConvergenceError) as err:
-        solve_drift_diffusion(reference_stack, reference_mesh, 0.5)
+    ((_, err),) = transport._iv_sweep(reference_stack, reference_mesh, [0.5], 0.0, "fermi")
     # 0 V and 0.25 V converge; 0.5 V and its retry at 0.375 V fail at their
     # first step
+    assert isinstance(err, NonConvergenceError)
     assert [v for v, _ in steps] == [0.0, 0.25, 0.5, 0.375]
-    assert err.value.iterations == steps[0][1] + steps[1][1] + 2
-    assert err.value.last_bias == 0.25
+    assert err.iterations == steps[0][1] + steps[1][1] + 2
+    assert err.last_bias == 0.25
 
 
 @pytest.mark.parametrize("temperature", [10.0, 4.0, 20.0])
@@ -399,10 +392,10 @@ def test_low_temperature_breakdown_is_a_failed_point(reference_stack, temperatur
         steps[0][1], sum(n for _, n in steps[1:])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonConvergenceError) as err:
-            solve_drift_diffusion(stack, mesh, 0.0)
-    assert f"V = 0.0 V, T = {temperature} K" in str(err.value)
-    assert err.value.iterations == steps[-1][1]
+        ((_, err),) = transport._iv_sweep(stack, mesh, [0.0], 0.0, "fermi")
+    assert isinstance(err, NonConvergenceError)
+    assert f"V = 0.0 V, T = {temperature} K" in str(err)
+    assert err.iterations == steps[-1][1]
 
 
 def test_default_dark_sweep_matches_golden_iv(reference_stack, reference_mesh):
@@ -448,17 +441,31 @@ def test_default_dark_sweep_takes_its_pinned_steps_to_its_pinned_currents(
     assert [pt.current_density for pt in curve.points] == DARK_J
 
 
-def test_every_swept_diagram_reports_a_converged_poisson_stage(reference_stack,
-                                                               reference_mesh):
+def test_every_swept_point_ends_on_a_converged_poisson_stage(reference_stack,
+                                                             reference_mesh, monkeypatch):
     # a Gummel cycle's Poisson stage may stop early, at a tolerance set by the
     # previous cycle's quasi-Fermi update; the cycle that ends a point may not
-    for biases, generation in ((DEFAULT_GRID, 1e22), ([0.0, 0.5, 1.0, 1.5, 2.0], 1e22)):
-        swept = list(transport._iv_sweep(reference_stack, reference_mesh, biases,
-                                         generation, "fermi"))
-        assert sorted(bias for bias, _ in swept) == sorted(biases)
-        for _, (diagram, point) in swept:
-            assert point.converged
-            assert 0.0 <= diagram.newton_update < electrostatics.NEWTON_TOLERANCE
+    real, real_iterate = transport._solve_poisson, transport._GummelWorkspace.iterate
+    updates, ends = [], []      # each stage's last |dphi|/Vt; the last one of each point
+
+    def recording(*args):
+        out = real(*args)
+        updates.append(out[5])
+        return out
+
+    def iterate(self, x, bias, final):
+        out = real_iterate(self, x, bias, final)
+        if final:
+            ends.append(updates[-1])
+        return out
+
+    monkeypatch.setattr(transport, "_solve_poisson", recording)
+    monkeypatch.setattr(transport._GummelWorkspace, "iterate", iterate)
+    for biases in (DEFAULT_GRID, [0.0, 0.5, 1.0, 1.5, 2.0]):
+        ends.clear()
+        curve = iv_sweep(reference_stack, reference_mesh, biases, generation=1e22)
+        assert all(pt.converged for pt in curve.points) and len(ends) == len(biases)
+        assert all(0.0 <= update < electrostatics.NEWTON_TOLERANCE for update in ends)
 
 
 def test_a_loosely_solved_poisson_stage_never_ends_a_point(reference_stack, reference_mesh,
@@ -467,19 +474,21 @@ def test_a_loosely_solved_poisson_stage_never_ends_a_point(reference_stack, refe
     # NEWTON_TOLERANCE, so only a cycle whose stage ran to the full
     # tolerance may end the point
     real = transport._solve_poisson
-    loose = []
+    loose, updates = [], []
 
     def stop_loose(arr, efn, efp, phi_bc, phi0, statistics, tolerance):
         out = real(arr, efn, efp, phi_bc, phi0, statistics, tolerance)
         if tolerance > electrostatics.NEWTON_TOLERANCE:
             loose.append(tolerance)
-            return out[:5] + (max(out[5], 2.0 * electrostatics.NEWTON_TOLERANCE),)
+            out = out[:5] + (max(out[5], 2.0 * electrostatics.NEWTON_TOLERANCE),)
+        updates.append(out[5])
         return out
 
     monkeypatch.setattr(transport, "_solve_poisson", stop_loose)
-    diagram, pt = solve_drift_diffusion(reference_stack, reference_mesh, 0.5, generation=1e22)
+    (pt,) = iv_sweep(reference_stack, reference_mesh, [0.5], generation=1e22).points
+    # the last stage the sweep solved is the one that ended the point
     assert pt.converged and loose
-    assert diagram.newton_update < electrostatics.NEWTON_TOLERANCE
+    assert updates[-1] < electrostatics.NEWTON_TOLERANCE
 
 
 @pytest.mark.parametrize("temperature", [55.0, 77.0, 120.0])
@@ -572,7 +581,7 @@ def _assert_failed_rungs_are_not_repeated(stack, mesh, monkeypatch, generation):
     rungs = _record_rungs(monkeypatch)
     swept = dict(transport._iv_sweep(stack, mesh, [0.0, 0.5, 1.0], generation, "fermi"))
     assert rungs == [(0.0, True), (0.25, False), (0.125, False)]
-    assert isinstance(swept[0.0], tuple) and swept[0.0][1].converged
+    assert swept[0.0].converged
     # each failed rung ran one iteration
     assert [swept[b].iterations for b in (0.5, 1.0)] == [2, 0]
     assert swept[1.0].last_bias == 0.0
@@ -587,11 +596,10 @@ def test_newton_and_gummel_rungs_agree_on_the_dark_sweep(reference_stack, refere
                                     "fermi")
 
     def rung(v, x, final):
-        x, _, _ = ws.iterate(x, v, final)
-        return x, -float(np.mean(ws.finalize(x, v)[-1])) if final else None
+        x, _ = ws.iterate(x, v, final)
+        return x, -float(np.mean(ws.finalize(x, v))) if final else None
 
-    gummel = dict(electrostatics._walk(DEFAULT_GRID, ws.seed(efn, phi, n, p), rung,
-                                       electrostatics.CONTINUATION_STEP))
+    gummel = dict(electrostatics._walk(DEFAULT_GRID, ws.seed(efn, phi, n, p), rung))
     newton = iv_sweep(reference_stack, reference_mesh, DEFAULT_GRID)
     floor = detailed_balance_floor(reference_stack, reference_mesh)
     for pt in newton.points:
@@ -732,22 +740,27 @@ def _assert_converged_or_failed_by_name(stack, biases):
     SG term over the current where that is coarser (a thin p-doped stack
     carrying 1e-4 A/cm^2 reaches 3e-6 that way)."""
     mesh = build_mesh(stack)
-    with warnings.catch_warnings():
+    densities, real_finalize = {}, transport._NewtonWorkspace.finalize
+
+    def finalize(self, x, bias):
+        densities[bias] = self._residual(x / self.unit)[1][0]      # (n, p) of the state
+        return real_finalize(self, x, bias)
+
+    with warnings.catch_warnings(), mock.patch.object(transport._NewtonWorkspace,
+                                                      "finalize", finalize):
         warnings.simplefilter("error")
-        swept = dict(transport._iv_sweep(stack, mesh, biases, 0.0, "fermi"))
         curve = iv_sweep(stack, mesh, biases)
     arr = electrostatics.build_device_arrays(stack, mesh)
     conductance = Q_E * arr.Vt / arr.h
     for pt in curve.points:
-        result = swept[pt.bias]
-        if isinstance(result, NonConvergenceError):
-            assert not pt.converged and math.isnan(pt.current_density)
+        if not pt.converged:
+            assert math.isnan(pt.current_density)
             continue
-        diagram, _ = result
-        assert pt.converged and math.isfinite(pt.current_density)
+        assert math.isfinite(pt.current_density)
         if pt.bias != 0.0:
-            term = max(np.max(conductance * arr.mu_e_el * diagram.n[:-1]),
-                       np.max(conductance * arr.mu_h_el * diagram.p[:-1]))
+            n, p = densities[pt.bias]
+            term = max(np.max(conductance * arr.mu_e_el * n[:-1]),
+                       np.max(conductance * arr.mu_h_el * p[:-1]))
             rounding = 16 * np.finfo(float).eps * term / abs(pt.current_density)
             assert pt.continuity_error < max(1e-6, rounding), (stack.temperature, pt)
 
@@ -798,9 +811,13 @@ def test_lit_sweep_matches_golden_iv(reference_stack, reference_mesh):
                                rtol=1e-4, atol=floor)
 
 
-def test_current_and_area_scaling():
-    from dotdiode.transport import IVPoint, MESA_AREA_CM2
+def test_current_and_area_scaling(tmp_path):
+    # iv.csv's current is the density times the curve's area, the mesa's by default
+    from dotdiode.transport import IVCurve, IVPoint, MESA_AREA_CM2
     pt = IVPoint(bias=1.0, current_density=2.0, gummel_iterations=3,
                  converged=True, continuity_error=0.0)
-    assert pt.current() == pytest.approx(2.0 * MESA_AREA_CM2)
-    assert pt.current(area_cm2=1.0) == 2.0
+    for curve, area in ((IVCurve(points=(pt,)), MESA_AREA_CM2),
+                        (IVCurve(points=(pt,), device_area_cm2=1.0), 1.0)):
+        curve.to_csv(tmp_path / "iv.csv")
+        cols, _ = dataio.read_table(tmp_path / "iv.csv")
+        assert cols["I_A"][0] == pytest.approx(2.0 * area)
