@@ -163,6 +163,10 @@ def cmd_stark(args):
         raise ValueError("vmax must exceed vmin")
     if args.points > MAX_STARK_POINTS:
         raise ValueError(f"--points {args.points} is above the cap of {MAX_STARK_POINTS}")
+    # before any file is written: tuning_range refuses a window that leaves the float range
+    entries = {f"tuning_range_{line.species}_nm":
+               tuning_range(line, args.vmin, args.vmax, args.di) for line in lines}
+    entries.update(d_i_nm=args.di, window_V=f"{args.vmin} to {args.vmax}")
     volts = np.linspace(args.vmin, args.vmax, args.points)
     fields = field_lever_arm(volts, args.di)
     out = _outdir(args)
@@ -170,9 +174,6 @@ def cmd_stark(args):
                        [volts, *(stark_wavelength(line, fields) for line in lines)],
                        ["gate_V", *(f"lambda_{line.species}_nm" for line in lines)],
                        meta=_report_header(args, "stark"))
-    entries = {f"tuning_range_{line.species}_nm":
-               tuning_range(line, args.vmin, args.vmax, args.di) for line in lines}
-    entries.update(d_i_nm=args.di, window_V=f"{args.vmin} to {args.vmax}")
     dataio.write_report(out / "stark_report.txt", "dotdiode stark tuning report",
                         [("run", _report_header(args, "stark")),
                          ("results", entries)])
@@ -182,6 +183,8 @@ def cmd_stark(args):
 def cmd_synthmap(args):
     _require_finite(args, "vmin", "vmax", "lmin", "lmax")
     _require_count(args, 1, "nv", "nl")
+    if args.seed is not None:
+        _require_count(args, 0, "seed")
     lines = load_reference_lines(args.lines)
     ladder = load_charge_ladder(args.ladder)
     if args.nv * args.nl > MAX_MAP_CELLS:

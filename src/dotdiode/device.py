@@ -3,7 +3,9 @@
 A device is an ordered stack of layers, substrate side first. Stacks load
 from JSON (schema below) through ``load_reference_stack``, which reads the
 bundled ``device_fig1a.json``, the golden reference input used throughout
-the test suite, or a user file.
+the test suite, or a user file. Each fact is checked once, where it is
+built: ``Layer`` checks its material name against the database and its
+numbers, ``LayerStack`` the layer count and the device temperature.
 
 JSON schema::
 
@@ -68,6 +70,7 @@ class Layer:
     label: str = ""
 
     def __post_init__(self):
+        lookup_material(self.material)      # UnknownMaterialError unless in the database
         for name in ("thickness_nm", "donor_cm3", "acceptor_cm3"):
             value = getattr(self, name)
             if not np.isfinite(value):
@@ -86,7 +89,7 @@ class LayerStack:
 
     def __post_init__(self):
         if not self.layers:
-            raise ValueError("layer stack must contain at least one layer")
+            raise ValueError("'layers' list must not be empty")
         if not 0.0 < self.temperature <= T_MAX:
             raise ValueError(
                 f"device temperature {self.temperature} K outside (0, {T_MAX}] K")
@@ -97,35 +100,7 @@ class LayerStack:
 
     def boundaries_nm(self):
         """Positions of all layer boundaries, ends included (len = n_layers+1)."""
-        edges = np.concatenate([[0.0], np.cumsum([l.thickness_nm for l in self.layers])])
-        return edges
-
-    def contact_layer_indices(self):
-        """Index ranges of the two contacts: the contiguous doped block at
-        each end of the stack (doped means total doping >=
-        ``DOPED_CONTACT_THRESHOLD``)."""
-        doped = [l.donor_cm3 + l.acceptor_cm3 >= DOPED_CONTACT_THRESHOLD for l in self.layers]
-        if not any(doped):
-            return None
-        first = doped.index(True)
-        last = len(doped) - 1 - doped[::-1].index(True)
-        bottom_end = first
-        while bottom_end + 1 < len(doped) and doped[bottom_end + 1]:
-            bottom_end += 1
-        top_start = last
-        while top_start - 1 >= 0 and doped[top_start - 1]:
-            top_start -= 1
-        return bottom_end, top_start
-
-    def intrinsic_thickness_nm(self):
-        """Total thickness between the doped contact blocks (None if undoped)."""
-        contacts = self.contact_layer_indices()
-        if contacts is None:
-            return None
-        bottom_end, top_start = contacts
-        if top_start <= bottom_end:
-            return 0.0
-        return float(sum(l.thickness_nm for l in self.layers[bottom_end + 1:top_start]))
+        return np.concatenate([[0.0], np.cumsum([l.thickness_nm for l in self.layers])])
 
 
 def parse_stack(doc, where="device"):
@@ -138,14 +113,9 @@ def parse_stack(doc, where="device"):
         dataio.check_json(doc, _STACK_SCHEMA, where)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
-    if not doc["layers"]:
-        raise SchemaError(f"{where}: 'layers' list must not be empty")
-    temperature = doc.get("temperature_K", 300.0)
-
     layers = []
     for idx, entry in enumerate(doc["layers"]):
         try:
-            lookup_material(entry["material"], temperature)
             layers.append(Layer(
                 material=entry["material"],
                 thickness_nm=float(entry["thickness_nm"]),
@@ -156,8 +126,8 @@ def parse_stack(doc, where="device"):
         except (UnknownMaterialError, ValueError) as exc:
             raise SchemaError(f"{where}: layer {idx}: {exc.args[0]}") from None
     try:
-        return LayerStack(layers=tuple(layers), temperature=float(temperature),
-                          name=doc.get("name", ""))
+        return LayerStack(layers=tuple(layers), name=doc.get("name", ""),
+                          temperature=float(doc.get("temperature_K", 300.0)))
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
 
@@ -181,10 +151,6 @@ class Mesh1D:
     node_layer: np.ndarray
     element_layer: np.ndarray
     stack_fingerprint: tuple = field(repr=False, default=())
-
-    @property
-    def n_nodes(self):
-        return self.nodes.size
 
     def spacings(self):
         return np.diff(self.nodes)
@@ -236,11 +202,7 @@ def build_mesh(stack, max_spacing=2.0, fine_spacing=0.125, refine_width=10.0):
     nodes = [0.0]
     for a, b, nsub in segments:
         nodes.extend(np.linspace(a, b, int(nsub) + 1)[1:].tolist())
-    nodes = np.asarray(nodes)
-
-    # boundary nodes must be exact, not linspace output
-    for edge in edges:
-        nodes[np.argmin(np.abs(nodes - edge))] = edge
+    nodes = np.asarray(nodes)         # linspace ends each segment on its end exactly
 
     node_layer = np.searchsorted(edges, nodes, side="left") - 1
     node_layer[0] = 0

@@ -274,7 +274,6 @@ class _DeviceArrays:
     mu_e_el: np.ndarray      # cm^2/(V s) per element
     mu_h_el: np.ndarray
     Vt: float
-    temperature: float
     eps0_eps: np.ndarray     # eps_0 * eps per element
     cond: np.ndarray         # eps_0 eps / h per element, and the sum of each
     cond_sum: np.ndarray     # interior row's two, cond[1:] + cond[:-1]
@@ -318,7 +317,7 @@ def build_device_arrays(stack, mesh):
         Nd=nd_n, Na=na_n,
         mu_e_el=mu_e_layer[mesh.element_layer],
         mu_h_el=mu_h_layer[mesh.element_layer],
-        Vt=constants.thermal_voltage(T), temperature=T,
+        Vt=constants.thermal_voltage(T),
     )
 
 

@@ -93,7 +93,10 @@ def tuning_range(line, V_min, V_max, d_i_nm):
     """Wavelength span [nm] over the closed gate-voltage interval.
 
     The quadratic E(F) may have its vertex inside the window, so the
-    extrema are evaluated at both ends and at the interior vertex.
+    extrema are evaluated at both ends and at the interior vertex. Raises
+    ValueError unless each of those wavelengths is finite and positive:
+    then the energy is positive, and every wavelength finite, across the
+    whole window.
     """
     if not V_min < V_max:
         raise ValueError("V_min must be below V_max")
@@ -103,7 +106,12 @@ def tuning_range(line, V_min, V_max, d_i_nm):
         f_vertex = -line.dipole_enm * _DIPOLE_EV_PER_KVCM / (2.0 * beta)
         if min(fields) < f_vertex < max(fields):
             fields.append(f_vertex)
-    lams = [stark_wavelength(line, f) for f in fields]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lams = [stark_wavelength(line, f) for f in fields]
+    for lam in lams:
+        if not 0.0 < lam < np.inf:
+            raise ValueError(f"{line.species} wavelength over {V_min} to {V_max} V at d_i = "
+                             f"{d_i_nm} nm must be finite and positive, not {lam} nm")
     return max(lams) - min(lams)
 
 
@@ -224,8 +232,14 @@ def _render_column(lines, ladder, V, wl_grid, linewidth_ueV, background, d_i_nm)
     for line in lines:
         if line.species not in active:
             continue
-        lam_c = stark_wavelength(line, F)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam_c = stark_wavelength(line, F)
         fwhm_nm = lam_c * lam_c * linewidth_ueV * _UEV / constants.HC_EV_NM
+        hw = 0.5 * fwhm_nm                  # the Lorentzian squares the half width
+        if not (0.0 < lam_c < np.inf and 0.0 < hw * hw < np.inf):
+            raise ValueError(f"{line.species} line at gate voltage {V} V: centre {lam_c} nm "
+                             f"and FWHM {fwhm_nm} nm must be finite and positive, the "
+                             "FWHM squared too")
         column += lorentzian_profile(wl_grid, lam_c, fwhm_nm, line.relative_brightness)
     return column
 

@@ -445,6 +445,9 @@ def fit_power_law(powers_uW, intensities, saturation_cutoff=None):
                 n_keep = k + 1
                 break
         saturation_cutoff = p[n_keep - 1]
+    elif not 0.0 < saturation_cutoff < math.inf:
+        raise ValueError(
+            f"saturation_cutoff must be finite and positive, not {saturation_cutoff}")
     keep = p <= saturation_cutoff
     if np.count_nonzero(keep) < 3:
         raise InsufficientDataError(

@@ -260,9 +260,10 @@ def test_an_input_error_starts_with_the_command_it_rejected(tmp_path, capsys, ar
     (["stark", "--points", "1"], "--points must be at least 2, not 1"),
     (["synthmap", "--nv", "-3", "--nl", "-3"], "--nv must be at least 1, not -3"),
     (["synthmap", "--nl", "0"], "--nl must be at least 1, not 0"),
+    (["synthmap", "--seed", "-1"], "--seed must be at least 0, not -1"),
 ], ids=["iv-points", "iv-mesh", "bandedges-fine-spacing", "bandedges-huge-layer",
         "stark-points", "synthmap-cells", "stark-no-points", "stark-one-point",
-        "synthmap-negative-counts", "synthmap-no-wavelengths"])
+        "synthmap-negative-counts", "synthmap-no-wavelengths", "synthmap-negative-seed"])
 def test_an_oversized_input_exits_1_with_one_line_before_allocating(tmp_path, capsys,
                                                                    argv, named):
     huge = tmp_path / "huge.json"
@@ -306,11 +307,24 @@ def test_a_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     (["synthmap", "--vmax", "inf"], "vmax must be finite, not inf"),
     (["fit", "peaks", "--data", str(GOLDEN / "fit_inputs" / "peaks3.csv"),
       "--snr-gate", "nan"], "snr_gate must be finite, not nan"),
+    # a window or a map whose lines leave the float range
+    (["stark", "--points", "2", "--vmin", "0", "--vmax", "1e308"],
+     "X0 wavelength over 0.0 to 1e+308 V at d_i = 240.0 nm"),
+    (["stark", "--vmin", "-1e200", "--vmax", "1e200"], "not -0.0 nm"),
+    (["synthmap", "--nv", "3", "--nl", "5", "--linewidth", "1e300"],
+     "line at gate voltage 0.8 V: centre 1537.70575686612 nm and FWHM 1.90712931"),
+    (["synthmap", "--nv", "3", "--nl", "5", "--di", "1e-300"], "centre -0.0 nm"),
+    (["fit", "power", "--data", str(GOLDEN / "fit_inputs" / "power.csv"),
+      "--saturation-cutoff", "nan"], "saturation_cutoff must be finite and positive, not nan"),
+    (["fit", "power", "--data", str(GOLDEN / "fit_inputs" / "power.csv"),
+      "--saturation-cutoff", "-1"], "saturation_cutoff must be finite and positive, not -1.0"),
 ], ids=["stark-di-nan", "stark-di-inf", "synthmap-di-nan", "synthmap-linewidth-nan",
         "synthmap-linewidth-negative", "iv-generation-nan", "iv-generation-inf",
         "iv-generation-negative", "bandedges-spacing-nan", "bandedges-refine-inf",
         "stark-vmax-inf", "stark-vmin-nan", "stark-vmin-minus-inf", "synthmap-lmin-nan",
-        "synthmap-lmax-inf", "synthmap-vmax-inf", "fit-peaks-snr-gate-nan"])
+        "synthmap-lmax-inf", "synthmap-vmax-inf", "fit-peaks-snr-gate-nan",
+        "stark-wavelength-nan", "stark-wavelength-negative", "synthmap-linewidth-huge",
+        "synthmap-di-tiny", "fit-power-cutoff-nan", "fit-power-cutoff-negative"])
 def test_a_bad_number_is_rejected_where_it_enters(tmp_path, capsys, argv, named):
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == EXIT_INPUT
@@ -712,6 +726,9 @@ def test_bad_device_temperature_is_input_error(tmp_path, capsys, temperature):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "cold.json: " in err and "temperature" in err
+    if temperature == 1000:     # checked once, on the stack, not on its first layer
+        assert "cold.json: device temperature 1000.0 K outside (0, 400.0] K" in err
+        assert "layer 0" not in err
 
 
 @pytest.mark.parametrize("temperature", [10, 4, 20])

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from dotdiode.cli import build_parser
 from dotdiode.device import (
-    Layer, LayerStack, Mesh1D, SchemaError, MeshOptionError,
+    DOPED_CONTACT_THRESHOLD, Layer, LayerStack, Mesh1D, SchemaError, MeshOptionError,
     ProfileConsistencyError, parse_stack, build_mesh,
     doping_profile, element_profile, load_reference_stack,
 )
+from dotdiode.materials import UnknownMaterialError
 
 
 def test_reference_config_is_a_ten_layer_stack(reference_stack):
@@ -14,7 +16,13 @@ def test_reference_config_is_a_ten_layer_stack(reference_stack):
 
 
 def test_reference_intrinsic_thickness_near_240nm(reference_stack):
-    assert reference_stack.intrinsic_thickness_nm() == pytest.approx(240.0, abs=2.0)
+    """The undoped layers of the bundled device sum to 241 nm, within 2 nm of
+    the lever-arm thickness that stark and synthmap take by default."""
+    undoped = sum(l.thickness_nm for l in reference_stack.layers
+                  if l.donor_cm3 + l.acceptor_cm3 < DOPED_CONTACT_THRESHOLD)
+    assert undoped == 241.0
+    for command in ("stark", "synthmap"):
+        assert build_parser().parse_args([command]).di == pytest.approx(undoped, abs=2.0)
 
 
 def test_empty_layer_list_rejected():
@@ -27,6 +35,11 @@ def test_unknown_material_names_layer_index():
                       {"material": "Kryptonite", "thickness_nm": 10.0}]}
     with pytest.raises(SchemaError, match="layer 1"):
         parse_stack(doc)
+
+
+def test_a_layer_of_unknown_material_fails_when_it_is_built():
+    with pytest.raises(UnknownMaterialError, match="Kryptonite"):
+        Layer("Kryptonite", 10.0)
 
 
 def test_nonpositive_thickness_names_layer_index():
@@ -50,7 +63,7 @@ def test_two_layer_total_thickness_is_sum():
 def test_uniform_layer_mesh_node_count():
     stack = LayerStack(layers=(Layer("InP", 100.0, donor_cm3=1e16),))
     mesh = build_mesh(stack, max_spacing=1.0, fine_spacing=1.0, refine_width=0.0)
-    assert mesh.n_nodes == 101
+    assert mesh.nodes.size == 101
     assert np.allclose(np.diff(mesh.nodes), 1.0)
 
 

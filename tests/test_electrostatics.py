@@ -356,7 +356,7 @@ def test_exhausted_line_search_returns_densities_at_the_final_potential(
     trial, so its densities must be evaluated afresh."""
     arr = build_device_arrays(reference_stack, reference_mesh)
     phi_n = neutral_potential(arr)
-    ef = np.zeros(reference_mesh.n_nodes)
+    ef = np.zeros(reference_mesh.nodes.size)
     real = electrostatics._poisson_residual
     calls = []
 

@@ -615,7 +615,7 @@ def test_newton_jacobian_matches_difference_quotients(reference_stack, reference
     phi = solve(0.0, phi_neutral)[1]
     ws = transport._NewtonWorkspace(reference_stack, arr, phi_neutral, "fermi")
     rng = np.random.default_rng(0)
-    bias, vt, nodes = 0.3, arr.Vt, reference_mesh.n_nodes
+    bias, vt, nodes = 0.3, arr.Vt, reference_mesh.nodes.size
     ws.bc = np.array([[0.0, -bias], [phi_neutral[0], phi_neutral[-1] + bias],
                       [0.0, -bias]]) / vt
     split = electrostatics.quasi_fermi_split(reference_stack, reference_mesh, bias) / vt
@@ -656,8 +656,8 @@ def _perturbed_newton_state(stack, mesh, statistics, rng, spread=0.1):
     ws = transport._NewtonWorkspace(stack, arr, phi_neutral, statistics)
     ws.bc = np.array([[0.0, 0.0], phi_neutral[[0, -1]], [0.0, 0.0]]) / arr.Vt
     z = ws.seed(solve(0.0, phi_neutral)[1]) / ws.unit
-    z[[transport._P, transport._N]] += spread * rng.standard_normal((2, mesh.n_nodes))
-    z[transport._J] = 1e3 * rng.standard_normal(mesh.n_nodes)
+    z[[transport._P, transport._N]] += spread * rng.standard_normal((2, mesh.nodes.size))
+    z[transport._J] = 1e3 * rng.standard_normal(mesh.nodes.size)
     return ws, z
 
 
@@ -674,7 +674,7 @@ def test_newton_jacobian_is_zero_outside_the_slots_step_scatters(reference_stack
     rng = np.random.default_rng(2)
     for spread in (0.1, 3.0):
         ws, z = _perturbed_newton_state(stack, mesh, statistics, rng, spread)
-        z[transport._PHI] += spread * rng.standard_normal(mesh.n_nodes)
+        z[transport._PHI] += spread * rng.standard_normal(mesh.nodes.size)
         jac = ws._jacobian(ws._residual(z)[1]).reshape(48, -1)
         assert not np.delete(jac, ws.slots, axis=0).any()
         assert np.all(jac[ws.slots].any(axis=1))
@@ -689,7 +689,7 @@ def test_newton_band_holds_the_scaled_jacobian_and_its_step_solves_it(monkeypatc
     # column 4 (i + s - 1) + u) times the row scale, and the step solves it
     stack, mesh = _small_heterostructure()
     ws, z = _perturbed_newton_state(stack, mesh, statistics, np.random.default_rng(1))
-    nodes, kl, ku = mesh.n_nodes, transport._KL, transport._KU
+    nodes, kl, ku = mesh.nodes.size, transport._KL, transport._KU
     size = 4 * nodes
     assert 200 < size < 1000
     r, terms = ws._residual(z)
